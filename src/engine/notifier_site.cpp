@@ -5,6 +5,7 @@
 #include "ot/transform.hpp"
 #include "util/check.hpp"
 #include "util/metrics.hpp"
+#include "util/varint.hpp"
 
 namespace ccvc::engine {
 
@@ -134,14 +135,16 @@ NotifierSite::ParsedUplink NotifierSite::parse_uplink(
     // In-band departure: FIFO guarantees every operation the site sent
     // beforehand has already been processed, so dropping it from the
     // acknowledgement bookkeeping is sound from here on.
-    CCVC_CHECK_MSG(decode_leave(bytes) == from,
-                   "leave arrived on the wrong channel");
+    if (decode_leave(bytes) != from) {
+      throw util::DecodeError("leave arrived on the wrong channel");
+    }
     parsed.leave = true;
     return parsed;
   }
   parsed.msg = decode_client_msg(bytes, cfg.stamp_mode);
-  CCVC_CHECK_MSG(parsed.msg.id.site == from,
-                 "message arrived on the wrong channel");
+  if (parsed.msg.id.site != from) {
+    throw util::DecodeError("message arrived on the wrong channel");
+  }
   return parsed;
 }
 

@@ -57,8 +57,8 @@ class NotifierSite {
 
   /// A decoded, channel-validated uplink message: the output of the
   /// stateless parse stage and the input of the stateful single-writer
-  /// stage.  The threaded runtime's ingress shards run parse_uplink
-  /// concurrently; apply_uplink always runs on exactly one thread
+  /// stage.  The threaded runtime runs parse_uplink on every submitting
+  /// thread concurrently; apply_uplink always runs on exactly one thread
   /// (docs/THREADING.md, docs/CONCURRENCY.md).
   struct ParsedUplink {
     SiteId from = 0;
@@ -67,7 +67,8 @@ class NotifierSite {
   };
 
   /// Stateless decode + wrong-channel validation of one uplink payload.
-  /// Touches no NotifierSite state, so any thread may call it.
+  /// Touches no NotifierSite state, so any thread may call it.  Throws
+  /// util::DecodeError on a malformed payload or one naming another site.
   static ParsedUplink parse_uplink(SiteId from, const net::Payload& bytes,
                                    const EngineConfig& cfg);
 

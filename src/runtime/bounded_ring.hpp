@@ -11,7 +11,8 @@
 // Ordering guarantees the pipeline relies on:
 //  * per-producer FIFO — two pushes by one thread are popped in push
 //    order (positions are claimed monotonically), which is what keeps
-//    each client's uplink FIFO through its ingress shard;
+//    each client's uplink FIFO through the central ring, and what makes
+//    a single-threaded replay commit in exactly its submit order;
 //  * a single consumer observes items in position order.
 //
 // try_push/try_pop never block; callers layer their own backoff

@@ -1,9 +1,7 @@
 #include "runtime/pipeline.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <utility>
-#include <vector>
 
 #include "runtime/backoff.hpp"
 #include "util/check.hpp"
@@ -36,7 +34,6 @@ NotifierPipeline::NotifierPipeline(std::size_t num_sites,
       central_(pcfg.ring_capacity),
       egress_ring_(pcfg.ring_capacity) {
   CCVC_CHECK(static_cast<bool>(egress_));
-  CCVC_CHECK_MSG(pcfg_.num_shards >= 1, "at least one ingress shard");
   site_ = std::make_unique<engine::NotifierSite>(
       num_sites_, initial_doc, cfg_,
       [this](SiteId dest, net::Payload bytes) {
@@ -46,15 +43,7 @@ NotifierPipeline::NotifierPipeline(std::size_t num_sites,
   for (std::size_t i = 0; i <= num_sites_; ++i) {
     assemblers_.emplace_back(pcfg_.max_batch);
   }
-  shard_rings_.reserve(pcfg_.num_shards);
-  for (std::size_t s = 0; s < pcfg_.num_shards; ++s) {
-    shard_rings_.push_back(
-        std::make_unique<BoundedRing<RawItem>>(pcfg_.ring_capacity));
-  }
-  threads_.reserve(pcfg_.num_shards + 2);
-  for (std::size_t s = 0; s < pcfg_.num_shards; ++s) {
-    threads_.emplace_back([this, s] { shard_loop(s); });
-  }
+  threads_.reserve(2);
   threads_.emplace_back([this] { transform_loop(); });
   threads_.emplace_back([this] { egress_loop(); });
 }
@@ -69,86 +58,30 @@ std::uint64_t NotifierPipeline::committed() const {
   return committed_.load(std::memory_order_acquire);
 }
 
-std::uint64_t NotifierPipeline::submit(SiteId from, net::Payload bytes) {
+void NotifierPipeline::submit(SiteId from, net::Payload bytes) {
+  // Decode first: a malformed uplink throws to the caller before
+  // submitted_ counts it, so drain() never waits for an op that cannot
+  // commit.
+  engine::NotifierSite::ParsedUplink parsed =
+      engine::NotifierSite::parse_uplink(from, bytes, cfg_);
   // A rising submitted_ can only falsify drained(); no sleeping waiter's
   // predicate turns true, so no notify is needed here.
-  const std::uint64_t ticket =
-      submitted_.fetch_add(1, std::memory_order_acq_rel);  // ccvc-sa: allow(liveness-discipline)
+  submitted_.fetch_add(1, std::memory_order_acq_rel);  // ccvc-sa: allow(liveness-discipline)
   CCVC_METRIC_COUNT("runtime.ingress.submitted", 1);
-  RawItem item{ticket, from, std::move(bytes)};
-  BoundedRing<RawItem>& ring = *shard_rings_[from % pcfg_.num_shards];
   Backoff bo;
   // Space always reappears: shutdown orders drain() before stop_, so the
-  // ingress consumer outlives every producer spin (docs/BLOCKING.md).
-  while (!ring.try_push(std::move(item))) bo.pause();  // ccvc-sa: allow(liveness-discipline)
-  return ticket;
-}
-
-void NotifierPipeline::shard_loop(std::size_t shard) {
-  BoundedRing<RawItem>& ring = *shard_rings_[shard];
-  Backoff bo;
-  for (;;) {
-    RawItem raw;
-    if (ring.try_pop(raw)) {
-      bo.reset();
-      const auto t0 = std::chrono::steady_clock::now();
-      ParsedItem item;
-      item.ticket = raw.ticket;
-      item.parsed =
-          engine::NotifierSite::parse_uplink(raw.from, raw.bytes, cfg_);
-      CCVC_METRIC_HIST("runtime.stage.ingress_us", wall_us_since(t0));
-      Backoff push_bo;
-      // The transform consumer drains central_ until stop_, which
-      // shutdown orders after drain() — the spin always makes progress.
-      while (!central_.try_push(std::move(item))) push_bo.pause();  // ccvc-sa: allow(liveness-discipline)
-      continue;
-    }
-    if (stop_.load(std::memory_order_acquire)) return;
-    bo.pause();
-  }
+  // transform consumer outlives every producer spin (docs/BLOCKING.md).
+  while (!central_.try_push(std::move(parsed))) bo.pause();  // ccvc-sa: allow(liveness-discipline)
 }
 
 void NotifierPipeline::transform_loop() {
-  // Ticket-ordered holding pen: a min-heap on ticket over a vector
-  // reserved to ring capacity (the out-of-order window can never exceed
-  // what the central ring holds).  Replaces a std::map that allocated a
-  // node per out-of-order item — steady-state allocation-free.
-  struct Pending {
-    std::uint64_t ticket;
-    engine::NotifierSite::ParsedUplink parsed;
-  };
-  const auto later = [](const Pending& a, const Pending& b) {
-    return a.ticket > b.ticket;
-  };
-  std::vector<Pending> reorder;
-  reorder.reserve(pcfg_.ring_capacity);  // once, at thread start  // ccvc-sa: allow(hot-path-budget)
-  std::uint64_t next = 0;
   Backoff bo;
   for (;;) {
-    ParsedItem item;
-    if (central_.try_pop(item)) {
+    engine::NotifierSite::ParsedUplink parsed;
+    if (central_.try_pop(parsed)) {
       bo.reset();
       CCVC_METRIC_GAUGE_SET("runtime.ring.depth", central_.approx_size());
-      if (pcfg_.commit_order == CommitOrder::kPinned) {
-        if (item.ticket == next) {
-          commit(std::move(item.parsed));
-          ++next;
-          while (!reorder.empty() && reorder.front().ticket == next) {
-            std::pop_heap(reorder.begin(), reorder.end(), later);
-            commit(std::move(reorder.back().parsed));
-            reorder.pop_back();
-            ++next;
-          }
-        } else {
-          // Into reserved capacity (window ≤ ring capacity).
-          reorder.push_back(  // ccvc-sa: allow(hot-path-budget)
-              Pending{item.ticket, std::move(item.parsed)});
-          std::push_heap(reorder.begin(), reorder.end(), later);
-        }
-        CCVC_METRIC_GAUGE_SET("runtime.reorder.held", reorder.size());
-      } else {
-        commit(std::move(item.parsed));
-      }
+      commit(std::move(parsed));
       continue;
     }
     // Central ring empty: a tick boundary.

@@ -3,23 +3,19 @@
 //
 // Stage layout (every arrow is a BoundedRing):
 //
-//   submit(from, bytes)            [any thread, ticketed]
-//        |---> ingress shard rings [client -> shard, static assignment]
-//   shard threads: parse_uplink    [stateless decode, concurrent]
+//   submit(from, bytes)            [any thread]
+//     parse_uplink                 [stateless decode, on the caller]
 //        |---> central MPSC ring
 //   transform thread: apply_uplink [single-writer GOT + SV state]
 //        |---> per-destination BatchAssembler (flush policy below)
 //        |---> egress ring
 //   egress thread: EgressFn(dest, 0xC5 batch frame)
 //
-// Commit order:
-//  * kPinned — operations commit in strict ticket (submit) order via a
-//    reorder buffer, so a replayed simulator trace produces the exact
-//    simulator state and egress bytes (sim/equivalence.hpp);
-//  * kFree — operations commit as they emerge from the shards.  Each
-//    client's uplink stays FIFO (one shard per client, per-producer
-//    FIFO rings), which is the only order the protocol needs; the
-//    center serialization order itself may differ run to run.
+// Commit order is the central ring's per-producer FIFO.  Calls from one
+// thread commit in call order, so a recorded simulator trace replayed
+// from one thread reproduces the simulator's state and egress bytes
+// exactly (sim/equivalence.hpp).  Calls from many client threads each
+// stay FIFO and interleave freely — the only order the protocol needs.
 //
 // Flush policy:
 //  * kFixed — a destination flushes exactly when its assembler reaches
@@ -29,9 +25,11 @@
 //    ring runs empty (a tick boundary), bounding latency under light
 //    load.
 //
-// Threads never catch exceptions: a ContractViolation on the transform
-// stage is a protocol-state corruption and must terminate the process,
-// exactly as it would abort the deterministic simulator.
+// A malformed uplink throws DecodeError out of submit(), before any
+// counter or notifier state changes.  The worker threads never catch: a
+// ContractViolation on the transform stage is a protocol-state
+// corruption and must terminate the process, exactly as it would abort
+// the deterministic simulator.
 #pragma once
 
 #include <atomic>
@@ -54,23 +52,16 @@
 
 namespace ccvc::runtime {
 
-enum class CommitOrder : std::uint8_t {
-  kPinned,  ///< strict ticket order (equivalence replays)
-  kFree,    ///< shard emergence order (live closed-loop runs)
-};
-
 enum class FlushPolicy : std::uint8_t {
   kFixed,     ///< flush at max_batch + at drain only (deterministic)
   kAdaptive,  ///< additionally flush on an empty central ring
 };
 
 struct PipelineConfig {
-  std::size_t num_shards = 2;
   /// Per-ring capacity; power of two.
   std::size_t ring_capacity = 1024;
   /// Egress coalescing bound, in [1, wire::kMaxBatchMsgs].
   std::size_t max_batch = 16;
-  CommitOrder commit_order = CommitOrder::kPinned;
   FlushPolicy flush = FlushPolicy::kFixed;
 };
 
@@ -88,15 +79,16 @@ class NotifierPipeline {
   NotifierPipeline(const NotifierPipeline&) = delete;
   NotifierPipeline& operator=(const NotifierPipeline&) = delete;
 
-  /// Enqueues one uplink payload from client `from`; returns its
-  /// ticket.  Callable from any thread; blocks (backoff) while the
-  /// client's shard ring is full.  Calls from one thread commit in call
-  /// order under kPinned.
-  std::uint64_t submit(SiteId from, net::Payload bytes);
+  /// Decodes one uplink payload from client `from` on the calling
+  /// thread and enqueues it for commit.  Callable from any thread;
+  /// blocks (backoff) while the central ring is full.  Calls from one
+  /// thread commit in call order.  Throws util::DecodeError, with no
+  /// state changed, if the payload is malformed or names another site.
+  void submit(SiteId from, net::Payload bytes);
 
-  /// Blocks until everything submitted so far is parsed, committed,
-  /// flushed, and handed to the EgressFn.  No submit() may run
-  /// concurrently with drain().
+  /// Blocks until everything submitted so far is committed, flushed,
+  /// and handed to the EgressFn.  No submit() may run concurrently
+  /// with drain().
   void drain();
 
   /// drain() + stop + join.  Idempotent; the destructor calls it.
@@ -111,21 +103,11 @@ class NotifierPipeline {
   std::uint64_t committed() const;
 
  private:
-  struct RawItem {
-    std::uint64_t ticket = 0;
-    SiteId from = 0;
-    net::Payload bytes;
-  };
-  struct ParsedItem {
-    std::uint64_t ticket = 0;
-    engine::NotifierSite::ParsedUplink parsed;
-  };
   struct EgressItem {
     SiteId dest = 0;
     net::Payload bytes;
   };
 
-  void shard_loop(std::size_t shard);
   void transform_loop();
   void egress_loop();
   void commit(engine::NotifierSite::ParsedUplink parsed);
@@ -143,8 +125,7 @@ class NotifierPipeline {
   std::unique_ptr<engine::NotifierSite> site_;
   std::vector<BatchAssembler> assemblers_;  // [dest]; transform thread only
 
-  std::vector<std::unique_ptr<BoundedRing<RawItem>>> shard_rings_;
-  BoundedRing<ParsedItem> central_;
+  BoundedRing<engine::NotifierSite::ParsedUplink> central_;
   BoundedRing<EgressItem> egress_ring_;
 
   std::atomic<std::uint64_t> submitted_{0};

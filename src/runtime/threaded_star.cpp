@@ -19,11 +19,11 @@ namespace ccvc::runtime {
 namespace {
 
 // Unbounded per-client inbox of encoded EgressBatch frames.  Unbounded
-// on purpose: a client may be blocked in submit() (its shard ring is
+// on purpose: a client may be blocked in submit() (the central ring is
 // full) exactly while the egress thread is delivering to it, and a
 // bounded inbox would close a blocking cycle through the pipeline's
-// rings (egress -> inbox -> client -> shard -> central -> transform ->
-// egress).  The egress side must therefore never block here.
+// rings (egress -> inbox -> client -> central -> transform -> egress).
+// The egress side must therefore never block here.
 struct Inbox {
   std::mutex mu;
   std::deque<net::Payload> frames;

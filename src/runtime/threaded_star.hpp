@@ -8,10 +8,11 @@
 // pipeline's bounded rings; docs/THREADING.md §5), is decoded, and is
 // applied with on_center_message.  Unlike the equivalence replay
 // (sim/equivalence.hpp), nothing pins the center's serialization order
-// — the run exercises CommitOrder::kFree and FlushPolicy::kAdaptive the
-// way a deployment would, and the only checkable property is the one
-// the protocol actually promises: after quiescence, every replica's
-// text equals the notifier's.
+// — the client threads' submits interleave freely in the central ring,
+// flushing is FlushPolicy::kAdaptive the way a deployment would run,
+// and the only checkable property is the one the protocol actually
+// promises: after quiescence, every replica's text equals the
+// notifier's.
 //
 // Determinism note: each client draws its edit decisions from its own
 // util::Rng stream (forked from the seed on the main thread), but the
@@ -36,11 +37,7 @@ struct ThreadedStarConfig {
   std::uint64_t seed = 0x5eedu;
   std::string initial_doc = "ccvc";
   engine::EngineConfig engine;  // verdicts + fidelity on by default
-  PipelineConfig pipeline{.num_shards = 2,
-                          .ring_capacity = 1024,
-                          .max_batch = 16,
-                          .commit_order = CommitOrder::kFree,
-                          .flush = FlushPolicy::kAdaptive};
+  PipelineConfig pipeline{.flush = FlushPolicy::kAdaptive};
 };
 
 struct ThreadedStarReport {

@@ -60,10 +60,8 @@ EquivalenceReport run_equivalence(const EquivalenceConfig& cfg) {
   net::Payload replay_state;
   {
     runtime::PipelineConfig pcfg;
-    pcfg.num_shards = cfg.num_shards;
     pcfg.ring_capacity = cfg.ring_capacity;
     pcfg.max_batch = cfg.max_batch;
-    pcfg.commit_order = runtime::CommitOrder::kPinned;
     pcfg.flush = runtime::FlushPolicy::kFixed;
     runtime::NotifierPipeline pipeline(
         cfg.num_sites, cfg.initial_doc, cfg.engine,

@@ -1,6 +1,6 @@
 // BoundedRing unit and stress coverage: FIFO semantics, full/empty
-// edges, and the per-producer ordering guarantee the pipeline's ingress
-// sharding relies on (docs/THREADING.md §2).
+// edges, and the per-producer ordering guarantee the pipeline's central
+// ring relies on (docs/THREADING.md §2).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -49,7 +49,9 @@ TEST(BoundedRing, NonPowerOfTwoCapacityIsContractViolation) {
 
 // Multiple producers, one consumer: every item arrives exactly once and
 // each producer's items arrive in its push order — the property that
-// keeps each client's uplink FIFO through its shard.
+// keeps each client's uplink FIFO through the central ring.  With one
+// producer that order is total, which is what makes a single-threaded
+// equivalence replay commit in exactly its recorded order.
 TEST(BoundedRing, MpscStressPreservesPerProducerFifo) {
   struct Item {
     std::uint32_t producer = 0;
@@ -89,6 +91,27 @@ TEST(BoundedRing, MpscStressPreservesPerProducerFifo) {
   for (std::thread& t : producers) t.join();
   Item leftover;
   EXPECT_FALSE(ring.try_pop(leftover));
+
+  // One producer racing one consumer: the pop sequence is exactly the
+  // push sequence.
+  std::thread solo([&ring] {
+    runtime::Backoff pbo;
+    for (std::uint32_t i = 0; i < kPerProducer; ++i) {
+      while (!ring.try_push(Item{0, i})) pbo.pause();
+      pbo.reset();
+    }
+  });
+  for (std::uint32_t want = 0; want < kPerProducer;) {
+    Item item;
+    if (!ring.try_pop(item)) {
+      bo.pause();
+      continue;
+    }
+    bo.reset();
+    EXPECT_EQ(item.seq, want);
+    ++want;
+  }
+  solo.join();
 }
 
 }  // namespace

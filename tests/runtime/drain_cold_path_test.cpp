@@ -1,7 +1,7 @@
 // Cold-path coverage for the drain protocol: capacity-2 rings with
-// max_batch=1 force every backoff spin (full shard ring, full central
-// ring, full egress ring) and every drain wake-up path (committed_,
-// pending_batched_, egress_inflight_) to actually run, across repeated
+// max_batch=1 force every backoff spin (full central ring, full egress
+// ring) and every drain wake-up path (committed_, pending_batched_,
+// egress_inflight_) to actually run, across repeated
 // drain()/submit() interleavings — the regime docs/BLOCKING.md's
 // wait-for edges describe.  TSan covers this suite via CI step 13
 // (ctest label `runtime`).
@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <ostream>
 #include <string>
 #include <utility>
 
@@ -17,27 +18,28 @@
 #include "net/channel.hpp"
 #include "runtime/pipeline.hpp"
 
+namespace ccvc::runtime {
+// Names the parameter in test listings.
+void PrintTo(FlushPolicy f, std::ostream* os) {
+  *os << (f == FlushPolicy::kFixed ? "kFixed" : "kAdaptive");
+}
+}  // namespace ccvc::runtime
+
 namespace {
 
 using namespace ccvc;
 
-struct ColdCase {
-  runtime::CommitOrder order;
-  runtime::FlushPolicy flush;
-};
-
-class DrainColdPath : public ::testing::TestWithParam<ColdCase> {};
+class DrainColdPath
+    : public ::testing::TestWithParam<runtime::FlushPolicy> {};
 
 // One client feeding the tiniest legal pipeline, draining after every
 // tiny burst.  Every submit beyond the second of a burst must ride the
 // full-ring backoff spin; every drain starts from a freshly woken cv.
 TEST_P(DrainColdPath, RepeatedDrainSubmitInterleavings) {
   runtime::PipelineConfig pcfg;
-  pcfg.num_shards = 1;
   pcfg.ring_capacity = 2;  // smallest power of two > 1
   pcfg.max_batch = 1;      // a frame per committed op
-  pcfg.commit_order = GetParam().order;
-  pcfg.flush = GetParam().flush;
+  pcfg.flush = GetParam();
 
   engine::EngineConfig ecfg;
   // Two sites: the center skips the originator on broadcast, so a
@@ -64,7 +66,7 @@ TEST_P(DrainColdPath, RepeatedDrainSubmitInterleavings) {
 
   std::string expected;
   for (int round = 0; round < 20; ++round) {
-    // A 3-insert burst overfills the capacity-2 shard ring, so the
+    // A 3-insert burst can overfill the capacity-2 central ring, so the
     // third submit exercises the producer-side backoff spin while the
     // consumer threads race the drain that follows.
     for (int k = 0; k < 3; ++k) {
@@ -94,20 +96,12 @@ TEST_P(DrainColdPath, RepeatedDrainSubmitInterleavings) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllPolicies, DrainColdPath,
-    ::testing::Values(
-        ColdCase{runtime::CommitOrder::kPinned, runtime::FlushPolicy::kFixed},
-        ColdCase{runtime::CommitOrder::kPinned,
-                 runtime::FlushPolicy::kAdaptive},
-        ColdCase{runtime::CommitOrder::kFree, runtime::FlushPolicy::kFixed},
-        ColdCase{runtime::CommitOrder::kFree,
-                 runtime::FlushPolicy::kAdaptive}),
-    [](const ::testing::TestParamInfo<ColdCase>& pinfo) {
-      std::string name =
-          pinfo.param.order == runtime::CommitOrder::kPinned ? "Pinned"
-                                                             : "Free";
-      name += pinfo.param.flush == runtime::FlushPolicy::kFixed ? "Fixed"
-                                                                : "Adaptive";
-      return name;
+    ::testing::Values(runtime::FlushPolicy::kFixed,
+                      runtime::FlushPolicy::kAdaptive),
+    [](const ::testing::TestParamInfo<runtime::FlushPolicy>& pinfo) {
+      return std::string(pinfo.param == runtime::FlushPolicy::kFixed
+                             ? "Fixed"
+                             : "Adaptive");
     });
 
 }  // namespace

@@ -1,12 +1,18 @@
 // Determinism equivalence of the threaded backend: a recorded simulator
-// trace replayed through the pipeline (CommitOrder::kPinned) must
-// reproduce the simulator byte for byte — notifier checkpoint and every
-// destination's unbatched downlink stream (docs/THREADING.md §4).
+// trace replayed through the pipeline from one thread must reproduce the
+// simulator byte for byte — notifier checkpoint and every destination's
+// unbatched downlink stream (docs/THREADING.md §4).  Also: admission —
+// a malformed uplink is rejected by submit() before anything changes.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
+#include <utility>
 
+#include "engine/client_site.hpp"
+#include "runtime/pipeline.hpp"
 #include "sim/equivalence.hpp"
+#include "util/varint.hpp"
 
 namespace {
 
@@ -53,19 +59,6 @@ TEST(PipelineEquivalence, BatchBoundIsTransparent) {
   }
 }
 
-// Shard count changes which thread parses what, never what commits:
-// one shard (no parse concurrency) and four shards agree.
-TEST(PipelineEquivalence, ShardCountIsTransparent) {
-  for (std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
-    EquivalenceConfig cfg;
-    cfg.num_sites = 5;
-    cfg.ops_per_site = 25;
-    cfg.seed = 17;
-    cfg.num_shards = shards;
-    expect_equivalent(cfg);
-  }
-}
-
 // A tiny ring forces every backoff path (producers blocking on full
 // rings) without changing the result.
 TEST(PipelineEquivalence, TinyRingsStillEquivalent) {
@@ -84,6 +77,42 @@ TEST(PipelineEquivalence, FullVectorModeEquivalent) {
   cfg.seed = 29;
   cfg.engine.stamp_mode = engine::StampMode::kFullVector;
   expect_equivalent(cfg);
+}
+
+// The uplink client `site` sends for inserting `text` at the front.
+net::Payload uplink_from(SiteId site, const std::string& text) {
+  net::Payload out;
+  engine::ClientSite client(site, 2, "", engine::EngineConfig{},
+                            [&out](net::Payload b) { out = std::move(b); });
+  client.insert(0, text);
+  return out;
+}
+
+// submit() must throw DecodeError for `bad` with no counter or notifier
+// state changed, and the pipeline must carry on with honest traffic.
+void expect_rejected_then_live(net::Payload bad) {
+  runtime::NotifierPipeline pipe(2, "", engine::EngineConfig{},
+                                 [](SiteId, net::Payload) {});
+  EXPECT_THROW(pipe.submit(1, std::move(bad)), util::DecodeError);
+  EXPECT_EQ(pipe.submitted(), 0u);
+  EXPECT_EQ(pipe.committed(), 0u);
+
+  pipe.submit(1, uplink_from(1, "ok"));
+  pipe.drain();  // would hang if the rejected uplink had been counted
+  EXPECT_EQ(pipe.submitted(), 1u);
+  EXPECT_EQ(pipe.committed(), 1u);
+  EXPECT_EQ(pipe.site().text(), "ok");
+}
+
+TEST(PipelineAdmission, TruncatedUplinkThrowsDecodeError) {
+  net::Payload truncated = uplink_from(1, "xy");
+  truncated.pop_back();
+  expect_rejected_then_live(std::move(truncated));
+}
+
+// Well-formed, but site 2's operation arriving on site 1's channel.
+TEST(PipelineAdmission, WrongChannelUplinkThrowsDecodeError) {
+  expect_rejected_then_live(uplink_from(2, "xy"));
 }
 
 }  // namespace

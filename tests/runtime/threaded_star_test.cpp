@@ -1,6 +1,6 @@
 // Closed-loop threaded sessions: real client threads editing against
 // the live pipeline converge to the notifier's text regardless of
-// scheduling, commit order, flush policy, or ring sizing
+// scheduling, submit interleaving, flush policy, or ring sizing
 // (docs/THREADING.md §5).
 #include <gtest/gtest.h>
 
@@ -35,19 +35,18 @@ TEST(ThreadedStar, SweepSitesAndSeeds) {
 }
 
 // Chaos sweep: hostile pipeline shapes — tiny rings (every stage hits
-// its full/empty backoff path), degenerate and maximal batch bounds,
-// one and many shards — across seeds.  Convergence must be unconditional.
+// its full/empty backoff path), degenerate and maximal batch bounds —
+// across seeds.  Convergence must be unconditional.
 TEST(ThreadedStar, ChaosSweepHostileShapes) {
   struct Shape {
-    std::size_t shards;
     std::size_t ring;
     std::size_t max_batch;
   };
   const Shape shapes[] = {
-      {1, 4, 1},
-      {4, 8, 2},
-      {3, 4, 256},
-      {8, 16, 16},
+      {4, 1},
+      {8, 2},
+      {4, 256},
+      {16, 16},
   };
   std::uint64_t seed = 100;
   for (const Shape& s : shapes) {
@@ -55,28 +54,26 @@ TEST(ThreadedStar, ChaosSweepHostileShapes) {
     cfg.num_sites = 6;
     cfg.ops_per_site = 25;
     cfg.seed = ++seed;
-    cfg.pipeline.num_shards = s.shards;
     cfg.pipeline.ring_capacity = s.ring;
     cfg.pipeline.max_batch = s.max_batch;
     expect_converged(cfg);
   }
 }
 
-// The live loop also runs pinned (commit in arrival-ticket order) and
-// with fixed flushing — slower, but equally convergent.
-TEST(ThreadedStar, PinnedFixedBackendConverges) {
+// The live loop also runs with fixed flushing — slower, but equally
+// convergent.
+TEST(ThreadedStar, FixedFlushConverges) {
   ThreadedStarConfig cfg;
   cfg.num_sites = 4;
   cfg.ops_per_site = 30;
   cfg.seed = 7;
-  cfg.pipeline.commit_order = runtime::CommitOrder::kPinned;
   cfg.pipeline.flush = runtime::FlushPolicy::kFixed;
   expect_converged(cfg);
 }
 
 // Re-running the same configuration must converge every time — the
-// serialization order differs run to run (that is the point of
-// CommitOrder::kFree), and convergence may not depend on it.
+// serialization order differs run to run (client submits interleave
+// freely), and convergence may not depend on it.
 TEST(ThreadedStar, RepeatedRunsAlwaysConverge) {
   ThreadedStarConfig cfg;
   cfg.num_sites = 3;

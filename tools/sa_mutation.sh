@@ -7,13 +7,13 @@
 #   2. decode path raising ContractViolation     (exception-discipline)
 #   3. new shared mutable touched by the hot path     (shared-state)
 #   4. dead entry in the suppression baseline       (engine liveness)
-#   5. transform-only state written from the ingress closure
+#   5. transform-only state written from the producer closure
 #                                                    (single-writer)
 #   6. atomic op with a defaulted memory order       (atomics-order)
 #   7. memory order changed under a stale ATOMICS.md (atomics drift)
 #   8. allocation seeded into the submit hot path + stale HOTPATH.md
 #                                                  (hot-path-budget)
-#   9. client inboxes made bounded: the documented 5-edge cycle closes
+#   9. client inboxes made bounded: the documented 4-edge cycle closes
 #      and must surface as a blocking-graph cycle finding
 #  10. a spin seeded under drain_mu_ (hold-and-wait) — lock-order
 #      inversion closing a control/transform/egress cycle
@@ -143,19 +143,21 @@ printf 'wire-taint|src/engine/got.cpp|taint:*bogus*\n' \
 expect_findings "dead suppression entry" 1 \
   "error: dead suppression.*bogus"
 
-# Mutation 5 (single-writer): the ingress shard loop starts flushing
-# assemblers — transform-owned BatchAssembler state (msgs_) gains a
-# second writing thread closure.
+# Mutation 5 (single-writer): submit() starts flushing assemblers —
+# transform-owned BatchAssembler state (msgs_) gains a second writing
+# thread closure, the concurrent producer one.  flush() is new to the
+# submit() closure, so the stale CONCURRENCY.md must fire alongside.
 stage
-sed 's/engine::NotifierSite::parse_uplink(raw.from, raw.bytes, cfg_);/engine::NotifierSite::parse_uplink(raw.from, raw.bytes, cfg_);\n      if (raw.ticket == 0 \&\& !assemblers_[0].empty()) assemblers_[0].flush();/' \
+sed 's/engine::NotifierSite::parse_uplink(from, bytes, cfg_);/engine::NotifierSite::parse_uplink(from, bytes, cfg_);\n  if (from == 0 \&\& !assemblers_[0].empty()) assemblers_[0].flush();/' \
   "$TMP/src/runtime/pipeline.cpp" > "$TMP/src/runtime/pipeline.cpp.new"
 mv "$TMP/src/runtime/pipeline.cpp.new" "$TMP/src/runtime/pipeline.cpp"
 if ! grep -q 'assemblers_\[0\].flush' "$TMP/src/runtime/pipeline.cpp"; then
-  echo "FAIL: mutation 5 seed did not apply (shard_loop moved?)" >&2
+  echo "FAIL: mutation 5 seed did not apply (submit moved?)" >&2
   exit 1
 fi
-expect_findings "transform state written from ingress closure" 1 \
-  "single-writer.*msgs_.*thread closures"
+expect_findings "transform state written from producer closure" 2 \
+  "single-writer.*msgs_.*thread closures" \
+  "shared-state.*drift"
 
 # Mutation 6 (atomics-order): an atomic op with the order defaulted to
 # seq_cst instead of spelled out.
@@ -186,7 +188,7 @@ expect_findings "order changed under stale ATOMICS.md" 1 \
 # Mutation 8 (hot-path-budget): an allocation seeded into submit() —
 # both the allocation finding and the stale-HOTPATH.md drift must fire.
 stage
-sed 's/RawItem item{ticket, from, std::move(bytes)};/bytes.push_back(0);\n  RawItem item{ticket, from, std::move(bytes)};/' \
+sed 's/^  engine::NotifierSite::ParsedUplink parsed =$/  bytes.push_back(0);\n&/' \
   "$TMP/src/runtime/pipeline.cpp" > "$TMP/src/runtime/pipeline.cpp.new"
 mv "$TMP/src/runtime/pipeline.cpp.new" "$TMP/src/runtime/pipeline.cpp"
 if ! grep -q 'bytes.push_back(0);' "$TMP/src/runtime/pipeline.cpp"; then
@@ -210,7 +212,7 @@ if ! grep -q 'frames.size() >= 8' "$TMP/src/runtime/threaded_star.cpp"; then
   echo "FAIL: mutation 9 seed did not apply (Inbox::push moved?)" >&2
   exit 1
 fi
-expect_findings "bounded client inboxes close the 5-edge cycle" 4 \
+expect_findings "bounded client inboxes close the 4-edge cycle" 4 \
   "blocking-graph.*blocking cycle among thread closures" \
   "blocking-graph.*egress.*closure a capacity wait" \
   "liveness-discipline.*consults no termination flag" \
