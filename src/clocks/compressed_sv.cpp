@@ -18,6 +18,16 @@ void CompressedSv::encode(util::ByteSink& sink) const {
   w.uv(wire::f::kCsvFromSite, from_site);
 }
 
+// Both fields are declared unbounded, so encode_to skips the Writer's
+// bound checks without dropping any.
+static_assert(wire::f::kCsvFromCenter.bound == wire::kU64Max &&
+              wire::f::kCsvFromSite.bound == wire::kU64Max);
+
+std::size_t CompressedSv::encode_to(std::uint8_t* out) const {
+  const std::size_t n = util::encode_uvarint(from_center, out);
+  return n + util::encode_uvarint(from_site, out + n);
+}
+
 CompressedSv CompressedSv::decode(util::ByteSource& src) {
   wire::Reader r(src);
   CompressedSv sv;

@@ -49,6 +49,13 @@ struct CompressedSv {
   static CompressedSv decode(util::ByteSource& src);
   std::size_t encoded_size() const;
 
+  /// Longest encoding: two maximal varints.
+  static constexpr std::size_t kMaxEncodedSize = 2 * util::kMaxUvarintBytes;
+  /// The same bytes as encode(), written to `out` (room for
+  /// kMaxEncodedSize); returns the count.  The notifier's broadcast
+  /// splices these per destination from a stack buffer.
+  std::size_t encode_to(std::uint8_t* out) const;
+
   /// "[a,b]" rendering matching Fig. 3 annotations.
   std::string str() const;
 

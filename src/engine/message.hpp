@@ -53,6 +53,24 @@ struct CenterMsg {
 net::Payload encode(const ClientMsg& msg, StampMode mode);
 net::Payload encode(const CenterMsg& msg, StampMode mode);
 
+/// One executed operation's CenterMsg, encoded once for its whole
+/// broadcast.  The notifier sends the same O' to N−1 destinations and
+/// only the stamp differs (eq. (1)-(2)), so the head (tag + OpId) and
+/// the tail (coalesced op list) are encoded here once; splice() then
+/// writes one exact-size payload per destination: head, that
+/// destination's stamp, tail.
+class CenterMsgSplicer {
+ public:
+  CenterMsgSplicer(const OpId& id, const ot::OpList& ops);
+
+  /// Byte-identical to encode(CenterMsg{id, ops, stamp}, mode).
+  net::Payload splice(const Stamp& stamp, StampMode mode) const;
+
+ private:
+  net::Payload body_;  // head then tail, with no stamp between them
+  std::size_t head_size_ = 0;
+};
+
 ClientMsg decode_client_msg(const net::Payload& bytes, StampMode mode);
 CenterMsg decode_center_msg(const net::Payload& bytes, StampMode mode);
 

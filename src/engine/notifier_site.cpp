@@ -1,5 +1,6 @@
 #include "engine/notifier_site.hpp"
 
+#include <memory>
 #include <utility>
 
 #include "ot/transform.hpp"
@@ -35,7 +36,9 @@ NotifierSite::State NotifierSite::state() const {
   s.hb = hb_;
   s.outgoing.reserve(outgoing_.size());
   for (const auto& q : outgoing_) {
-    s.outgoing.emplace_back(q.begin(), q.end());
+    auto& out = s.outgoing.emplace_back();
+    out.reserve(q.size());
+    for (const auto& b : q) out.push_back(BridgeEntry{b.id, b.index, *b.ops});
   }
   s.enqueued = enqueued_;
   s.acked = acked_;
@@ -62,7 +65,11 @@ NotifierSite::NotifierSite(const State& state, const EngineConfig& cfg,
   CCVC_CHECK(state.outgoing.size() == num_sites_ + 1);
   outgoing_.reserve(state.outgoing.size());
   for (const auto& q : state.outgoing) {
-    outgoing_.emplace_back(q.begin(), q.end());
+    auto& in = outgoing_.emplace_back();
+    for (const auto& b : q) {
+      in.push_back(
+          QueuedOp{b.id, b.index, std::make_shared<ot::OpList>(b.ops)});
+    }
   }
 }
 
@@ -157,6 +164,27 @@ void NotifierSite::apply_uplink(ParsedUplink parsed) {
   }
   ClientMsg msg = std::move(parsed.msg);
 
+  // Acknowledgement: T[1] of a client stamp counts the center
+  // operations the client had executed when it generated Oa (§3.3).  In
+  // full-vector mode the same count is Σ over the *client* components
+  // other than the sender's: component j of a client stamp is SV_0[j]
+  // as of the last center message it received (component 0 counts the
+  // center's own issue events and must not be included).  A client can
+  // only acknowledge what was sent to it, so a larger count is hostile
+  // input, rejected here before any state changes.
+  if (cfg_.stamp_mode == StampMode::kFullVector &&
+      msg.stamp.full.size() != num_sites_ + 1) {
+    throw util::DecodeError("uplink stamp is not an (N+1)-vector");
+  }
+  const std::uint64_t ack =
+      (cfg_.stamp_mode == StampMode::kCompressed)
+          ? msg.stamp.csv.from_center
+          : msg.stamp.full.sum() - msg.stamp.full[kNotifierSite] -
+                msg.stamp.full[from];
+  if (ack > enqueued_[from]) {
+    throw util::DecodeError("uplink acknowledges operations never sent");
+  }
+
   // §4.2 — concurrency check of the incoming Oa (2-element stamp)
   // against every buffered operation (full-vector stamp), formula (7).
   std::vector<OpId> formula_concurrent;
@@ -190,17 +218,6 @@ void NotifierSite::apply_uplink(ParsedUplink parsed) {
     }
   }
 
-  // Acknowledgement: T[1] of a client stamp counts the center
-  // operations the client had executed when it generated Oa (§3.3).  In
-  // full-vector mode the same count is Σ over the *client* components
-  // other than the sender's: component j of a client stamp is SV_0[j]
-  // as of the last center message it received (component 0 counts the
-  // center's own issue events and must not be included).
-  const std::uint64_t ack =
-      (cfg_.stamp_mode == StampMode::kCompressed)
-          ? msg.stamp.csv.from_center
-          : msg.stamp.full.sum() - msg.stamp.full[kNotifierSite] -
-                msg.stamp.full[from];
   acked_[from] = std::max(acked_[from], ack);
 
   ot::OpList incoming = std::move(msg.ops);
@@ -221,13 +238,18 @@ void NotifierSite::apply_uplink(ParsedUplink parsed) {
 
     // Transform Oa against the concurrent operations, symmetrically
     // updating their bridge forms (they must end in the post-Oa context
-    // for the next message from this client).
+    // for the next message from this client).  A form still shared with
+    // other clients' queues is replaced, never written through.
     CCVC_METRIC_COUNT("engine.notifier.transforms", bridge.size());
     CCVC_METRIC_HIST("engine.notifier.transform_path_len", bridge.size());
     for (auto& b : bridge) {
-      auto [inc_next, b_next] = ot::transform(incoming, b.ops);
+      auto [inc_next, b_next] = ot::transform(incoming, *b.ops);
       incoming = std::move(inc_next);
-      b.ops = std::move(b_next);
+      if (b.ops.use_count() == 1) {
+        *b.ops = std::move(b_next);
+      } else {
+        b.ops = std::make_shared<ot::OpList>(std::move(b_next));
+      }
     }
     doc_.apply(incoming, doc::ApplyMode::kStrict);
   } else {
@@ -249,34 +271,35 @@ void NotifierSite::apply_uplink(ParsedUplink parsed) {
   if (observer_) observer_->on_center_execute(msg.id, hb_.back().executed);
 
   // Broadcast O' to every other (active) client, stamped per
-  // destination with eq. (1)-(2).
+  // destination with eq. (1)-(2).  O' is encoded once and queued once:
+  // each destination gets the shared form and a payload spliced around
+  // its own stamp.
+  const CenterMsgSplicer wire(msg.id, incoming);
+  const auto executed = std::make_shared<ot::OpList>(std::move(incoming));
+  Stamp stamp;
+  if (cfg_.stamp_mode == StampMode::kFullVector) stamp.full = vc_;
+  std::uint64_t sent = 0;
   for (SiteId dest = 1; dest <= num_sites_; ++dest) {
     if (dest == from || !active_[dest]) continue;
+    ++enqueued_[dest];
     if (cfg_.transform) {
-      outgoing_[dest].push_back(
-          BridgeEntry{msg.id, ++enqueued_[dest], incoming});
-    } else {
-      ++enqueued_[dest];
+      outgoing_[dest].push_back(QueuedOp{msg.id, enqueued_[dest], executed});
     }
 
-    CenterMsg out;
-    out.id = msg.id;
-    out.ops = incoming;
-    out.stamp.csv = clock_.stamp_for(dest);
-    out.stamp.full = vc_;
+    stamp.csv = clock_.stamp_for(dest);
     // Eq. (1) invariant: the per-destination send counter *is*
     // Σ_{j≠dest} SV_0[j].
-    CCVC_CHECK(out.stamp.csv.from_center == enqueued_[dest]);
-    net::Payload out_bytes = encode(out, cfg_.stamp_mode);
-    CCVC_METRIC_COUNT("engine.notifier.broadcasts", 1);
-    CCVC_METRIC_HIST("engine.wire.stamp_bytes",
-                     stamp_wire_size(out.stamp, cfg_.stamp_mode));
+    CCVC_CHECK(stamp.csv.from_center == enqueued_[dest]);
+    net::Payload out_bytes = wire.splice(stamp, cfg_.stamp_mode);
+    const std::size_t stamp_bytes = stamp_wire_size(stamp, cfg_.stamp_mode);
+    CCVC_METRIC_HIST("engine.wire.stamp_bytes", stamp_bytes);
     if (observer_) {
-      observer_->on_wire(kNotifierSite, dest, out_bytes.size(),
-                         stamp_wire_size(out.stamp, cfg_.stamp_mode));
+      observer_->on_wire(kNotifierSite, dest, out_bytes.size(), stamp_bytes);
     }
     send_(dest, std::move(out_bytes));
+    ++sent;
   }
+  CCVC_METRIC_COUNT("engine.notifier.broadcasts", sent);
 
   if (cfg_.gc_history) gc_history();
 }

@@ -23,10 +23,23 @@
 // Σ_{j≠y} SV_0[j] — exactly eq. (1) — and after acknowledgement-dropping
 // the queue for an arriving op's origin holds exactly the operations
 // formula (7) classifies as concurrent.
+//
+// Broadcast layout.  Of an executed O' sent to N−1 destinations only the
+// eq. (1)-(2) stamp differs, so apply_uplink does the rest once per op:
+//  * CenterMsgSplicer encodes the head (tag + OpId) and the tail
+//    (coalesced op list) once; each destination's payload is one
+//    exact-size buffer spliced as head, its 2-varint stamp (written on
+//    the stack), tail — byte-identical to encode(CenterMsg).
+//  * The executed form is allocated once and every bridge queue holds a
+//    shared_ptr to it.  Transformation writes a form in place when the
+//    queue is its only owner and replaces it while it is still shared,
+//    so one client's transform never reaches another client's queue.
+//    state() and checkpoints see plain BridgeEntry values.
 #pragma once
 
 #include <deque>
 #include <functional>
+#include <memory>
 #include <string_view>
 #include <vector>
 
@@ -75,7 +88,10 @@ class NotifierSite {
   /// The stateful remainder of on_client_message: formula-(7)
   /// concurrency check, bridge ack-drop, transformation, eq. (1)-(2)
   /// stamping, and broadcast.  Single-writer — never called from two
-  /// threads concurrently.
+  /// threads concurrently.  Throws util::DecodeError, with no state
+  /// changed, on an uplink acknowledging more center operations than
+  /// were sent to its site (or, in full-vector mode, whose stamp is not
+  /// an (N+1)-vector).
   void apply_uplink(ParsedUplink parsed);
 
   /// Everything a late joiner needs to enter the session consistently:
@@ -163,6 +179,13 @@ class NotifierSite {
                SendFn send_to_client, EngineObserver* observer = nullptr);
 
  private:
+  // A bridge entry as queued: the executed form is shared by every
+  // queue it was broadcast to until a transform rewrites it.
+  struct QueuedOp {
+    OpId id;
+    std::uint64_t index;
+    std::shared_ptr<ot::OpList> ops;
+  };
 
   std::size_t num_sites_;
   EngineConfig cfg_;
@@ -175,7 +198,7 @@ class NotifierSite {
   void gc_history();
 
   std::vector<NotifierHbEntry> hb_;
-  std::vector<std::deque<BridgeEntry>> outgoing_;   // [client id]
+  std::vector<std::deque<QueuedOp>> outgoing_;      // [client id]
   std::vector<std::uint64_t> enqueued_;             // total ever, per client
   std::vector<std::uint64_t> acked_;                // latest T[1] per client
   std::vector<bool> active_;                        // departed sites: false

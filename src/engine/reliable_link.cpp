@@ -51,7 +51,7 @@ net::Payload encode_frame(const Frame& frame) {
     }
   }
   w.crc(wire::f::kFrameCrc);
-  return sink.bytes();
+  return std::move(sink).take();
 }
 
 // The schema and the Frame::Kind enum name the same first wire byte.

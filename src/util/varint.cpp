@@ -18,11 +18,8 @@ std::int64_t zigzag_decode(std::uint64_t v) {
 }  // namespace
 
 void ByteSink::put_uvarint(std::uint64_t v) {
-  while (v >= 0x80) {
-    bytes_.push_back(static_cast<std::uint8_t>(v) | 0x80u);
-    v >>= 7;
-  }
-  bytes_.push_back(static_cast<std::uint8_t>(v));
+  std::uint8_t buf[kMaxUvarintBytes];
+  put_raw(buf, encode_uvarint(v, buf));
 }
 
 void ByteSink::put_svarint(std::int64_t v) { put_uvarint(zigzag_encode(v)); }
@@ -75,6 +72,16 @@ std::string ByteSource::get_string() {
                 static_cast<std::size_t>(n));
   pos_ += static_cast<std::size_t>(n);
   return s;
+}
+
+std::size_t encode_uvarint(std::uint64_t v, std::uint8_t* out) {
+  std::size_t n = 0;
+  while (v >= 0x80) {
+    out[n++] = static_cast<std::uint8_t>(v) | 0x80u;
+    v >>= 7;
+  }
+  out[n++] = static_cast<std::uint8_t>(v);
+  return n;
 }
 
 std::size_t uvarint_size(std::uint64_t v) {

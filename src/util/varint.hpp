@@ -11,6 +11,7 @@
 #include <cstddef>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "util/check.hpp"
@@ -34,7 +35,13 @@ class ByteSink {
   /// Raw bytes, no length prefix.
   void put_raw(const void* data, std::size_t n);
 
+  /// Pre-sizes the buffer for an encoder that knows its exact length.
+  void reserve(std::size_t n) { bytes_.reserve(n); }
+
   const std::vector<std::uint8_t>& bytes() const { return bytes_; }
+  /// Moves the encoded bytes out, leaving the sink empty — encoders
+  /// return their payload without a copy.
+  std::vector<std::uint8_t> take() && { return std::move(bytes_); }
   std::size_t size() const { return bytes_.size(); }
   void clear() { bytes_.clear(); }
 
@@ -80,5 +87,13 @@ class ByteSource {
 /// Number of bytes put_uvarint would emit for v (for overhead analysis
 /// without materializing a buffer).
 std::size_t uvarint_size(std::uint64_t v);
+
+/// Longest LEB128 encoding of a 64-bit value.
+inline constexpr std::size_t kMaxUvarintBytes = 10;
+
+/// Writes the put_uvarint bytes of v to `out`, which has room for
+/// kMaxUvarintBytes, and returns how many it wrote — for encoders that
+/// build a few varints on the stack instead of in a ByteSink.
+std::size_t encode_uvarint(std::uint64_t v, std::uint8_t* out);
 
 }  // namespace ccvc::util

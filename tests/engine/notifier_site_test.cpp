@@ -1,0 +1,125 @@
+// NotifierSite driven directly with hand-built uplinks: admission of an
+// uplink's acknowledgement before any state changes, and copy-on-write
+// of the executed form its broadcast shares across bridge queues.
+#include <gtest/gtest.h>
+
+#include <utility>
+#include <vector>
+
+#include "engine/notifier_site.hpp"
+#include "engine/snapshot.hpp"
+#include "util/varint.hpp"
+
+namespace ccvc::engine {
+namespace {
+
+using Sent = std::vector<std::pair<SiteId, net::Payload>>;
+
+NotifierSite::SendFn collect(Sent& sent) {
+  return [&sent](SiteId dest, net::Payload bytes) {
+    sent.emplace_back(dest, std::move(bytes));
+  };
+}
+
+net::Payload uplink(OpId id, ot::OpList ops, clocks::CompressedSv csv) {
+  ClientMsg m;
+  m.id = id;
+  m.ops = std::move(ops);
+  m.stamp.csv = csv;
+  return encode(m, StampMode::kCompressed);
+}
+
+TEST(NotifierAdmission, AckBeyondSentThrowsBeforeAnyStateChange) {
+  Sent sent;
+  NotifierSite n(3, "abc", EngineConfig{}, collect(sent));
+  // Client 1's op reaches clients 2 and 3: one center op sent to each.
+  n.on_client_message(1, uplink({1, 1}, ot::make_insert(0, "x", 1), {0, 1}));
+  ASSERT_EQ(sent.size(), 2u);
+  sent.clear();
+
+  // Client 2 claims to have executed 5 center ops; 1 was ever sent.
+  const NotifierSite::State before = n.state();
+  EXPECT_THROW(n.on_client_message(
+                   2, uplink({2, 1}, ot::make_insert(0, "y", 2), {5, 1})),
+               util::DecodeError);
+  EXPECT_EQ(n.state(), before);
+  EXPECT_TRUE(sent.empty());
+
+  // The honest op after it, acknowledging exactly what was sent, commits.
+  n.on_client_message(2, uplink({2, 1}, ot::make_insert(0, "y", 2), {1, 1}));
+  EXPECT_EQ(sent.size(), 2u);
+  EXPECT_EQ(n.text(), "yxabc");
+  EXPECT_EQ(n.state_vector().from(2), 1u);
+}
+
+TEST(NotifierAdmission, FullVectorAckBeyondSentAndWrongSizeThrow) {
+  EngineConfig cfg;
+  cfg.stamp_mode = StampMode::kFullVector;
+  Sent sent;
+  NotifierSite n(2, "abc", cfg, collect(sent));
+  const auto send = [&n](std::vector<std::uint64_t> stamp) {
+    ClientMsg m;
+    m.id = OpId{1, 1};
+    m.ops = ot::make_insert(0, "x", 1);
+    m.stamp.full = clocks::VersionVector(std::move(stamp));
+    n.on_client_message(1, encode(m, StampMode::kFullVector));
+  };
+  const NotifierSite::State before = n.state();
+  // Component 2 counts client 2's ops the sender has seen: none was sent.
+  EXPECT_THROW(send({0, 1, 3}), util::DecodeError);
+  EXPECT_THROW(send({0, 1}), util::DecodeError);
+  EXPECT_EQ(n.state(), before);
+  EXPECT_TRUE(sent.empty());
+
+  send({0, 1, 0});
+  EXPECT_EQ(sent.size(), 1u);
+  EXPECT_EQ(n.text(), "xabc");
+}
+
+TEST(NotifierBridge, TransformCopiesASharedExecutedForm) {
+  Sent sent;
+  NotifierSite n(3, "abcdef", EngineConfig{}, collect(sent));
+  // A = Insert["X", 4] from client 1, queued for clients 2 and 3.
+  n.on_client_message(1, uplink({1, 1}, ot::make_insert(4, "X", 1), {0, 1}));
+  // B = Delete[1, 0] from client 2, concurrent with A: it transforms
+  // client 2's bridge copy of A to Insert["X", 3].
+  n.on_client_message(2, uplink({2, 1}, ot::make_delete(0, 1, 2), {0, 1}));
+
+  const NotifierSite::State s = n.state();
+  const ot::OpList& a_executed = n.history()[0].executed;
+  ASSERT_EQ(s.outgoing[2].size(), 1u);
+  EXPECT_EQ(s.outgoing[2][0].id, (OpId{1, 1}));
+  ASSERT_EQ(s.outgoing[2][0].ops.size(), 1u);
+  EXPECT_EQ(s.outgoing[2][0].ops[0].pos, 3u);
+  // Client 3 has seen neither op, so its queue still holds A exactly as
+  // executed, then B.
+  ASSERT_EQ(s.outgoing[3].size(), 2u);
+  EXPECT_EQ(s.outgoing[3][0].id, (OpId{1, 1}));
+  EXPECT_EQ(s.outgoing[3][0].ops, a_executed);
+  EXPECT_EQ(s.outgoing[3][1].ops, n.history()[1].executed);
+
+  // A checkpoint restores the same state, and the restored notifier
+  // (which shares nothing) continues byte-identically to the live one.
+  Sent sent_restored;
+  NotifierSite restored(load_notifier_checkpoint(save_checkpoint(n)),
+                        EngineConfig{}, collect(sent_restored));
+  EXPECT_EQ(restored.state(), s);
+  sent.clear();
+  // C = Delete[1, 0] from client 3, concurrent with both, deletes what B
+  // deleted: it transforms its queue's own copy of A and turns its copy
+  // of B, still shared with client 1's queue, into an identity.
+  const net::Payload c = uplink({3, 1}, ot::make_delete(0, 1, 3), {0, 1});
+  n.on_client_message(3, c);
+  restored.on_client_message(3, c);
+  EXPECT_EQ(sent, sent_restored);
+  EXPECT_EQ(n.state(), restored.state());
+  const NotifierSite::State after = n.state();
+  ASSERT_EQ(after.outgoing[3].size(), 2u);
+  EXPECT_TRUE(ot::is_identity(after.outgoing[3][1].ops));
+  ASSERT_EQ(after.outgoing[1].size(), 2u);
+  EXPECT_EQ(after.outgoing[1][0].ops, n.history()[1].executed);
+  EXPECT_FALSE(ot::is_identity(after.outgoing[1][0].ops));
+}
+
+}  // namespace
+}  // namespace ccvc::engine

@@ -273,4 +273,53 @@ TEST_F(GoldenCheckpoints, NotifierBundleRoundTripFromGolden) {
   EXPECT_EQ(hex(engine::encode_notifier_bundle(bundle)), kNotifierBundleHex);
 }
 
+// The notifier's broadcast encodes an op's head and tail once and
+// splices each destination's stamp between them; every spliced payload
+// must be exactly what encode(CenterMsg) emits.
+TEST(GoldenBytes, CenterMsgSpliceMatchesGolden) {
+  ot::OpList ops = ot::make_insert(3, "a", 1);
+  for (auto& op : ot::make_delete(0, 1, 1)) ops.push_back(op);
+  engine::Stamp stamp;
+  stamp.csv = clocks::CompressedSv{9, 4};
+  EXPECT_EQ(hex(engine::CenterMsgSplicer(OpId{1, 2}, ops)
+                    .splice(stamp, StampMode::kCompressed)),
+            "c20102090402000103016101010001");
+}
+
+TEST(GoldenBytes, CenterMsgSpliceIsEncodeInBothModes) {
+  // Every varint length class from 1 to 10 bytes.
+  const std::vector<std::uint64_t> counters = {0, 127, 128, 1ull << 35,
+                                               ~0ull};
+  ot::OpList mixed = ot::make_insert(0, "xy", 2);
+  for (auto& op : ot::make_delete(5, 2, 2)) mixed.push_back(op);
+  ot::OpList identities = ot::make_identity(1);
+  identities.push_back(identities.front());
+  const std::vector<ot::OpList> op_lists = {
+      ot::make_insert(0, "hi", 2),
+      ot::make_identity(1),
+      identities,
+      ot::make_delete(4, 3, 3),  // one Delete[3, 4] after coalesce()
+      mixed,
+  };
+  for (const auto& ops : op_lists) {
+    for (const OpId id : {OpId{1, 1}, OpId{0xffffffffu, ~0ull}}) {
+      const engine::CenterMsgSplicer splicer(id, ops);
+      for (const std::uint64_t a : counters) {
+        for (const std::uint64_t b : counters) {
+          CenterMsg m;
+          m.id = id;
+          m.ops = ops;
+          m.stamp.csv = clocks::CompressedSv{a, b};
+          EXPECT_EQ(hex(splicer.splice(m.stamp, StampMode::kCompressed)),
+                    hex(engine::encode(m, StampMode::kCompressed)));
+          m.stamp.full = clocks::VersionVector(
+              std::vector<std::uint64_t>{0, a, b, 7});
+          EXPECT_EQ(hex(splicer.splice(m.stamp, StampMode::kFullVector)),
+                    hex(engine::encode(m, StampMode::kFullVector)));
+        }
+      }
+    }
+  }
+}
+
 }  // namespace

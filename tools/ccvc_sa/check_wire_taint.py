@@ -39,9 +39,13 @@ SIZE_SINKS = {"resize", "reserve"}
 CLAMPS = {"min", "check_count", "count_external", "clamp"}
 
 # Functions whose summaries never feed cross-TU propagation: merging by
-# unqualified name makes hits on these ubiquitous names meaningless.
+# unqualified name makes hits on these ubiquitous names meaningless.  A
+# wrapper named after a size sink (ByteSink::reserve) is skipped too:
+# every call by that name is already a sink, so its summary would only
+# report each hit twice.
 SUMMARY_NAME_BLOCKLIST = {"size", "at", "count", "begin", "end", "get",
-                          "data", "value", "push_back", "emplace_back"}
+                          "data", "value", "push_back",
+                          "emplace_back"} | SIZE_SINKS
 
 
 def _is_bound_id(text: str) -> bool:
