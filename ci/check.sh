@@ -12,19 +12,18 @@
 #   7. chaos property suite under ASan+UBSan (fault injection + recovery)
 #   8. bench pipeline smoke: bench_main → bench_report.py (schema
 #      round-trip) + validation of the committed BENCH_results.json
-#      and of the committed perf history BENCH_trajectory.json
 #   9. bounded model checking: ccvc_mc exhaustive sweep + §6 ablation +
 #      formula-mutation self-validation, plus the `model` ctest label
 #  10. wire-schema gate: ccvc_schema --check (docs/schema.json,
 #      PROTOCOL.md table, fuzz dictionaries, boundary round-trips)
 #      plus the `schema` ctest label (golden bytes, bound rejects,
 #      negative compiles, --check mutation test)
-#  11. cross-TU dataflow gate: tools/ccvc_sa --check, all eight
-#      checkers (wire-taint, exception-discipline, shared-state,
-#      single-writer, atomics-order, hot-path-budget, blocking-graph,
-#      liveness-discipline; generated docs CONCURRENCY.md / ATOMICS.md
-#      / HOTPATH.md / BLOCKING.md byte-gated) + tools/sa_mutation.sh
-#      corpus replay, plus the `sa` ctest label
+#  11. cross-TU dataflow gate: tools/ccvc_sa --check, all seven
+#      checkers (wire-taint, exception-discipline, single-writer,
+#      atomics-order, hot-path-budget, blocking-graph,
+#      liveness-discipline; generated docs ATOMICS.md / HOTPATH.md /
+#      BLOCKING.md byte-gated) + tools/sa_mutation.sh corpus replay,
+#      plus the `sa` ctest label
 #  12. failover under ThreadSanitizer: the hot-standby replication,
 #      fail-stop, and promotion paths (engine failover tests, the
 #      chaos failover/backpressure sweeps, and the scripted failover
@@ -106,8 +105,7 @@ step "8/13 bench pipeline smoke + BENCH_results.json schema check"
 cmake --build build-relwithdebinfo "$JOBS" --target bench_main >/dev/null &&
   python3 tools/bench_report.py --build-dir build-relwithdebinfo \
     --mode smoke --output "$(mktemp -t bench_smoke.XXXXXX.json)" &&
-  python3 tools/bench_report.py --check BENCH_results.json &&
-  python3 tools/bench_report.py --check-trajectory BENCH_trajectory.json ||
+  python3 tools/bench_report.py --check BENCH_results.json ||
   fail "bench pipeline"
 
 step "9/13 bounded model checking (ccvc_mc + model-label tests)"

@@ -91,7 +91,7 @@ if(Python3_Interpreter_FOUND)
                        TIMEOUT 300)
 
   # Cross-TU analyzer gate (ctest -L sa): the committed baseline and
-  # CONCURRENCY.md must match the tree, and the mutation corpus proves
+  # generated docs must match the tree, and the mutation corpus proves
   # each checker class actually fires.
   add_test(NAME ccvc_sa
     COMMAND ${Python3_EXECUTABLE} ${CMAKE_SOURCE_DIR}/tools/ccvc_sa

@@ -159,6 +159,11 @@ void NotifierSite::apply_uplink(ParsedUplink parsed) {
   const SiteId from = parsed.from;
   CCVC_CHECK(from >= 1 && from <= num_sites_);
   if (parsed.leave) {
+    // A second leave is hostile input, not a programming error: reject
+    // it before remove_site's contract check can see it.
+    if (!active_[from]) {
+      throw util::DecodeError("leave from a site that already departed");
+    }
     remove_site(from);
     return;
   }

@@ -72,7 +72,7 @@ class NotifierSite {
   /// stateless parse stage and the input of the stateful single-writer
   /// stage.  The threaded runtime runs parse_uplink on every submitting
   /// thread concurrently; apply_uplink always runs on exactly one thread
-  /// (docs/THREADING.md, docs/CONCURRENCY.md).
+  /// (docs/THREADING.md; checked by ccvc_sa's single-writer gate).
   struct ParsedUplink {
     SiteId from = 0;
     bool leave = false;
@@ -91,7 +91,7 @@ class NotifierSite {
   /// threads concurrently.  Throws util::DecodeError, with no state
   /// changed, on an uplink acknowledging more center operations than
   /// were sent to its site (or, in full-vector mode, whose stamp is not
-  /// an (N+1)-vector).
+  /// an (N+1)-vector), and on a leave from a site that already departed.
   void apply_uplink(ParsedUplink parsed);
 
   /// Everything a late joiner needs to enter the session consistently:
@@ -132,7 +132,8 @@ class NotifierSite {
   /// Marks a site as departed: no further broadcasts or bridge state for
   /// it, and garbage collection stops waiting for its acknowledgements.
   /// Its past operations (and its slot in SV_0) remain — departure does
-  /// not rewrite history.
+  /// not rewrite history.  Removing a departed site is a contract
+  /// violation.
   void remove_site(SiteId site);
 
   bool is_active(SiteId site) const;

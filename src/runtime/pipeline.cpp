@@ -6,6 +6,7 @@
 #include "runtime/backoff.hpp"
 #include "util/check.hpp"
 #include "util/metrics.hpp"
+#include "util/varint.hpp"
 
 namespace ccvc::runtime {
 
@@ -58,6 +59,10 @@ std::uint64_t NotifierPipeline::committed() const {
   return committed_.load(std::memory_order_acquire);
 }
 
+std::uint64_t NotifierPipeline::rejected() const {
+  return rejected_.load(std::memory_order_acquire);
+}
+
 void NotifierPipeline::submit(SiteId from, net::Payload bytes) {
   // Decode first: a malformed uplink throws to the caller before
   // submitted_ counts it, so drain() never waits for an op that cannot
@@ -85,8 +90,10 @@ void NotifierPipeline::transform_loop() {
       continue;
     }
     // Central ring empty: a tick boundary.
-    const bool quiet = committed_.load(std::memory_order_acquire) ==
-                       submitted_.load(std::memory_order_acquire);
+    // Every submitted uplink is committed or rejected.
+    const std::uint64_t done = committed_.load(std::memory_order_acquire) +
+                               rejected_.load(std::memory_order_acquire);
+    const bool quiet = done == submitted_.load(std::memory_order_acquire);
     const bool draining = drain_requested_.load(std::memory_order_acquire);
     if (pending_batched_.load(std::memory_order_acquire) > 0 &&
         (pcfg_.flush == FlushPolicy::kAdaptive || (draining && quiet))) {
@@ -119,11 +126,18 @@ void NotifierPipeline::egress_loop() {
 
 void NotifierPipeline::commit(engine::NotifierSite::ParsedUplink parsed) {
   const auto t0 = std::chrono::steady_clock::now();
-  site_->apply_uplink(std::move(parsed));
-  CCVC_METRIC_COUNT("runtime.commits", 1);
-  CCVC_METRIC_HIST("runtime.stage.commit_us", wall_us_since(t0));
-  committed_.fetch_add(1, std::memory_order_acq_rel);
-  notify_drain();  // committed_ is a drain predicate — wake a pending drain()
+  try {
+    site_->apply_uplink(std::move(parsed));
+    CCVC_METRIC_COUNT("runtime.commits", 1);
+    CCVC_METRIC_HIST("runtime.stage.commit_us", wall_us_since(t0));
+    committed_.fetch_add(1, std::memory_order_acq_rel);
+  } catch (const util::DecodeError&) {
+    // A hostile uplink, rejected before any notifier state changed:
+    // drop it and keep serving the honest clients.
+    CCVC_METRIC_COUNT("runtime.uplinks.rejected", 1);
+    rejected_.fetch_add(1, std::memory_order_acq_rel);
+  }
+  notify_drain();  // committed_/rejected_ are drain predicates
 }
 
 void NotifierPipeline::on_broadcast(SiteId dest, net::Payload bytes) {
@@ -158,8 +172,11 @@ void NotifierPipeline::flush_all() {
 }
 
 bool NotifierPipeline::drained() const {
-  return committed_.load(std::memory_order_acquire) ==
-             submitted_.load(std::memory_order_acquire) &&
+  // submitted_ is loaded after the two counts it bounds: all three only
+  // grow, so equality means no uplink was in flight.
+  const std::uint64_t done = committed_.load(std::memory_order_acquire) +
+                             rejected_.load(std::memory_order_acquire);
+  return done == submitted_.load(std::memory_order_acquire) &&
          pending_batched_.load(std::memory_order_acquire) == 0 &&
          egress_inflight_.load(std::memory_order_acquire) == 0;
 }

@@ -26,10 +26,13 @@
 //    load.
 //
 // A malformed uplink throws DecodeError out of submit(), before any
-// counter or notifier state changes.  The worker threads never catch: a
-// ContractViolation on the transform stage is a protocol-state
-// corruption and must terminate the process, exactly as it would abort
-// the deterministic simulator.
+// counter or notifier state changes.  A well-formed but hostile one (an
+// ack beyond what was sent, a second leave) is rejected by apply_uplink
+// on the transform thread, again before any state changes: commit()
+// catches that DecodeError, counts the uplink as rejected, and carries
+// on.  Nothing else is caught: a ContractViolation on the transform
+// stage is a protocol-state corruption and must terminate the process,
+// exactly as it would abort the deterministic simulator.
 #pragma once
 
 #include <atomic>
@@ -101,6 +104,8 @@ class NotifierPipeline {
 
   std::uint64_t submitted() const;
   std::uint64_t committed() const;
+  /// Uplinks apply_uplink rejected as hostile; they count toward drain().
+  std::uint64_t rejected() const;
 
  private:
   struct EgressItem {
@@ -130,6 +135,7 @@ class NotifierPipeline {
 
   std::atomic<std::uint64_t> submitted_{0};
   std::atomic<std::uint64_t> committed_{0};
+  std::atomic<std::uint64_t> rejected_{0};
   std::atomic<std::int64_t> pending_batched_{0};
   std::atomic<std::int64_t> egress_inflight_{0};
   std::atomic<bool> stop_{false};

@@ -1,6 +1,7 @@
 // NotifierSite driven directly with hand-built uplinks: admission of an
-// uplink's acknowledgement before any state changes, and copy-on-write
-// of the executed form its broadcast shares across bridge queues.
+// uplink's acknowledgement and of a repeated leave before any state
+// changes, and copy-on-write of the executed form its broadcast shares
+// across bridge queues.
 #include <gtest/gtest.h>
 
 #include <utility>
@@ -8,6 +9,7 @@
 
 #include "engine/notifier_site.hpp"
 #include "engine/snapshot.hpp"
+#include "util/check.hpp"
 #include "util/varint.hpp"
 
 namespace ccvc::engine {
@@ -73,6 +75,29 @@ TEST(NotifierAdmission, FullVectorAckBeyondSentAndWrongSizeThrow) {
 
   send({0, 1, 0});
   EXPECT_EQ(sent.size(), 1u);
+  EXPECT_EQ(n.text(), "xabc");
+}
+
+// A second in-band leave from a departed site is hostile input, not a
+// programming error: DecodeError before any state changes, and the
+// remaining clients carry on.
+TEST(NotifierAdmission, DuplicateLeaveThrowsDecodeError) {
+  Sent sent;
+  NotifierSite n(3, "abc", EngineConfig{}, collect(sent));
+  n.on_client_message(3, encode_leave(3));
+  ASSERT_FALSE(n.is_active(3));
+
+  const NotifierSite::State before = n.state();
+  EXPECT_THROW(n.on_client_message(3, encode_leave(3)), util::DecodeError);
+  EXPECT_EQ(n.state(), before);
+  // The direct API call on a departed site stays a contract check.
+  EXPECT_THROW(n.remove_site(3), ContractViolation);
+  EXPECT_EQ(n.state(), before);
+
+  // Client 1's op commits and reaches the one remaining client.
+  n.on_client_message(1, uplink({1, 1}, ot::make_insert(0, "x", 1), {0, 1}));
+  ASSERT_EQ(sent.size(), 1u);
+  EXPECT_EQ(sent[0].first, 2u);
   EXPECT_EQ(n.text(), "xabc");
 }
 

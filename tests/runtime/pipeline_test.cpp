@@ -2,14 +2,16 @@
 // trace replayed through the pipeline from one thread must reproduce the
 // simulator byte for byte — notifier checkpoint and every destination's
 // unbatched downlink stream (docs/THREADING.md §4).  Also: admission —
-// a malformed uplink is rejected by submit() before anything changes.
+// a malformed uplink is rejected by submit() before anything changes,
+// and a hostile one by the transform thread, which carries on.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
 #include <utility>
+#include <vector>
 
-#include "engine/client_site.hpp"
+#include "engine/message.hpp"
 #include "runtime/pipeline.hpp"
 #include "sim/equivalence.hpp"
 #include "util/varint.hpp"
@@ -79,13 +81,15 @@ TEST(PipelineEquivalence, FullVectorModeEquivalent) {
   expect_equivalent(cfg);
 }
 
-// The uplink client `site` sends for inserting `text` at the front.
-net::Payload uplink_from(SiteId site, const std::string& text) {
-  net::Payload out;
-  engine::ClientSite client(site, 2, "", engine::EngineConfig{},
-                            [&out](net::Payload b) { out = std::move(b); });
-  client.insert(0, text);
-  return out;
+// The uplink client `site` sends for inserting `text` at the front,
+// having executed `acked` center operations.
+net::Payload uplink_from(SiteId site, const std::string& text,
+                         std::uint64_t acked = 0) {
+  engine::ClientMsg m;
+  m.id = OpId{site, 1};
+  m.ops = ot::make_insert(0, text, site);
+  m.stamp.csv = clocks::CompressedSv{acked, 1};
+  return engine::encode(m, engine::StampMode::kCompressed);
 }
 
 // submit() must throw DecodeError for `bad` with no counter or notifier
@@ -113,6 +117,33 @@ TEST(PipelineAdmission, TruncatedUplinkThrowsDecodeError) {
 // Well-formed, but site 2's operation arriving on site 1's channel.
 TEST(PipelineAdmission, WrongChannelUplinkThrowsDecodeError) {
   expect_rejected_then_live(uplink_from(2, "xy"));
+}
+
+// Well-formed, but acknowledging a center op never sent to site 2.
+// apply_uplink rejects it on the transform thread, which must survive,
+// let drain() complete, and go on committing and egressing honest ops.
+TEST(PipelineAdmission, AckBeyondSentIsRejected) {
+  std::vector<SiteId> egressed;
+  runtime::NotifierPipeline pipe(
+      2, "", engine::EngineConfig{},
+      [&egressed](SiteId dest, net::Payload) { egressed.push_back(dest); });
+  pipe.submit(2, uplink_from(2, "xy", 1));
+  pipe.drain();  // would hang if the rejected uplink were not counted
+  EXPECT_EQ(pipe.submitted(), 1u);
+  EXPECT_EQ(pipe.committed(), 0u);
+  EXPECT_EQ(pipe.rejected(), 1u);
+  EXPECT_EQ(pipe.site().state(),
+            engine::NotifierSite(2, "", engine::EngineConfig{},
+                                 [](SiteId, net::Payload) {})
+                .state());
+  EXPECT_TRUE(egressed.empty());
+
+  pipe.submit(1, uplink_from(1, "ok"));
+  pipe.drain();
+  EXPECT_EQ(pipe.committed(), 1u);
+  EXPECT_EQ(pipe.rejected(), 1u);
+  EXPECT_EQ(pipe.site().text(), "ok");
+  EXPECT_EQ(egressed, std::vector<SiteId>{2});
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Bad-tree fixture, wire-facing half: one unguarded decoded count
-// (wire-taint) and one decode-path ContractViolation
-// (exception-discipline).  The shared-state violation is not seeded in
-// C++ at all — sa_selftest.py corrupts the staged CONCURRENCY.md, which
-// must surface as exactly one drift finding.
+// (wire-taint), one decode-path ContractViolation
+// (exception-discipline), and a mutable global outside src/runtime/
+// written from a function the concurrent producer closure reaches
+// (single-writer #2: the audit of globals covers all of src/).
 #include <cstdint>
 #include <stdexcept>
 #include <vector>
@@ -27,5 +27,10 @@ std::uint64_t decode_wrong_throw(ByteSource& src) {
   if (tag > 7) throw ContractViolation("bad tag");
   return tag;
 }
+
+std::uint64_t g_uplinks_seen = 0;
+
+// Called from NotifierPipeline::submit(), which many threads run at once.
+void count_uplink() { ++g_uplinks_seen; }
 
 }  // namespace fx

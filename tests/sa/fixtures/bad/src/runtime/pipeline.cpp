@@ -3,7 +3,8 @@
 // finding counts (EXPECTED_BAD) — nothing more, nothing less:
 //
 //   * shared_counter_  plain write from producer AND transform closures
-//                      (single-writer);
+//                      (single-writer #1; #2 is count_uplink's global in
+//                      engine/codec.cpp, called from submit);
 //   * flag_.store(1)   atomic op with a defaulted order (atomics-order);
 //   * tmp.push_back    allocation on the submit path (hot-path-budget;
 //                      the staged HOTPATH.md is generated from this
@@ -24,6 +25,8 @@ struct OutRing {
   bool try_push(int v);
 };
 
+void count_uplink();
+
 class NotifierPipeline {
  public:
   std::uint64_t submit(int from);
@@ -43,6 +46,7 @@ std::uint64_t NotifierPipeline::submit(int from) {
   std::vector<int> tmp;
   tmp.push_back(from);
   shared_counter_ += from;
+  count_uplink();
   return submitted_.fetch_add(1, std::memory_order_acq_rel);
 }
 

@@ -4,6 +4,8 @@
 // over-merge, write misdetection, order mis-parse) turns this tree red:
 //
 //   * got_state_      plain write, but confined to the transform closure;
+//   * g_ops_applied   (engine/apply.cpp) a mutable global outside the
+//                     runtime, written only from the transform closure;
 //   * last_egress_    written from TWO closures, but mutex-guarded;
 //   * cold_/cold_path allocation + loop, but unreachable from the roots;
 //   * log_.push_back  real budget hit carrying a live allow() pragma;
@@ -26,6 +28,8 @@ struct Ring {
   bool try_pop(int& out);
   bool try_push(int v);
 };
+
+void apply_op(int item);
 
 class NotifierPipeline {
  public:
@@ -67,6 +71,7 @@ void NotifierPipeline::transform_loop() {
   // Plain unlocked write — legal because only the transform closure
   // ever writes it.
   got_state_ += 1;
+  apply_op(item);
   on_broadcast(got_state_);
   // Capacity wait that (a) consults stop_, written by shutdown() in
   // another context, and (b) forms the acyclic edge transform → egress

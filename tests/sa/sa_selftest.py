@@ -5,12 +5,12 @@ Two fixture trees under tests/sa/fixtures/ are staged into temporary
 roots — real analyzer code, empty baseline, generated docs — and run
 through `ccvc_sa --check`:
 
-  bad/   seeds exactly one violation per checker (the shared-state one
-         is seeded by corrupting the staged CONCURRENCY.md, since that
-         checker is a drift gate) and must produce exactly the expected
-         per-checker finding counts, nothing more, nothing less.
+  bad/   seeds at least one violation per checker and must produce
+         exactly the expected per-checker finding counts, nothing
+         more, nothing less.
   good/  near-miss patterns the checkers must NOT flag: a transform-
-         confined plain write, a mutex-guarded two-closure write, an
+         confined plain write (a member, and a global outside the
+         runtime), a mutex-guarded two-closure write, an
          allocation outside the hot-path closure, a live allow() pragma
          on a deliberate budget hit, explicit-order atomics.  Must run
          clean (exit 0).
@@ -20,7 +20,7 @@ against the checker registry (`ccvc_sa --list`), so adding a checker
 without a fixture — or retiring one without pruning its row — fails
 this test.
 
-Staging generates CONCURRENCY.md / ATOMICS.md / HOTPATH.md from the
+Staging generates ATOMICS.md / HOTPATH.md / BLOCKING.md from the
 fixture tree itself, so the three drift gates see a consistent world
 and only the seeded violations fire.
 
@@ -44,8 +44,7 @@ FINDING_RE = re.compile(
 EXPECTED_BAD = {
     "wire-taint": 1,
     "exception-discipline": 1,
-    "shared-state": 1,
-    "single-writer": 1,
+    "single-writer": 2,        # producer+transform member, producer global
     "atomics-order": 1,
     "hot-path-budget": 1,
     "blocking-graph": 1,       # capacity wait on the egress closure
@@ -53,7 +52,6 @@ EXPECTED_BAD = {
 }
 
 EMIT_DOCS = {
-    "--emit-concurrency": "CONCURRENCY.md",
     "--emit-atomics": "ATOMICS.md",
     "--emit-hotpath": "HOTPATH.md",
     "--emit-blocking": "BLOCKING.md",
@@ -138,10 +136,6 @@ def main() -> int:
         # --- bad tree: exactly the expected finding multiset ---------
         bad_root = tmp / "bad"
         sa_dir = stage(repo, fixtures / "bad", bad_root)
-        # The shared-state seed: a drift gate is violated by making the
-        # committed doc stale, not by writing C++.
-        conc = bad_root / "docs" / "CONCURRENCY.md"
-        conc.write_text(conc.read_text() + "\nstale trailing line\n")
         code, out = run_sa(sa_dir, bad_root, "--check")
         got = count_checkers(out)
         if code != 1:

@@ -8,16 +8,6 @@ Modes of operation:
              results document (BENCH_results.json).
   --check F  validate an existing results document against the
              "ccvc-bench-results/1" schema and exit (ci/check.sh).
-  --trajectory F  append a dated summary row — ops/sec
-             (notifier_throughput_threaded), bytes/op (egress_batching,
-             batched), p99 propagation ms (e2e_session) — to the
-             committed perf-history document F
-             ("ccvc-bench-trajectory/1").  Combines with --check to
-             derive the row from an existing results document instead
-             of a fresh run, and with --date to pin the row's date.
-  --check-trajectory F  validate a trajectory document (schema, row
-             shape, ascending dates, positive numbers) and exit
-             (ci/check.sh step 8).
   --baseline F  after running, compare medians against a previous
              results document and report per-benchmark deltas; with
              --max-regress-pct the comparison becomes a gate.
@@ -34,7 +24,6 @@ are a pure function of the pinned seeds (docs/BENCHMARKS.md).
 from __future__ import annotations
 
 import argparse
-import datetime
 import json
 import statistics
 import subprocess
@@ -43,15 +32,6 @@ from pathlib import Path
 
 RESULTS_SCHEMA = "ccvc-bench-results/1"
 RUNNER_SCHEMA = "ccvc-bench/1"
-TRAJECTORY_SCHEMA = "ccvc-bench-trajectory/1"
-
-# (trajectory column, source benchmark, source value key) — the three
-# headline numbers the ROADMAP's perf history tracks per PR.
-TRAJECTORY_COLUMNS = (
-    ("ops_per_sec", "notifier_throughput_threaded", "ops_per_wall_sec"),
-    ("bytes_per_op", "egress_batching", "batched.bytes_per_op"),
-    ("p99_ms", "e2e_session", "prop_p99_ms"),
-)
 
 
 def fail(msg: str) -> "NoReturn":  # noqa: F821 - py3.9 compat, comment only
@@ -118,75 +98,6 @@ def validate_results_doc(doc) -> None:
         for key in ("wall_ms_with_metrics", "wall_ms_no_metrics", "pct"):
             if not isinstance(overhead.get(key), (int, float)):
                 fail(f"overhead section: missing numeric {key}")
-
-
-# --- perf-history trajectory -------------------------------------------
-
-DATE_RE_FIELDS = (4, 2, 2)  # yyyy-mm-dd widths, checked structurally
-
-
-def _valid_date(s) -> bool:
-    if not isinstance(s, str):
-        return False
-    parts = s.split("-")
-    return (len(parts) == 3
-            and all(p.isdigit() and len(p) == w
-                    for p, w in zip(parts, DATE_RE_FIELDS)))
-
-
-def validate_trajectory_doc(doc) -> None:
-    if not isinstance(doc, dict):
-        fail("trajectory document is not a JSON object")
-    if doc.get("schema") != TRAJECTORY_SCHEMA:
-        fail(f"trajectory schema is {doc.get('schema')!r}, "
-             f"want {TRAJECTORY_SCHEMA!r}")
-    rows = doc.get("rows")
-    if not isinstance(rows, list) or not rows:
-        fail("trajectory 'rows' must be a non-empty list")
-    prev_date = ""
-    for i, row in enumerate(rows):
-        if not isinstance(row, dict):
-            fail(f"trajectory row {i} is not an object")
-        if not _valid_date(row.get("date")):
-            fail(f"trajectory row {i}: 'date' must be YYYY-MM-DD")
-        if row["date"] < prev_date:
-            fail(f"trajectory row {i}: dates must be non-decreasing "
-                 f"({prev_date!r} then {row['date']!r})")
-        prev_date = row["date"]
-        if row.get("mode") not in ("smoke", "full"):
-            fail(f"trajectory row {i}: 'mode' must be smoke|full")
-        for col, _, _ in TRAJECTORY_COLUMNS:
-            v = row.get(col)
-            if not isinstance(v, (int, float)) or v <= 0:
-                fail(f"trajectory row {i}: {col} must be a positive "
-                     f"number, got {v!r}")
-
-
-def trajectory_row(results, date: str):
-    row = {"date": date, "mode": results["mode"]}
-    for col, bench, key in TRAJECTORY_COLUMNS:
-        b = results["benchmarks"].get(bench)
-        if b is None:
-            fail(f"trajectory: benchmark {bench!r} missing from results "
-                 f"(run mode=full)")
-        v = b["values"].get(key)
-        if not isinstance(v, (int, float)):
-            fail(f"trajectory: {bench} has no numeric value {key!r}")
-        row[col] = v
-    return row
-
-
-def append_trajectory(path: Path, results, date: str) -> None:
-    if path.exists():
-        doc = json.loads(path.read_text())
-        validate_trajectory_doc(doc)
-    else:
-        doc = {"schema": TRAJECTORY_SCHEMA, "rows": []}
-    doc["rows"].append(trajectory_row(results, date))
-    validate_trajectory_doc(doc)
-    path.write_text(json.dumps(doc, indent=2) + "\n")
-    print(f"bench_report: appended trajectory row for {date} to {path} "
-          f"({len(doc['rows'])} rows)")
 
 
 # --- running the benchmark binary --------------------------------------
@@ -331,15 +242,6 @@ def main() -> None:
     ap.add_argument("--output", type=Path, default=Path("BENCH_results.json"))
     ap.add_argument("--check", type=Path, default=None,
                     help="validate an existing results file and exit")
-    ap.add_argument("--trajectory", type=Path, default=None,
-                    help="append a dated summary row to this perf-history "
-                         "file (with --check: derive it from the checked "
-                         "results instead of a fresh run)")
-    ap.add_argument("--check-trajectory", type=Path, default=None,
-                    help="validate a perf-history file and exit")
-    ap.add_argument("--date", default=None,
-                    help="date (YYYY-MM-DD) for the --trajectory row "
-                         "(default: today)")
     ap.add_argument("--baseline", type=Path, default=None,
                     help="previous results file to compare against")
     ap.add_argument("--max-regress-pct", type=float, default=None,
@@ -351,20 +253,10 @@ def main() -> None:
     ap.add_argument("--overhead-budget-pct", type=float, default=2.0)
     args = ap.parse_args()
 
-    if args.check_trajectory is not None:
-        validate_trajectory_doc(json.loads(args.check_trajectory.read_text()))
-        print(f"bench_report: {args.check_trajectory}: valid "
-              f"{TRAJECTORY_SCHEMA}")
-        return
-
-    row_date = args.date or datetime.date.today().isoformat()
-
     if args.check is not None:
         doc = json.loads(args.check.read_text())
         validate_results_doc(doc)
         print(f"bench_report: {args.check}: valid {RESULTS_SCHEMA}")
-        if args.trajectory is not None:
-            append_trajectory(args.trajectory, doc, row_date)
         return
 
     binary = args.build_dir / "bench" / "bench_main"
@@ -385,8 +277,6 @@ def main() -> None:
         compare_baseline(results, args.baseline, args.max_regress_pct)
 
     validate_results_doc(results)
-    if args.trajectory is not None:
-        append_trajectory(args.trajectory, results, row_date)
     args.output.write_text(json.dumps(results, indent=2) + "\n")
     print(f"bench_report: wrote {args.output} "
           f"({len(results['benchmarks'])} benchmarks, {repeats} repeats, "

@@ -1,5 +1,7 @@
 """single-writer — per-thread ownership discipline for the threaded
-runtime (src/runtime/ + src/util/metrics).
+runtime: every mutable global and function-local static in src/, and
+the members of the runtime's own classes (src/runtime/ +
+src/util/metrics).
 
 The pipeline's safety story (docs/THREADING.md §2) is a discipline, not
 a lock table: state is either confined to exactly one thread, published
@@ -9,8 +11,8 @@ proves the discipline over *all* paths the static model sees.
 
 Thread closures are derived from the pipeline's thread entry points
 (THREAD_CLOSURES below) with the type-refined call graph
-(Model.reachable_typed), then every mutable member/global/local-static
-declared in the scope files must satisfy one of:
+(Model.reachable_typed), then every audited mutable variable must
+satisfy one of:
 
   atomic         declared std::atomic — ordering is the atomics-order
                  checker's problem, ownership is solved;
@@ -28,9 +30,12 @@ declared in the scope files must satisfy one of:
                  so a plain write reachable from it alone is already
                  a race).
 
-Separately, the transform stage's exclusivity over the engine state is
-pinned: `NotifierSite::apply_uplink` (GOT queues, SV clocks, document)
-must be reachable from NO closure but the transform thread's — the
+Class members outside the runtime are not audited: the name-merged
+model cannot tell two instances of a value type apart (every
+VersionVector's `v_` is one name), so engine object state is covered
+by transform exclusivity instead — NotifierSite's state-mutating entry
+points (TRANSFORM_ONLY: GOT queues, SV clocks, document, membership)
+must be reachable from NO closure but the transform thread's, the
 paper's center-serializes argument carried into the implementation.
 """
 
@@ -39,8 +44,9 @@ from __future__ import annotations
 from sa_engine import Context, Finding, checker
 from sa_model import Func, Model, Var
 
-# Scope: the threaded runtime and the thread-shared metrics registry.
-SCOPE_PREFIXES = ("src/runtime/", "src/util/metrics")
+# Class-member scope: the threaded runtime and the thread-shared metrics
+# registry.  Globals and local statics are audited in every src/ file.
+MEMBER_SCOPE = ("src/runtime/", "src/util/metrics")
 
 # Files whose state is the ring implementation itself: ownership is the
 # per-cell seq protocol, argued in the header comment and raced under
@@ -51,8 +57,8 @@ RING_FILES = ("src/runtime/bounded_ring.hpp",)
 # closures executed by several threads at once: a plain write reachable
 # from such a closure is a race even with no second closure involved.
 # Entry points are seeded explicitly where std::function/std::thread
-# boundaries break the static call graph (same idiom as the shared-state
-# checker's HOT_PATH_ROOTS); `on_broadcast` runs on the transform thread
+# boundaries break the static call graph (same idiom as the hot-path
+# budget's HOT_PATH_ROOTS); `on_broadcast` runs on the transform thread
 # inside apply_uplink's broadcast callback (docs/THREADING.md §2).
 THREAD_CLOSURES: dict[str, tuple[list[str], bool]] = {
     "producer": (["NotifierPipeline::submit"], True),
@@ -66,8 +72,10 @@ THREAD_CLOSURES: dict[str, tuple[list[str], bool]] = {
                  "run_threaded_star"], False),
 }
 
-# Engine state that must stay exclusive to the transform closure.
-TRANSFORM_ONLY = ["NotifierSite::apply_uplink"]
+# NotifierSite's state-mutating entry points: the engine state they write
+# must stay exclusive to the transform closure.
+TRANSFORM_ONLY = ["NotifierSite::apply_uplink", "NotifierSite::add_site",
+                  "NotifierSite::resync_site", "NotifierSite::remove_site"]
 
 LOCK_TOKENS = {"lock_guard", "unique_lock", "scoped_lock"}
 SYNC_TYPES = ("mutex", "condition_variable", "thread")
@@ -133,10 +141,6 @@ def writes_in(fn: Func) -> set[str]:
     return out
 
 
-def in_scope(file: str) -> bool:
-    return file.startswith(SCOPE_PREFIXES)
-
-
 def classify_decl(v: Var) -> str | None:
     """Discipline decidable from the declaration alone, else None."""
     if "atomic" in v.decl:
@@ -162,8 +166,7 @@ def check_single_writer(model: Model, ctx: Context) -> list[Finding]:
     del ctx
     findings: list[Finding] = []
     closures = closure_map(model)
-    writes_cache = {fn.qual: writes_in(fn) for fn in model.funcs
-                    if in_scope(fn.file)}
+    writes_cache = {fn.qual: writes_in(fn) for fn in model.funcs}
 
     def writer_closures(writers: list[Func]) -> tuple[set[str], set[str]]:
         """(closure names covering the writers, writers outside all)."""
@@ -177,16 +180,11 @@ def check_single_writer(model: Model, ctx: Context) -> list[Finding]:
                 stray.add(fn.qual)
         return names, stray
 
-    def audit(v: Var, owner_cls: str | None) -> None:
-        decl_kind = classify_decl(v)
-        if decl_kind is not None:
+    def audit(v: Var, candidates: list[Func]) -> None:
+        if classify_decl(v) is not None:
             return
         writers = []
-        for fn in model.funcs:
-            if not in_scope(fn.file):
-                continue
-            if owner_cls is not None and fn.cls != owner_cls:
-                continue
+        for fn in candidates:
             if fn.cls is not None and (fn.name == fn.cls
                                        or fn.name.startswith("~")):
                 continue  # ctor/dtor: happens-before start / after join
@@ -224,20 +222,24 @@ def check_single_writer(model: Model, ctx: Context) -> list[Finding]:
                 f"closure, which multiple threads execute at once — a "
                 f"plain write there is already a race"))
 
+    # A global can be written from any function; a local static only
+    # from its owning function; a member only from its class's methods.
     for v in model.globals:
-        if in_scope(v.file) and not v.is_const:
-            audit(v, owner_cls=None)
+        if not v.is_const:
+            audit(v, model.funcs)
     for v in model.local_statics:
-        if in_scope(v.file) and not v.is_const:
-            audit(v, owner_cls=None)
+        if not v.is_const:
+            audit(v, [f for f in model.funcs if f.qual == v.owner])
     for ci in model.classes.values():
-        if not in_scope(ci.file):
+        if not ci.file.startswith(MEMBER_SCOPE):
             continue
+        methods = [f for f in model.funcs if f.cls == ci.name
+                   and f.file.startswith(MEMBER_SCOPE)]
         for m in ci.members:
             if m.kind == "member" and not m.is_const:
-                audit(m, owner_cls=ci.name)
+                audit(m, methods)
 
-    # Transform exclusivity: the engine's stateful entry must be
+    # Transform exclusivity: the engine's stateful entries must be
     # invisible to every other pipeline closure.
     for name, qs in closures.items():
         if name == "control":

@@ -5,7 +5,7 @@
 #
 #   1. unguarded decoded count reaching an allocator   (wire-taint)
 #   2. decode path raising ContractViolation     (exception-discipline)
-#   3. new shared mutable touched by the hot path     (shared-state)
+#   3. mutable global written from the producer closure (single-writer)
 #   4. dead entry in the suppression baseline       (engine liveness)
 #   5. transform-only state written from the producer closure
 #                                                    (single-writer)
@@ -17,7 +17,7 @@
 #      and must surface as a blocking-graph cycle finding
 #  10. a spin seeded under drain_mu_ (hold-and-wait) — lock-order
 #      inversion closing a control/transform/egress cycle
-#  11. commit()'s drain notify deleted: a predicate write without a
+#  11. commit()'s drain notify deleted: predicate writes without a
 #      notify on the cv                       (liveness-discipline)
 #  12. a flag spin whose flag nothing writes  (liveness-discipline)
 #  13. stale BLOCKING.md under an unchanged tree   (blocking drift)
@@ -39,7 +39,6 @@ stage() {
   cp -r "$ROOT/src" "$TMP/src"
   cp -r "$ROOT/tools/ccvc_sa" "$TMP/tools/ccvc_sa"
   cp "$ROOT/docs/schema.json" "$TMP/docs/schema.json"
-  cp "$ROOT/docs/CONCURRENCY.md" "$TMP/docs/CONCURRENCY.md"
   cp "$ROOT/docs/ATOMICS.md" "$TMP/docs/ATOMICS.md"
   cp "$ROOT/docs/HOTPATH.md" "$TMP/docs/HOTPATH.md"
   cp "$ROOT/docs/BLOCKING.md" "$TMP/docs/BLOCKING.md"
@@ -123,18 +122,18 @@ mv "$TMP/src/engine/snapshot.cpp.new" "$TMP/src/engine/snapshot.cpp"
 expect_findings "decode path throwing ContractViolation" 1 \
   "exception-discipline.*decode_notifier_bundle.*ContractViolation"
 
-# Mutation 3 (shared-state): a new mutable global touched by the hot
-# path, with the committed CONCURRENCY.md left stale.
+# Mutation 3 (single-writer): a new mutable engine global written by
+# parse_uplink, which every submit() caller runs concurrently.
 stage
-sed 's/void NotifierSite::on_client_message(SiteId from, const net::Payload\& bytes) {/std::uint64_t g_sa_mutation_total = 0;\nvoid NotifierSite::on_client_message(SiteId from, const net::Payload\& bytes) {\n  ++g_sa_mutation_total;/' \
+sed 's/^NotifierSite::ParsedUplink NotifierSite::parse_uplink($/std::uint64_t g_sa_mutation_total = 0;\n&/; s/^  ParsedUplink parsed;$/&\n  ++g_sa_mutation_total;/' \
   "$TMP/src/engine/notifier_site.cpp" > "$TMP/src/engine/notifier_site.cpp.new"
 mv "$TMP/src/engine/notifier_site.cpp.new" "$TMP/src/engine/notifier_site.cpp"
-if ! grep -q g_sa_mutation_total "$TMP/src/engine/notifier_site.cpp"; then
-  echo "FAIL: mutation 3 seed did not apply (on_client_message moved?)" >&2
+if [ "$(grep -c g_sa_mutation_total "$TMP/src/engine/notifier_site.cpp")" -ne 2 ]; then
+  echo "FAIL: mutation 3 seed did not apply (parse_uplink moved?)" >&2
   exit 1
 fi
-expect_findings "unlisted shared mutable state" 1 \
-  "shared-state.*drift"
+expect_findings "global written from the concurrent producer closure" 1 \
+  "single-writer.*g_sa_mutation_total.*producer"
 
 # Mutation 4 (suppression liveness): a baseline entry matching nothing.
 stage
@@ -145,8 +144,7 @@ expect_findings "dead suppression entry" 1 \
 
 # Mutation 5 (single-writer): submit() starts flushing assemblers —
 # transform-owned BatchAssembler state (msgs_) gains a second writing
-# thread closure, the concurrent producer one.  flush() is new to the
-# submit() closure, so the stale CONCURRENCY.md must fire alongside.
+# thread closure, the concurrent producer one.
 stage
 sed 's/engine::NotifierSite::parse_uplink(from, bytes, cfg_);/engine::NotifierSite::parse_uplink(from, bytes, cfg_);\n  if (from == 0 \&\& !assemblers_[0].empty()) assemblers_[0].flush();/' \
   "$TMP/src/runtime/pipeline.cpp" > "$TMP/src/runtime/pipeline.cpp.new"
@@ -155,9 +153,8 @@ if ! grep -q 'assemblers_\[0\].flush' "$TMP/src/runtime/pipeline.cpp"; then
   echo "FAIL: mutation 5 seed did not apply (submit moved?)" >&2
   exit 1
 fi
-expect_findings "transform state written from producer closure" 2 \
-  "single-writer.*msgs_.*thread closures" \
-  "shared-state.*drift"
+expect_findings "transform state written from producer closure" 1 \
+  "single-writer.*msgs_.*thread closures"
 
 # Mutation 6 (atomics-order): an atomic op with the order defaulted to
 # seq_cst instead of spelled out.
@@ -238,18 +235,19 @@ expect_findings "hold-and-wait under drain_mu_ closes a cycle" 3 \
   "atomics-order.*ATOMICS.md does not match"
 
 # Mutation 11 (liveness-discipline): commit()'s drain notify deleted —
-# committed_ is a drain() predicate variable, so its writer must reach
-# a notify on drain_cv_.
+# committed_ and rejected_ are drain() predicate variables, so their
+# writer must reach a notify on drain_cv_.
 stage
-sed '/committed_ is a drain predicate/d' \
+sed '/committed_\/rejected_ are drain predicates/d' \
   "$TMP/src/runtime/pipeline.cpp" > "$TMP/src/runtime/pipeline.cpp.new"
 mv "$TMP/src/runtime/pipeline.cpp.new" "$TMP/src/runtime/pipeline.cpp"
-if grep -q 'committed_ is a drain predicate' "$TMP/src/runtime/pipeline.cpp"; then
+if grep -q 'are drain predicates' "$TMP/src/runtime/pipeline.cpp"; then
   echo "FAIL: mutation 11 seed did not apply (commit moved?)" >&2
   exit 1
 fi
-expect_findings "predicate write without notify" 1 \
-  "liveness-discipline.*committed_.*never reaches a notify"
+expect_findings "predicate writes without notify" 2 \
+  "liveness-discipline.*committed_.*never reaches a notify" \
+  "liveness-discipline.*rejected_.*never reaches a notify"
 
 # Mutation 12 (liveness-discipline): a spin whose flag nothing in the
 # tree ever writes — unreachable from shutdown()/drain().
