@@ -4,11 +4,15 @@
 // Malformed input must be rejected by DecodeError or ContractViolation;
 // accepted input must re-encode deterministically: one decode→encode
 // pass normalizes the op list (coalesce/decompose), after which
-// decode→encode is a byte-identical fixed point.
+// decode→encode is a byte-identical fixed point.  A decoded client
+// message also goes through the notifier's parse stage, which must
+// accept it exactly when every delete is a 1-char primitive — the only
+// shape transformation accepts.
 #include <cstdint>
 #include <vector>
 
 #include "engine/message.hpp"
+#include "engine/notifier_site.hpp"
 #include "fuzz_common.hpp"
 #include "util/check.hpp"
 #include "util/varint.hpp"
@@ -16,12 +20,36 @@
 using ccvc::ContractViolation;
 using ccvc::engine::CenterMsg;
 using ccvc::engine::ClientMsg;
+using ccvc::engine::NotifierSite;
 using ccvc::engine::StampMode;
 using ccvc::util::DecodeError;
 
 namespace {
 
 const StampMode kModes[] = {StampMode::kCompressed, StampMode::kFullVector};
+
+// `msg` is `bytes` decoded under `mode`, on its own site's channel.
+void fuzz_parse_uplink(const ccvc::net::Payload& bytes, const ClientMsg& msg,
+                       StampMode mode) {
+  bool decomposed = true;
+  for (const auto& op : msg.ops) {
+    if (op.kind == ccvc::ot::OpKind::kDelete && op.count != 1) {
+      decomposed = false;
+    }
+  }
+  ccvc::engine::EngineConfig cfg;
+  cfg.stamp_mode = mode;
+  NotifierSite::ParsedUplink parsed;
+  try {
+    parsed = NotifierSite::parse_uplink(msg.id.site, bytes, cfg);
+  } catch (const DecodeError&) {
+    CCVC_FUZZ_REQUIRE(!decomposed);
+    return;
+  }
+  CCVC_FUZZ_REQUIRE(decomposed);
+  CCVC_FUZZ_REQUIRE(!parsed.leave);
+  CCVC_FUZZ_REQUIRE(parsed.msg.ops == msg.ops);
+}
 
 void fuzz_client(const ccvc::net::Payload& bytes) {
   for (const StampMode mode : kModes) {
@@ -45,6 +73,7 @@ void fuzz_client(const ccvc::net::Payload& bytes) {
                       ccvc::ot::size_delta(msg.ops));
     CCVC_FUZZ_REQUIRE(ccvc::engine::stamp_wire_size(msg2.stamp, mode) ==
                       ccvc::engine::stamp_wire_size(msg.stamp, mode));
+    fuzz_parse_uplink(bytes, msg, mode);
   }
 }
 

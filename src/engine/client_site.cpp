@@ -229,11 +229,7 @@ void ClientSite::on_center_message(const net::Payload& bytes) {
     // the post-O' context for the next incoming message.
     CCVC_METRIC_COUNT("engine.client.transforms", pending_.size());
     CCVC_METRIC_HIST("engine.client.transform_path_len", pending_.size());
-    for (auto& p : pending_) {
-      auto [inc_next, p_next] = ot::transform(incoming, p.ops);
-      incoming = std::move(inc_next);
-      p.ops = std::move(p_next);
-    }
+    for (auto& p : pending_) ot::transform_in_place(incoming, p.ops);
     doc_.apply(incoming, doc::ApplyMode::kStrict);
   } else {
     // Ablation: execute the stale form as-is (clamped like Fig. 2).

@@ -152,6 +152,15 @@ NotifierSite::ParsedUplink NotifierSite::parse_uplink(
   if (parsed.msg.id.site != from) {
     throw util::DecodeError("message arrived on the wrong channel");
   }
+  // Decoding decomposes Delete[n, p] into n 1-char primitives but passes
+  // a Delete[0, p] through; transformation requires count 1.  (The
+  // shared decoder accepts count 0: the no-transform ablation's clamped
+  // apply can legitimately ship one in a center message.)
+  for (const auto& op : parsed.msg.ops) {
+    if (op.kind == ot::OpKind::kDelete && op.count != 1) {
+      throw util::DecodeError("uplink delete is not a 1-char primitive");
+    }
+  }
   return parsed;
 }
 
@@ -189,6 +198,7 @@ void NotifierSite::apply_uplink(ParsedUplink parsed) {
   if (ack > enqueued_[from]) {
     throw util::DecodeError("uplink acknowledges operations never sent");
   }
+  if (cfg_.transform) check_uplink_bounds(msg.ops, from, ack);
 
   // §4.2 — concurrency check of the incoming Oa (2-element stamp)
   // against every buffered operation (full-vector stamp), formula (7).
@@ -244,17 +254,14 @@ void NotifierSite::apply_uplink(ParsedUplink parsed) {
     // Transform Oa against the concurrent operations, symmetrically
     // updating their bridge forms (they must end in the post-Oa context
     // for the next message from this client).  A form still shared with
-    // other clients' queues is replaced, never written through.
+    // other clients' queues is copied once, then transformed in place.
     CCVC_METRIC_COUNT("engine.notifier.transforms", bridge.size());
     CCVC_METRIC_HIST("engine.notifier.transform_path_len", bridge.size());
     for (auto& b : bridge) {
-      auto [inc_next, b_next] = ot::transform(incoming, *b.ops);
-      incoming = std::move(inc_next);
-      if (b.ops.use_count() == 1) {
-        *b.ops = std::move(b_next);
-      } else {
-        b.ops = std::make_shared<ot::OpList>(std::move(b_next));
+      if (b.ops.use_count() != 1) {
+        b.ops = std::make_shared<ot::OpList>(*b.ops);
       }
+      ot::transform_in_place(incoming, *b.ops);
     }
     doc_.apply(incoming, doc::ApplyMode::kStrict);
   } else {
@@ -307,6 +314,32 @@ void NotifierSite::apply_uplink(ParsedUplink parsed) {
   CCVC_METRIC_COUNT("engine.notifier.broadcasts", sent);
 
   if (cfg_.gc_history) gc_history();
+}
+
+void NotifierSite::check_uplink_bounds(const ot::OpList& ops, SiteId from,
+                                       std::uint64_t ack) const {
+  // The unacknowledged bridge forms are the path from the client's
+  // context to doc_, so undoing their length changes gives the length of
+  // the document the client generated `ops` on.  An op that is in range
+  // there stays in range after transformation against that path (TP1),
+  // so this walk is the whole bounds check doc_.apply(kStrict) would
+  // otherwise make only after the bridge forms have been rewritten.
+  const auto& bridge = outgoing_[from];
+  auto len = static_cast<std::ptrdiff_t>(doc_.size());
+  for (const auto& b : bridge) {
+    if (b.index > ack) len -= ot::size_delta(*b.ops);
+  }
+  CCVC_DCHECK(len >= 0);
+  for (const auto& op : ops) {
+    const auto room = static_cast<std::size_t>(len);
+    const bool in_range = (op.kind == ot::OpKind::kInsert)   ? op.pos <= room
+                          : (op.kind == ot::OpKind::kDelete) ? op.pos < room
+                                                             : true;
+    if (!in_range) {
+      throw util::DecodeError("uplink position out of range");
+    }
+    len += op.size_delta();
+  }
 }
 
 void NotifierSite::gc_history() {

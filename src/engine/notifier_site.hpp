@@ -31,10 +31,11 @@
 //    exact-size buffer spliced as head, its 2-varint stamp (written on
 //    the stack), tail — byte-identical to encode(CenterMsg).
 //  * The executed form is allocated once and every bridge queue holds a
-//    shared_ptr to it.  Transformation writes a form in place when the
-//    queue is its only owner and replaces it while it is still shared,
-//    so one client's transform never reaches another client's queue.
-//    state() and checkpoints see plain BridgeEntry values.
+//    shared_ptr to it.  A form is copied once while it is still shared,
+//    then transformed in place (ot::transform_in_place), so one client's
+//    transform never reaches another client's queue and no transform
+//    step copies an op list.  state() and checkpoints see plain
+//    BridgeEntry values.
 #pragma once
 
 #include <deque>
@@ -81,7 +82,8 @@ class NotifierSite {
 
   /// Stateless decode + wrong-channel validation of one uplink payload.
   /// Touches no NotifierSite state, so any thread may call it.  Throws
-  /// util::DecodeError on a malformed payload or one naming another site.
+  /// util::DecodeError on a malformed payload, one naming another site,
+  /// or one carrying a delete whose count is not 1.
   static ParsedUplink parse_uplink(SiteId from, const net::Payload& bytes,
                                    const EngineConfig& cfg);
 
@@ -91,7 +93,8 @@ class NotifierSite {
   /// threads concurrently.  Throws util::DecodeError, with no state
   /// changed, on an uplink acknowledging more center operations than
   /// were sent to its site (or, in full-vector mode, whose stamp is not
-  /// an (N+1)-vector), and on a leave from a site that already departed.
+  /// an (N+1)-vector), on one whose positions fall outside the document
+  /// its stamp names, and on a leave from a site that already departed.
   void apply_uplink(ParsedUplink parsed);
 
   /// Everything a late joiner needs to enter the session consistently:
@@ -197,6 +200,10 @@ class NotifierSite {
   clocks::NotifierClock clock_;
   clocks::VersionVector vc_;  // (N+1)-vector, kFullVector mode only
   void gc_history();
+  /// Throws util::DecodeError unless `ops` is in range on the document
+  /// its stamp (acknowledging `ack` center operations) names.  Pure.
+  void check_uplink_bounds(const ot::OpList& ops, SiteId from,
+                           std::uint64_t ack) const;
 
   std::vector<NotifierHbEntry> hb_;
   std::vector<std::deque<QueuedOp>> outgoing_;      // [client id]

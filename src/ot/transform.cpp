@@ -4,23 +4,6 @@
 
 namespace ccvc::ot {
 
-namespace {
-
-void require_decomposed(const PrimOp& op) {
-  CCVC_CHECK_MSG(op.kind != OpKind::kDelete || op.count == 1,
-                 "transformation requires deletes decomposed to 1 char");
-}
-
-PrimOp make_nop(const PrimOp& from) {
-  PrimOp nop;
-  nop.kind = OpKind::kIdentity;
-  nop.pos = from.pos;  // kept for trace readability; has no effect
-  nop.origin = from.origin;
-  return nop;
-}
-
-}  // namespace
-
 bool insert_wins_left(const PrimOp& a, const PrimOp& b) {
   // Total priority for concurrent inserts at the same position.  Distinct
   // origins in the protocol make this a strict order; the (origin, text)
@@ -30,14 +13,30 @@ bool insert_wins_left(const PrimOp& a, const PrimOp& b) {
   return a.text <= b.text;
 }
 
-PrimOp include_prim(const PrimOp& op, const PrimOp& against) {
+namespace {
+
+void require_decomposed(const PrimOp& op) {
+  CCVC_CHECK_MSG(op.kind != OpKind::kDelete || op.count == 1,
+                 "transformation requires deletes decomposed to 1 char");
+}
+
+// The (kind, pos) an inclusion leaves a primitive with.
+struct Included {
+  OpKind kind;
+  std::size_t pos;
+};
+
+// The whole IT case analysis: what including `against` makes of `op`.
+// include_prim and the in-place grid cell both go through it, so the
+// II/ID/DI/DD rules exist once.
+Included include_shape(const PrimOp& op, const PrimOp& against) {
   require_decomposed(op);
   require_decomposed(against);
+  Included out{op.kind, op.pos};
   if (op.kind == OpKind::kIdentity || against.kind == OpKind::kIdentity) {
-    return op;
+    return out;
   }
 
-  PrimOp out = op;
   const std::size_t blen = (against.kind == OpKind::kInsert)
                                ? against.text.size()
                                : against.count;
@@ -77,39 +76,66 @@ PrimOp include_prim(const PrimOp& op, const PrimOp& against) {
   } else if (against.pos == op.pos) {
     // The same character was deleted concurrently — this op has nothing
     // left to do.  Becoming Identity (rather than deleting a neighbour)
-    // is what preserves both users' intentions.
-    out = make_nop(op);
+    // is what preserves both users' intentions.  The position is kept
+    // for trace readability (and for exclude_prim); it has no effect.
+    out.kind = OpKind::kIdentity;
   }
   return out;
 }
 
-std::pair<OpList, OpList> transform(const OpList& a, const OpList& b) {
+// Writes an inclusion result into `op`.  A collapsed delete keeps its
+// origin and position and drops its payload: kind Identity, empty
+// text, count 0.
+void settle(PrimOp& op, Included r) {
+  if (r.kind == OpKind::kIdentity && op.kind != OpKind::kIdentity) {
+    op.kind = OpKind::kIdentity;
+    op.text.clear();
+    op.count = 0;
+  }
+  op.pos = r.pos;
+}
+
+}  // namespace
+
+PrimOp include_prim(const PrimOp& op, const PrimOp& against) {
+  PrimOp out = op;
+  settle(out, include_shape(op, against));
+  return out;
+}
+
+void transform_in_place(OpList& a, OpList& b) {
   // The classic grid walk: fold each primitive of A through the evolving
   // B list, updating both sides.  Invariant at inner step i: `pa` and
-  // `b_cur[i]` are defined on the same document state (A-prefix already
-  // included into b_cur[0..i), B-prefix already included into pa).
-  OpList b_cur = b;
-  OpList a_out;
-  a_out.reserve(a.size());
-  for (const PrimOp& pa_in : a) {
-    PrimOp pa = pa_in;
-    for (PrimOp& pb : b_cur) {
-      const PrimOp pa_next = include_prim(pa, pb);
-      pb = include_prim(pb, pa);
-      pa = pa_next;
+  // `b[i]` are defined on the same document state (A-prefix already
+  // included into b[0..i), B-prefix already included into pa).  Both
+  // results of a cell are computed from the cell's inputs before either
+  // is written.
+  for (PrimOp& pa : a) {
+    for (PrimOp& pb : b) {
+      const Included pa_next = include_shape(pa, pb);
+      const Included pb_next = include_shape(pb, pa);
+      settle(pa, pa_next);
+      settle(pb, pb_next);
       // Hot-path contract (live in Debug/sanitizer presets only): the
-      // grid walk must preserve decomposition, or the next include_prim
-      // silently computes with a multi-char delete.
+      // grid walk must preserve decomposition, or the next cell silently
+      // computes with a multi-char delete.
       CCVC_DCHECK(pa.kind != OpKind::kDelete || pa.count == 1);
       CCVC_DCHECK(pb.kind != OpKind::kDelete || pb.count == 1);
     }
-    a_out.push_back(std::move(pa));
   }
-  return {std::move(a_out), std::move(b_cur)};
+}
+
+std::pair<OpList, OpList> transform(const OpList& a, const OpList& b) {
+  std::pair<OpList, OpList> out{a, b};
+  transform_in_place(out.first, out.second);
+  return out;
 }
 
 OpList include_list(const OpList& op, const OpList& against) {
-  return transform(op, against).first;
+  OpList out = op;
+  OpList scratch = against;
+  transform_in_place(out, scratch);
+  return out;
 }
 
 PrimOp exclude_prim(const PrimOp& op, const PrimOp& against) {

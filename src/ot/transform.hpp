@@ -14,6 +14,13 @@
 // is all the star-topology control algorithm needs for convergence; it
 // is exhaustively property-tested in tests/ot.
 //
+// transform_in_place is the kernel: each grid cell rewrites the two
+// primitives' positions (and collapses a double delete to Identity)
+// without copying a primitive or a list.  The hot loops (the notifier's
+// bridge walk, the client's pending walk) call it directly — a bridge
+// form still shared with other queues is copied once, then transformed
+// in place.  transform and include_list are value wrappers over it.
+//
 // Insert–insert ties (equal position) break on (origin site, text)
 // order: concurrent operations always have distinct origin sites in the
 // protocol, so the priority is total and identical at every site.
@@ -29,8 +36,13 @@ namespace ccvc::ot {
 /// Requires decomposed deletes (count ≤ 1).
 PrimOp include_prim(const PrimOp& op, const PrimOp& against);
 
-/// Symmetric sequence transform: returns {A', B'} where A' applies after
-/// B and B' applies after A.  A and B must be defined on the same state.
+/// Symmetric sequence transform in place: rewrites A into A' (applies
+/// after B) and B into B' (applies after A).  A and B must be defined on
+/// the same state.  A collapsed delete becomes exactly include_prim's
+/// Identity: same origin and position, empty text, count 0.
+void transform_in_place(OpList& a, OpList& b);
+
+/// Value form of transform_in_place: returns {A', B'}.
 std::pair<OpList, OpList> transform(const OpList& a, const OpList& b);
 
 /// Convenience when only the transformed `op` is needed.

@@ -1,7 +1,7 @@
 // NotifierSite driven directly with hand-built uplinks: admission of an
-// uplink's acknowledgement and of a repeated leave before any state
-// changes, and copy-on-write of the executed form its broadcast shares
-// across bridge queues.
+// uplink's acknowledgement, of its positions and of a repeated leave
+// before any state changes, and copy-on-write of the executed form its
+// broadcast shares across bridge queues.
 #include <gtest/gtest.h>
 
 #include <utility>
@@ -99,6 +99,42 @@ TEST(NotifierAdmission, DuplicateLeaveThrowsDecodeError) {
   ASSERT_EQ(sent.size(), 1u);
   EXPECT_EQ(sent[0].first, 2u);
   EXPECT_EQ(n.text(), "xabc");
+}
+
+// An uplink is in range on the document its stamp names, not on doc_:
+// with client 2's op still in client 1's bridge, client 1's context is
+// "abc" while the notifier holds "yabc".  Out-of-range positions throw
+// DecodeError before the bridge forms are transformed.
+TEST(NotifierAdmission, OutOfRangeUplinkThrowsBeforeAnyStateChange) {
+  Sent sent;
+  NotifierSite n(3, "abc", EngineConfig{}, collect(sent));
+  n.on_client_message(2, uplink({2, 1}, ot::make_insert(0, "y", 2), {0, 1}));
+  ASSERT_EQ(n.outgoing_count(1), 1u);
+  sent.clear();
+
+  const NotifierSite::State before = n.state();
+  // Position 3 is past the end of "abc", though inside "yabc".
+  EXPECT_THROW(
+      n.on_client_message(1, uplink({1, 1}, ot::make_delete(3, 1, 1), {0, 1})),
+      util::DecodeError);
+  EXPECT_THROW(
+      n.on_client_message(1, uplink({1, 1}, ot::make_insert(4, "x", 1), {0, 1})),
+      util::DecodeError);
+  // The walk follows the op's own primitives: "zz" grows the context to
+  // 5 characters, so a delete at 5 is past its end.
+  ot::OpList grow_then_delete = ot::make_insert(0, "zz", 1);
+  grow_then_delete.push_back(ot::make_delete(5, 1, 1).front());
+  EXPECT_THROW(
+      n.on_client_message(1, uplink({1, 1}, grow_then_delete, {0, 1})),
+      util::DecodeError);
+  EXPECT_EQ(n.state(), before);
+  EXPECT_TRUE(sent.empty());
+
+  // Inserting at the very end of the context is in range and commits.
+  n.on_client_message(1, uplink({1, 1}, ot::make_insert(3, "x", 1), {0, 1}));
+  EXPECT_EQ(sent.size(), 2u);
+  EXPECT_EQ(n.text(), "yabcx");
+  EXPECT_EQ(n.state_vector().from(1), 1u);
 }
 
 TEST(NotifierBridge, TransformCopiesASharedExecutedForm) {

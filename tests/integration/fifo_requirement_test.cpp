@@ -5,8 +5,9 @@
 // (datagram-like) channels must break the protocol with a *specific*
 // signature: the compressed concurrency checks return verdicts the
 // ground-truth causality oracle refutes (misclassified concurrency),
-// and downstream of those wrong verdicts the run either throws a
-// contract violation or diverges.
+// and downstream of those wrong verdicts the run either throws (a
+// contract violation, or the notifier's DecodeError for an uplink whose
+// positions do not fit the document its stamp names) or diverges.
 //
 // The reliability sublayer exists to close exactly this gap: its
 // sequence numbers re-impose FIFO over the same unordered channels, and
@@ -18,6 +19,7 @@
 #include "sim/oracle.hpp"
 #include "sim/workload.hpp"
 #include "util/check.hpp"
+#include "util/varint.hpp"
 
 namespace ccvc::sim {
 namespace {
@@ -65,6 +67,8 @@ Outcome run_once(net::Ordering ordering, std::uint64_t seed, bool reliable) {
     session.run_to_quiescence();
     out.converged = session.converged();
   } catch (const ContractViolation&) {
+    out.threw = true;
+  } catch (const util::DecodeError&) {
     out.threw = true;
   }
   // Readable even after a mid-run throw — that is why this drives the

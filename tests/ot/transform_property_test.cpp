@@ -7,10 +7,14 @@
 //   * primitive × primitive on random documents,
 //   * user-op lists (multi-char inserts, decomposed range deletes),
 //   * chains: one op against a *sequence* of sequential ops.
+// A further sweep pins the in-place kernel to the value grid walk, field
+// for field.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <tuple>
+#include <utility>
 
 #include "doc/document.hpp"
 #include "ot/transform.hpp"
@@ -113,6 +117,107 @@ TEST_P(Tp1Sweep, OpAgainstSequenceConverges) {
     ASSERT_EQ(r1, r2) << "doc=\"" << s << "\" a=" << to_string(a)
                       << " B=" << to_string(b_chain);
   }
+}
+
+// Cells of the grid walk that hit the two cases with a non-positional
+// outcome: an equal-position insert tie and a double-delete collapse.
+struct CellCounts {
+  std::size_t ties = 0;
+  std::size_t collapses = 0;
+};
+
+// The value grid walk, one include_prim pair per cell, each copied out
+// before it is written back: the reference transform_in_place must
+// reproduce field for field.
+std::pair<OpList, OpList> value_walk(const OpList& a, const OpList& b,
+                                     CellCounts& counts) {
+  OpList b_cur = b;
+  OpList a_out;
+  for (const PrimOp& pa_in : a) {
+    PrimOp pa = pa_in;
+    for (PrimOp& pb : b_cur) {
+      if (pa.kind == pb.kind && pa.pos == pb.pos) {
+        if (pa.kind == OpKind::kInsert) ++counts.ties;
+        if (pa.kind == OpKind::kDelete) ++counts.collapses;
+      }
+      const PrimOp pa_next = include_prim(pa, pb);
+      pb = include_prim(pb, pa);
+      pa = pa_next;
+    }
+    a_out.push_back(pa);
+  }
+  return {a_out, b_cur};
+}
+
+/// A workload-shaped op list generated on (and executed into) `d`: one
+/// to three user ops, each an insert of 1–8 chars, a decomposed delete
+/// run of 1–8 chars, or an identity.  Positions crowd the front of the
+/// document so ties and collapses are common.  Some steps are executed
+/// capturing their deleted text, like a bridge form; the rest keep it
+/// empty, like an uplink.
+OpList workload_list(util::Rng& rng, doc::Document& d, SiteId origin) {
+  OpList out;
+  const std::size_t steps = 1 + rng.index(3);
+  for (std::size_t k = 0; k < steps; ++k) {
+    OpList step;
+    const std::size_t roll = rng.index(8);
+    if (roll == 0) {
+      step = make_identity(origin);
+    } else if (d.size() == 0 || roll < 4) {
+      std::string text(1 + rng.index(8), static_cast<char>('A' + origin));
+      step = make_insert(rng.index(std::min<std::size_t>(d.size(), 3) + 1),
+                         std::move(text), origin);
+    } else {
+      const std::size_t count =
+          1 + rng.index(std::min<std::size_t>(d.size(), 8));
+      step = make_delete(
+          rng.index(std::min<std::size_t>(d.size() - count, 2) + 1), count,
+          origin);
+    }
+    if (rng.chance(0.5)) {
+      d.apply(step);
+    } else {
+      d.apply_copy(step);
+    }
+    out.insert(out.end(), step.begin(), step.end());
+  }
+  return out;
+}
+
+TEST_P(Tp1Sweep, InPlaceKernelMatchesValueWalk) {
+  util::Rng rng(GetParam() ^ 0x5eed1e55u);
+  CellCounts counts;
+  for (int iter = 0; iter < 400; ++iter) {
+    const std::string s = random_doc(rng, 12);
+    doc::Document da(s);
+    doc::Document db(s);
+    const OpList a = workload_list(rng, da, 1);
+    const OpList b = workload_list(rng, db, 2);
+    const auto want = value_walk(a, b, counts);
+
+    OpList a2 = a;
+    OpList b2 = b;
+    transform_in_place(a2, b2);
+    ASSERT_EQ(a2, want.first) << "doc=\"" << s << "\" a=" << to_string(a)
+                              << " b=" << to_string(b);
+    ASSERT_EQ(b2, want.second) << "doc=\"" << s << "\" a=" << to_string(a)
+                               << " b=" << to_string(b);
+    ASSERT_EQ(transform(a, b), want);
+    ASSERT_EQ(include_list(a, b), want.first);
+    // A collapsed delete carries nothing: no captured text, count 0.
+    for (const OpList* side : {&a2, &b2}) {
+      for (const PrimOp& p : *side) {
+        if (!p.is_identity()) continue;
+        ASSERT_TRUE(p.text.empty()) << to_string(*side);
+        ASSERT_EQ(p.count, 0u) << to_string(*side);
+      }
+    }
+    // TP1 holds for the workload shapes too.
+    ASSERT_EQ(apply_str(da.text(), b2), apply_str(db.text(), a2))
+        << "doc=\"" << s << "\" a=" << to_string(a) << " b=" << to_string(b);
+  }
+  EXPECT_GT(counts.ties, 0u);
+  EXPECT_GT(counts.collapses, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, Tp1Sweep,

@@ -81,15 +81,20 @@ TEST(PipelineEquivalence, FullVectorModeEquivalent) {
   expect_equivalent(cfg);
 }
 
-// The uplink client `site` sends for inserting `text` at the front,
-// having executed `acked` center operations.
-net::Payload uplink_from(SiteId site, const std::string& text,
-                         std::uint64_t acked = 0) {
+// The uplink client `site` sends for `ops`, its first operation, having
+// executed `acked` center operations.
+net::Payload uplink_ops(SiteId site, ot::OpList ops, std::uint64_t acked) {
   engine::ClientMsg m;
   m.id = OpId{site, 1};
-  m.ops = ot::make_insert(0, text, site);
+  m.ops = std::move(ops);
   m.stamp.csv = clocks::CompressedSv{acked, 1};
   return engine::encode(m, engine::StampMode::kCompressed);
+}
+
+// The uplink client `site` sends for inserting `text` at the front.
+net::Payload uplink_from(SiteId site, const std::string& text,
+                         std::uint64_t acked = 0) {
+  return uplink_ops(site, ot::make_insert(0, text, site), acked);
 }
 
 // submit() must throw DecodeError for `bad` with no counter or notifier
@@ -100,6 +105,7 @@ void expect_rejected_then_live(net::Payload bad) {
   EXPECT_THROW(pipe.submit(1, std::move(bad)), util::DecodeError);
   EXPECT_EQ(pipe.submitted(), 0u);
   EXPECT_EQ(pipe.committed(), 0u);
+  EXPECT_EQ(pipe.rejected(), 0u);
 
   pipe.submit(1, uplink_from(1, "ok"));
   pipe.drain();  // would hang if the rejected uplink had been counted
@@ -117,6 +123,17 @@ TEST(PipelineAdmission, TruncatedUplinkThrowsDecodeError) {
 // Well-formed, but site 2's operation arriving on site 1's channel.
 TEST(PipelineAdmission, WrongChannelUplinkThrowsDecodeError) {
   expect_rejected_then_live(uplink_from(2, "xy"));
+}
+
+// Well-formed, but Delete[0, p]: decoding passes a zero-count delete
+// through undecomposed, and transformation requires 1-char deletes.
+TEST(PipelineAdmission, ZeroCountDeleteThrowsDecodeError) {
+  ot::PrimOp del;
+  del.kind = ot::OpKind::kDelete;
+  del.pos = 0;
+  del.count = 0;
+  del.origin = 1;
+  expect_rejected_then_live(uplink_ops(1, {del}, 0));
 }
 
 // Well-formed, but acknowledging a center op never sent to site 2.
@@ -144,6 +161,34 @@ TEST(PipelineAdmission, AckBeyondSentIsRejected) {
   EXPECT_EQ(pipe.rejected(), 1u);
   EXPECT_EQ(pipe.site().text(), "ok");
   EXPECT_EQ(egressed, std::vector<SiteId>{2});
+}
+
+// Well-formed, but out of range on the client's context: with site 2's
+// op in site 1's bridge, site 1 is on "abc" while the notifier holds
+// "yabc".  The transform thread rejects it before transforming.
+TEST(PipelineAdmission, OutOfRangeUplinkIsRejected) {
+  std::vector<SiteId> egressed;
+  runtime::NotifierPipeline pipe(
+      3, "abc", engine::EngineConfig{},
+      [&egressed](SiteId dest, net::Payload) { egressed.push_back(dest); });
+  pipe.submit(2, uplink_from(2, "y"));
+  pipe.drain();
+  const engine::NotifierSite::State before = pipe.site().state();
+
+  pipe.submit(1, uplink_ops(1, ot::make_delete(3, 1, 1), 0));
+  pipe.drain();  // would hang if the rejected uplink were not counted
+  EXPECT_EQ(pipe.submitted(), 2u);
+  EXPECT_EQ(pipe.committed(), 1u);
+  EXPECT_EQ(pipe.rejected(), 1u);
+  EXPECT_EQ(pipe.site().state(), before);
+  EXPECT_EQ(egressed, (std::vector<SiteId>{1, 3}));
+
+  pipe.submit(1, uplink_ops(1, ot::make_delete(2, 1, 1), 0));
+  pipe.drain();
+  EXPECT_EQ(pipe.committed(), 2u);
+  EXPECT_EQ(pipe.rejected(), 1u);
+  EXPECT_EQ(pipe.site().text(), "yab");
+  EXPECT_EQ(egressed, (std::vector<SiteId>{1, 3, 2, 3}));
 }
 
 }  // namespace

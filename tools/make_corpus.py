@@ -216,6 +216,11 @@ SEEDS = {
         "client_delete_csv": client_msg(
             3, 7, csv_stamp(0, 1), op_list(prim_delete(3, 4, 3))
         ),
+        # Delete[0, p]: decodes, but the notifier's parse stage rejects
+        # it (transformation takes only 1-char deletes).
+        "client_delete_zero_count": client_msg(
+            3, 7, csv_stamp(0, 1), op_list(prim_delete(3, 4, 0))
+        ),
         "client_insert_vv": client_msg(
             2, 1, vv_stamp([0, 1, 2]), op_list(prim_insert(2, 0, b"hi"))
         ),
