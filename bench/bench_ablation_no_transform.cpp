@@ -8,15 +8,15 @@
 // divergence.
 #include <cstdio>
 
+#include "experiments.hpp"
 #include "sim/runner.hpp"
 #include "util/table.hpp"
 
+namespace ccvc::bench {
 namespace {
 
-using namespace ccvc;
-
 sim::StarRunReport run_once(std::size_t n, bool transform,
-                            std::uint64_t seed) {
+                            std::uint64_t seed, bool smoke) {
   engine::StarSessionConfig cfg;
   cfg.num_sites = n;
   cfg.initial_doc = "the operational transformation ablation document";
@@ -27,7 +27,7 @@ sim::StarRunReport run_once(std::size_t n, bool transform,
   cfg.seed = seed;
 
   sim::WorkloadConfig w;
-  w.ops_per_site = 30;
+  w.ops_per_site = smoke ? 8 : 30;
   w.mean_think_ms = 20.0;
   w.hotspot_prob = 0.6;
   w.hotspot_width = 8;
@@ -37,14 +37,15 @@ sim::StarRunReport run_once(std::size_t n, bool transform,
 
 }  // namespace
 
-int main() {
+void no_transform(bool smoke) {
   std::puts("== E8: notifier transformation on vs off ==\n");
   util::TextTable t({"N sites", "seed", "mode", "verdicts",
                      "wrong verdicts", "error rate", "converged"});
   for (const std::size_t n : {3u, 5u, 8u}) {
+    if (smoke && n > 3) break;
     for (const std::uint64_t seed : {1u, 2u, 3u}) {
       for (const bool transform : {true, false}) {
-        const auto r = run_once(n, transform, seed);
+        const auto r = run_once(n, transform, seed, smoke);
         const double rate =
             r.verdicts == 0
                 ? 0.0
@@ -63,6 +64,7 @@ int main() {
   std::puts("\nshape check: 'transform' rows have 0 wrong verdicts and\n"
             "converge; 'as-is' rows show verdict errors and divergence —\n"
             "the compression is only sound *because* the notifier\n"
-            "transforms (paper §6).");
-  return 0;
+            "transforms (paper §6).\n");
 }
+
+}  // namespace ccvc::bench

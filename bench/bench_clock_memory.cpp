@@ -8,15 +8,12 @@
 #include "clocks/matrix_clock.hpp"
 #include "clocks/sk_clock.hpp"
 #include "clocks/version_vector.hpp"
+#include "experiments.hpp"
 #include "util/table.hpp"
 
-namespace {
+namespace ccvc::bench {
 
-using namespace ccvc;
-
-}  // namespace
-
-int main() {
+void clock_memory(bool /*smoke: the table is arithmetic*/) {
   std::puts("== E4: resident clock state per process (bytes) ==\n");
   util::TextTable t({"N sites", "compressed client", "compressed notifier",
                      "full-VC site", "SK site (3 vectors)",
@@ -43,6 +40,7 @@ int main() {
       "notifier pays O(N).  SK pays 3·O(N) at *every* site; matrix\n"
       "clocks (stability detection for decentralized log GC) pay O(N^2)\n"
       "— the star's acknowledgement counters provide stability for the\n"
-      "price of one O(N) vector at the center.");
-  return 0;
+      "price of one O(N) vector at the center.\n");
 }
+
+}  // namespace ccvc::bench

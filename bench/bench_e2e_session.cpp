@@ -5,12 +5,12 @@
 #include <chrono>
 #include <cstdio>
 
+#include "experiments.hpp"
 #include "sim/runner.hpp"
 #include "util/table.hpp"
 
+namespace ccvc::bench {
 namespace {
-
-using namespace ccvc;
 
 struct Regime {
   const char* name;
@@ -19,7 +19,7 @@ struct Regime {
 
 }  // namespace
 
-int main() {
+void wan_sessions(bool smoke) {
   std::puts("== E7/E9: end-to-end star sessions (compressed clocks) ==\n");
   const Regime regimes[] = {
       {"LAN fixed 2ms", net::LatencyModel::fixed(2.0)},
@@ -30,6 +30,7 @@ int main() {
   util::TextTable t({"N", "network", "ops", "prop p50", "prop p99",
                      "bytes total", "bytes/op", "converged", "run ms"});
   for (const std::size_t n : {2u, 4u, 8u, 16u, 32u}) {
+    if (smoke && n > 4) break;
     for (const auto& regime : regimes) {
       engine::StarSessionConfig cfg;
       cfg.num_sites = n;
@@ -44,7 +45,7 @@ int main() {
       cfg.engine.gc_history = true;
 
       sim::WorkloadConfig w;
-      w.ops_per_site = 40;
+      w.ops_per_site = smoke ? 10 : 40;
       w.mean_think_ms = 80.0;
       w.hotspot_prob = 0.3;
       w.seed = cfg.seed * 3;
@@ -72,6 +73,7 @@ int main() {
             "uplink + one downlink (plus tail queueing at high load).\n"
             "bytes/op grows ~linearly in N only because each op fans out\n"
             "to N-1 destinations; the per-message timestamp stays 2-3\n"
-            "bytes (see bench_timestamp_overhead).");
-  return 0;
+            "bytes (see bench_main --bench=e3).\n");
 }
+
+}  // namespace ccvc::bench

@@ -1,26 +1,19 @@
-// Fault-recovery benchmark, two questions:
-//
-//  1. What does the reliability sublayer cost when the network is
-//     perfect?  The same workload runs with the sublayer off and on;
-//     the framing/ack overhead must stay within ~10% on wall-clock and
-//     per-op cost (zero-fault runs draw identical protocol RNG, so the
-//     comparison is apples-to-apples).
-//
-//  2. What does recovery cost when the network misbehaves?  Chaos runs
-//     at increasing drop rates report the retransmit amplification and
-//     the simulated-time stretch to quiescence (the user-visible
-//     latency of healing).
+// What does the reliability sublayer cost when the network is perfect?
+// The same workload runs with the sublayer off and on and reports the
+// framing/ack overhead on wall-clock and per-op cost (zero-fault runs
+// draw identical protocol RNG, so the comparison is apples-to-apples).
+// Healing under loss is asserted by the chaos, reliable-link and
+// failover tests instead.
 #include <chrono>
 #include <cstdio>
 #include <functional>
 
-#include "sim/chaos.hpp"
+#include "experiments.hpp"
 #include "sim/runner.hpp"
 #include "util/table.hpp"
 
+namespace ccvc::bench {
 namespace {
-
-using namespace ccvc;
 
 double wall_ms(const std::function<void()>& fn) {
   const auto t0 = std::chrono::steady_clock::now();
@@ -30,7 +23,7 @@ double wall_ms(const std::function<void()>& fn) {
 }
 
 sim::StarRunReport run_clean(std::size_t n, bool reliable,
-                             std::uint64_t seed) {
+                             std::uint64_t seed, bool smoke) {
   engine::StarSessionConfig cfg;
   cfg.num_sites = n;
   cfg.initial_doc = "fault recovery benchmark document with some length";
@@ -40,7 +33,7 @@ sim::StarRunReport run_clean(std::size_t n, bool reliable,
   cfg.seed = seed;
 
   sim::WorkloadConfig w;
-  w.ops_per_site = 120;
+  w.ops_per_site = smoke ? 20 : 120;
   w.mean_think_ms = 15.0;
   w.hotspot_prob = 0.4;
   w.seed = seed + 1;
@@ -49,150 +42,39 @@ sim::StarRunReport run_clean(std::size_t n, bool reliable,
 
 }  // namespace
 
-int main() {
+void fault_sublayer(bool smoke) {
   std::puts("== fault recovery: zero-fault overhead of the sublayer ==\n");
-  {
-    util::TextTable t({"N sites", "mode", "ops", "wall ms", "us/op",
-                       "overhead", "converged"});
-    for (const std::size_t n : {4u, 8u}) {
-      double base_us = 0.0;
-      for (const bool reliable : {false, true}) {
-        sim::StarRunReport r;
-        double total_ms = 0.0;
-        std::uint64_t total_ops = 0;
-        for (const std::uint64_t seed : {1u, 2u, 3u}) {
-          total_ms += wall_ms([&] { r = run_clean(n, reliable, seed); });
-          total_ops += r.ops_generated;
-        }
-        const double us_per_op = 1000.0 * total_ms /
-                                 static_cast<double>(total_ops);
-        if (!reliable) base_us = us_per_op;
-        const double overhead =
-            base_us == 0.0 ? 0.0 : 100.0 * (us_per_op - base_us) / base_us;
-        t.add_row({std::to_string(n), reliable ? "reliable" : "raw",
-                   std::to_string(total_ops),
-                   util::TextTable::num(total_ms, 1),
-                   util::TextTable::num(us_per_op, 2),
-                   reliable ? util::TextTable::num(overhead, 1) + "%" : "-",
-                   r.converged ? "yes" : "NO"});
+  util::TextTable t({"N sites", "mode", "ops", "wall ms", "us/op",
+                     "overhead", "converged"});
+  for (const std::size_t n : {4u, 8u}) {
+    if (smoke && n > 4) break;
+    double base_us = 0.0;
+    for (const bool reliable : {false, true}) {
+      sim::StarRunReport r;
+      double total_ms = 0.0;
+      std::uint64_t total_ops = 0;
+      for (const std::uint64_t seed : {1u, 2u, 3u}) {
+        total_ms += wall_ms([&] { r = run_clean(n, reliable, seed, smoke); });
+        total_ops += r.ops_generated;
       }
-    }
-    std::fputs(t.render().c_str(), stdout);
-    std::puts("\nshape check: the 'reliable' rows stay within ~10% of the"
-              "\n'raw' rows — framing + acks are cheap when nothing fails.\n");
-  }
-
-  std::puts("== fault recovery: healing cost vs drop rate ==\n");
-  {
-    util::TextTable t({"drop", "sim ms", "stretch", "data frames",
-                       "retransmits", "amplification", "converged",
-                       "oracle-clean"});
-    double base_sim = 0.0;
-    for (const double drop : {0.0, 0.05, 0.10, 0.20}) {
-      sim::ChaosConfig cfg;
-      cfg.num_sites = 5;
-      cfg.seed = 99;
-      cfg.workload.ops_per_site = 60;
-      cfg.workload.mean_think_ms = 15.0;
-      cfg.uplink_faults.drop_prob = drop;
-      cfg.downlink_faults.drop_prob = drop;
-      const sim::ChaosReport r = sim::run_chaos(cfg);
-      if (drop == 0.0) base_sim = r.sim_duration_ms;
-      const double stretch =
-          base_sim == 0.0 ? 0.0 : r.sim_duration_ms / base_sim;
-      const double amp =
-          r.links.data_sent == 0
-              ? 0.0
-              : 100.0 * static_cast<double>(r.links.retransmits) /
-                    static_cast<double>(r.links.data_sent);
-      t.add_row({util::TextTable::num(100.0 * drop, 0) + "%",
-                 util::TextTable::num(r.sim_duration_ms, 0),
-                 util::TextTable::num(stretch, 2) + "x",
-                 std::to_string(r.links.data_sent),
-                 std::to_string(r.links.retransmits),
-                 util::TextTable::num(amp, 1) + "%",
-                 r.converged ? "yes" : "NO",
-                 r.verdict_mismatches == 0 ? "yes" : "NO"});
-    }
-    std::fputs(t.render().c_str(), stdout);
-    std::puts("\nshape check: every row converges with an oracle-clean"
-              "\nverdict stream; retransmit amplification and time-to-"
-              "\nquiescence grow with the drop rate — that growth is the"
-              "\nentire price of correctness under loss.\n");
-  }
-
-  std::puts("== fault recovery: selective repeat (SACK) vs go-back-N ==\n");
-  {
-    util::TextTable t({"drop", "mode", "retransmits", "fast rtx",
-                       "bytes rtx", "sim ms", "converged"});
-    for (const double drop : {0.15, 0.25, 0.35}) {
-      std::uint64_t gbn_bytes = 0;
-      for (const bool gbn : {true, false}) {
-        sim::ChaosConfig cfg;
-        cfg.num_sites = 5;
-        cfg.seed = 99;
-        cfg.workload.ops_per_site = 60;
-        cfg.workload.mean_think_ms = 15.0;
-        cfg.uplink_faults.drop_prob = drop;
-        cfg.downlink_faults.drop_prob = drop;
-        cfg.reliability.go_back_n = gbn;
-        const sim::ChaosReport r = sim::run_chaos(cfg);
-        if (gbn) gbn_bytes = r.links.bytes_retransmitted;
-        std::string bytes = std::to_string(r.links.bytes_retransmitted);
-        if (!gbn && gbn_bytes > 0) {
-          const double saved =
-              100.0 *
-              (1.0 - static_cast<double>(r.links.bytes_retransmitted) /
-                         static_cast<double>(gbn_bytes));
-          bytes += " (-" + util::TextTable::num(saved, 0) + "%)";
-        }
-        t.add_row({util::TextTable::num(100.0 * drop, 0) + "%",
-                   gbn ? "go-back-N" : "SACK",
-                   std::to_string(r.links.retransmits),
-                   std::to_string(r.links.fast_retransmits), bytes,
-                   util::TextTable::num(r.sim_duration_ms, 0),
-                   r.converged ? "yes" : "NO"});
-      }
-    }
-    std::fputs(t.render().c_str(), stdout);
-    std::puts("\nshape check: at every loss rate the SACK rows retransmit"
-              "\nstrictly fewer bytes than their go-back-N twins — holes"
-              "\nare repaired individually instead of replaying the whole"
-              "\nin-flight window per timeout.\n");
-  }
-
-  std::puts("== fault recovery: hot-standby failover ==\n");
-  {
-    util::TextTable t({"mode", "sim ms", "promotions", "deferred",
-                       "converged"});
-    double base_sim = 0.0;
-    for (const bool failover : {false, true}) {
-      sim::ChaosConfig cfg;
-      cfg.num_sites = 5;
-      cfg.seed = 99;
-      cfg.workload.ops_per_site = 60;
-      cfg.workload.mean_think_ms = 15.0;
-      cfg.uplink_faults.drop_prob = 0.10;
-      cfg.downlink_faults.drop_prob = 0.10;
-      cfg.standby = true;
-      cfg.failover_at_ms = failover ? 300.0 : -1.0;
-      cfg.checkpoint_every_ms = 200.0;
-      const sim::ChaosReport r = sim::run_chaos(cfg);
-      if (!failover) base_sim = r.sim_duration_ms;
-      std::string sim = util::TextTable::num(r.sim_duration_ms, 0);
-      if (failover) {
-        sim += " (+" + util::TextTable::num(r.sim_duration_ms - base_sim, 0) +
-               ")";
-      }
-      t.add_row({failover ? "fail-stop @300ms" : "no failover", sim,
-                 std::to_string(r.failover_promotions),
-                 std::to_string(r.edits_deferred),
+      const double us_per_op = 1000.0 * total_ms /
+                               static_cast<double>(total_ops);
+      if (!reliable) base_us = us_per_op;
+      const double overhead =
+          base_us == 0.0 ? 0.0 : 100.0 * (us_per_op - base_us) / base_us;
+      t.add_row({std::to_string(n), reliable ? "reliable" : "raw",
+                 std::to_string(total_ops),
+                 util::TextTable::num(total_ms, 1),
+                 util::TextTable::num(us_per_op, 2),
+                 reliable ? util::TextTable::num(overhead, 1) + "%" : "-",
                  r.converged ? "yes" : "NO"});
     }
-    std::fputs(t.render().c_str(), stdout);
-    std::puts("\nshape check: losing the primary costs one promotion and a"
-              "\nbounded sim-time stretch — the replicated checkpoint + WAL"
-              "\nmeans no op is ever lost and the session still converges.");
   }
-  return 0;
+  std::fputs(t.render().c_str(), stdout);
+  std::puts("\nshape check: the 'reliable' rows track the 'raw' rows —"
+            "\nframing + acks are cheap when nothing fails.  Each cell is"
+            "\none wall-clock run: on a shared host the run-to-run spread"
+            "\ncan exceed the overhead itself, so repeat before reading it.\n");
 }
+
+}  // namespace ccvc::bench

@@ -7,13 +7,13 @@
 #include <cstdio>
 
 #include "engine/session.hpp"
+#include "experiments.hpp"
 #include "sim/observers.hpp"
 #include "sim/workload.hpp"
 #include "util/table.hpp"
 
+namespace ccvc::bench {
 namespace {
-
-using namespace ccvc;
 
 struct GcRow {
   std::uint64_t verdict_checks = 0;
@@ -78,13 +78,15 @@ GcRow run(std::size_t sites, std::size_t ops, bool gc) {
 
 }  // namespace
 
-int main() {
+void history_gc(bool smoke) {
   std::puts("== GC ablation: acknowledgement-driven history collection ==\n");
   util::TextTable t({"N", "ops/site", "mode", "verdict checks",
                      "notifier HB end", "client HB max", "entries GC'd",
                      "wall ms", "converged"});
   for (const std::size_t sites : {4u, 8u}) {
+    if (smoke && sites > 4) break;
     for (const std::size_t ops : {100u, 400u}) {
+      if (smoke && ops > 100) break;
       for (const bool gc : {false, true}) {
         const GcRow r = run(sites, ops, gc);
         t.add_row({std::to_string(sites), std::to_string(ops),
@@ -102,6 +104,7 @@ int main() {
   std::puts("\nshape check: identical convergence; GC cuts the per-message\n"
             "check scans by orders of magnitude and bounds buffer sizes\n"
             "(entries survive only while some site's acknowledgement state\n"
-            "still allows a future concurrent arrival).");
-  return 0;
+            "still allows a future concurrent arrival).\n");
 }
+
+}  // namespace ccvc::bench

@@ -9,12 +9,12 @@
 // counting.
 #include <cstdio>
 
+#include "experiments.hpp"
 #include "sim/runner.hpp"
 #include "util/table.hpp"
 
+namespace ccvc::bench {
 namespace {
-
-using namespace ccvc;
 
 sim::WorkloadConfig workload_for(std::size_t ops_per_site) {
   sim::WorkloadConfig w;
@@ -25,7 +25,7 @@ sim::WorkloadConfig workload_for(std::size_t ops_per_site) {
   return w;
 }
 
-void star_table() {
+void star_table(bool smoke) {
   std::puts("== E3a: star topology — wire timestamp bytes per message ==");
   std::puts("(avg over all messages of one session; op payload identical "
             "across modes)\n");
@@ -33,6 +33,7 @@ void star_table() {
                      "full-VC avg", "full-VC max", "total bytes comp.",
                      "total bytes full", "traffic ratio"});
   for (const std::size_t n : {2u, 4u, 8u, 16u, 32u, 64u, 128u, 256u}) {
+    if (smoke && n > 4) break;
     engine::StarSessionConfig cfg;
     cfg.num_sites = n;
     cfg.initial_doc = "the shared document body";
@@ -42,7 +43,7 @@ void star_table() {
     // bounds the (otherwise quadratic) history storage.
     cfg.engine.log_verdicts = false;
     cfg.engine.gc_history = true;
-    const std::size_t ops = n <= 32 ? 30u : 8u;
+    const std::size_t ops = smoke ? 5u : n <= 32 ? 30u : 8u;
 
     cfg.engine.stamp_mode = engine::StampMode::kCompressed;
     const auto comp = sim::run_star(cfg, workload_for(ops));
@@ -62,12 +63,13 @@ void star_table() {
   std::puts("shape check: compressed flat (2-3 bytes), full-VC ~N bytes.\n");
 }
 
-void mesh_table() {
+void mesh_table(bool smoke) {
   std::puts("== E3b: fully-distributed mesh baselines — stamp bytes ==");
   util::TextTable t({"N sites", "full-VC avg", "SK-diff avg", "SK-diff max",
                      "compressed (star, ref)"});
   for (const std::size_t n : {2u, 4u, 8u, 16u, 32u}) {
-    sim::WorkloadConfig w = workload_for(20);
+    if (smoke && n > 4) break;
+    sim::WorkloadConfig w = workload_for(smoke ? 5 : 20);
 
     engine::MeshSessionConfig mf;
     mf.num_sites = n;
@@ -90,8 +92,9 @@ void mesh_table() {
 
 }  // namespace
 
-int main() {
-  star_table();
-  mesh_table();
-  return 0;
+void stamp_bytes(bool smoke) {
+  star_table(smoke);
+  mesh_table(smoke);
 }
+
+}  // namespace ccvc::bench

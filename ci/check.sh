@@ -2,7 +2,9 @@
 # Full verification pipeline — everything a PR must survive, in order:
 #
 #   1. -Werror configure + build (RelWithDebInfo preset)
-#   2. full test suite under ASan+UBSan (Debug, CCVC_DCHECK live)
+#   2. full test suite under ASan+UBSan (Debug, CCVC_DCHECK live),
+#      including every experiment table (`bench_main --smoke`, the
+#      `bench` label)
 #   3. clang-tidy over src/            (skipped if the tool is absent)
 #      + gcc -fanalyzer report         (informational, never fails)
 #   4. cppcheck over src/              (skipped if the tool is absent)
@@ -10,25 +12,23 @@
 #      the `lint` ctest label in step 2)
 #   6. fuzzer smoke runs (seed corpus + 20k mutations, sanitized build)
 #   7. chaos property suite under ASan+UBSan (fault injection + recovery)
-#   8. bench pipeline smoke: bench_main → bench_report.py (schema
-#      round-trip) + validation of the committed BENCH_results.json
-#   9. bounded model checking: ccvc_mc exhaustive sweep + §6 ablation +
+#   8. bounded model checking: ccvc_mc exhaustive sweep + §6 ablation +
 #      formula-mutation self-validation, plus the `model` ctest label
-#  10. wire-schema gate: ccvc_schema --check (docs/schema.json,
+#   9. wire-schema gate: ccvc_schema --check (docs/schema.json,
 #      PROTOCOL.md table, fuzz dictionaries, boundary round-trips)
 #      plus the `schema` ctest label (golden bytes, bound rejects,
 #      negative compiles, --check mutation test)
-#  11. cross-TU dataflow gate: tools/ccvc_sa --check, all seven
+#  10. cross-TU dataflow gate: tools/ccvc_sa --check, all seven
 #      checkers (wire-taint, exception-discipline, single-writer,
 #      atomics-order, hot-path-budget, blocking-graph,
 #      liveness-discipline; generated docs ATOMICS.md / HOTPATH.md /
 #      BLOCKING.md byte-gated) + tools/sa_mutation.sh corpus replay,
 #      plus the `sa` ctest label
-#  12. failover under ThreadSanitizer: the hot-standby replication,
+#  11. failover under ThreadSanitizer: the hot-standby replication,
 #      fail-stop, and promotion paths (engine failover tests, the
 #      chaos failover/backpressure sweeps, and the scripted failover
 #      scenario) rebuilt and re-run with -fsanitize=thread
-#  13. threaded runtime under ThreadSanitizer: the pipelined notifier
+#  12. threaded runtime under ThreadSanitizer: the pipelined notifier
 #      (src/runtime/) — MPSC rings, batch assembly, drain protocol —
 #      re-run with -fsanitize=thread: the sim-equivalence suite
 #      (byte-identical snapshots vs the deterministic backend across
@@ -55,18 +55,18 @@ fail() {
   FAILURES=$((FAILURES + 1))
 }
 
-step "1/13 configure + build, -Werror (relwithdebinfo)"
+step "1/12 configure + build, -Werror (relwithdebinfo)"
 cmake --preset relwithdebinfo >/dev/null &&
   cmake --build --preset relwithdebinfo "$JOBS" ||
   fail "-Werror build"
 
-step "2/13 full suite under ASan+UBSan (Debug; DCHECK contracts live)"
+step "2/12 full suite under ASan+UBSan (Debug; DCHECK contracts live)"
 cmake --preset asan-ubsan >/dev/null &&
   cmake --build --preset asan-ubsan "$JOBS" &&
   ctest --preset asan-ubsan "$JOBS" -LE "fuzz_smoke|chaos|model" ||
   fail "asan-ubsan test suite"
 
-step "3/13 clang-tidy (+ gcc -fanalyzer, informational)"
+step "3/12 clang-tidy (+ gcc -fanalyzer, informational)"
 if command -v clang-tidy >/dev/null 2>&1; then
   cmake --build build-relwithdebinfo --target tidy || fail "clang-tidy"
 else
@@ -84,51 +84,44 @@ else
   echo "SKIPPED: gcc -fanalyzer target unavailable (needs GCC >= 12)"
 fi
 
-step "4/13 cppcheck"
+step "4/12 cppcheck"
 if command -v cppcheck >/dev/null 2>&1; then
   cmake --build build-relwithdebinfo --target cppcheck || fail "cppcheck"
 else
   echo "SKIPPED: cppcheck not installed"
 fi
 
-step "5/13 protocol lint (tools/ccvc_lint.py)"
+step "5/12 protocol lint (tools/ccvc_lint.py)"
 python3 tools/ccvc_lint.py --root "$PWD" --compiler "${CXX:-c++}" ||
   fail "ccvc_lint"
 
-step "6/13 fuzz smoke (sanitized, seed corpus + 20k runs each)"
+step "6/12 fuzz smoke (sanitized, seed corpus + 20k runs each)"
 ctest --preset asan-ubsan -L fuzz_smoke || fail "fuzz smoke"
 
-step "7/13 chaos property suite (sanitized fault injection + recovery)"
+step "7/12 chaos property suite (sanitized fault injection + recovery)"
 ctest --preset asan-ubsan "$JOBS" -L chaos || fail "chaos suite"
 
-step "8/13 bench pipeline smoke + BENCH_results.json schema check"
-cmake --build build-relwithdebinfo "$JOBS" --target bench_main >/dev/null &&
-  python3 tools/bench_report.py --build-dir build-relwithdebinfo \
-    --mode smoke --output "$(mktemp -t bench_smoke.XXXXXX.json)" &&
-  python3 tools/bench_report.py --check BENCH_results.json ||
-  fail "bench pipeline"
-
-step "9/13 bounded model checking (ccvc_mc + model-label tests)"
+step "8/12 bounded model checking (ccvc_mc + model-label tests)"
 cmake --build build-relwithdebinfo "$JOBS" --target ccvc_mc model_tests \
     >/dev/null &&
   ./build-relwithdebinfo/src/analysis/ccvc_mc all &&
   ctest --test-dir build-relwithdebinfo "$JOBS" -L model ||
   fail "model checking"
 
-step "10/13 wire-schema gate (ccvc_schema --check + schema-label tests)"
+step "9/12 wire-schema gate (ccvc_schema --check + schema-label tests)"
 cmake --build build-relwithdebinfo "$JOBS" --target ccvc_schema wire_tests \
     >/dev/null &&
   ./build-relwithdebinfo/src/analysis/ccvc_schema --check --root "$PWD" &&
   ctest --test-dir build-relwithdebinfo "$JOBS" -L schema ||
   fail "wire-schema gate"
 
-step "11/13 cross-TU dataflow gate (ccvc_sa --check + mutation corpus)"
+step "10/12 cross-TU dataflow gate (ccvc_sa --check + mutation corpus)"
 python3 tools/ccvc_sa --check --root "$PWD" &&
   sh tools/sa_mutation.sh "$PWD" python3 &&
   ctest --test-dir build-relwithdebinfo "$JOBS" -L sa ||
   fail "ccvc_sa gate"
 
-step "12/13 failover under TSan (hot-standby promotion + chaos sweep)"
+step "11/12 failover under TSan (hot-standby promotion + chaos sweep)"
 cmake --preset tsan >/dev/null &&
   cmake --build --preset tsan "$JOBS" \
     --target engine_tests chaos_tests scenario_player >/dev/null &&
@@ -136,7 +129,7 @@ cmake --preset tsan >/dev/null &&
     -R "Failover|HotStandby|scenario_chaos_failover" ||
   fail "tsan failover"
 
-step "13/13 threaded runtime under TSan (equivalence + chaos sweep)"
+step "12/12 threaded runtime under TSan (equivalence + chaos sweep)"
 cmake --build --preset tsan "$JOBS" --target runtime_tests >/dev/null &&
   ctest --test-dir build-tsan "$JOBS" -L runtime ||
   fail "tsan threaded runtime"

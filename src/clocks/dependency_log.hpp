@@ -9,7 +9,7 @@
 // because "the computational overhead for calculating the vector time
 // for each event can be too large for an on-line computation" — the
 // reconstruction below is O(reachable events) per query, which
-// bench_clock_ops quantifies against the O(1) compressed checks (E5).
+// `bench_main --bench=e5` sets against the O(1) compressed checks.
 //
 // On-line state per process: an append-only log of events, each holding
 // at most one remote dependency — O(1) work per event, 2 integers per

@@ -8,7 +8,8 @@
 // min_i M[i][j] ≥ t, which is what fully-distributed logs use to
 // garbage-collect (our star engine gets the same capability from plain
 // acknowledgement counters — acked_ at the notifier — precisely because
-// the topology is centralized; compare bench_clock_memory's N² row).
+// the topology is centralized; compare the N² column of
+// `bench_main --bench=e4`).
 #pragma once
 
 #include <cstdint>

@@ -167,12 +167,16 @@ NotifierSite::ParsedUplink NotifierSite::parse_uplink(
 void NotifierSite::apply_uplink(ParsedUplink parsed) {
   const SiteId from = parsed.from;
   CCVC_CHECK(from >= 1 && from <= num_sites_);
+  // Nothing may follow a site's in-band leave on its FIFO channel: a
+  // second leave or an op after it is hostile input, not a programming
+  // error.  Reject it before remove_site's contract check or the
+  // broadcast can see it.
+  if (!active_[from]) {
+    throw util::DecodeError(parsed.leave
+                                ? "leave from a site that already departed"
+                                : "uplink from a site that already departed");
+  }
   if (parsed.leave) {
-    // A second leave is hostile input, not a programming error: reject
-    // it before remove_site's contract check can see it.
-    if (!active_[from]) {
-      throw util::DecodeError("leave from a site that already departed");
-    }
     remove_site(from);
     return;
   }
@@ -197,6 +201,17 @@ void NotifierSite::apply_uplink(ParsedUplink parsed) {
                 msg.stamp.full[from];
   if (ack > enqueued_[from]) {
     throw util::DecodeError("uplink acknowledges operations never sent");
+  }
+  // Acks are monotone on a FIFO channel, and the bridge has already
+  // dropped the entries up to acked_[from]: a smaller ack would walk a
+  // path too short for the client's context.
+  if (ack < acked_[from]) {
+    throw util::DecodeError("uplink acknowledgement went backwards");
+  }
+  // Paper element [2]: the client's own-op count, so its next op is
+  // exactly SV_0[from] + 1.  A replayed or skipped OpId is hostile.
+  if (msg.id.seq != clock_.from(from) + 1) {
+    throw util::DecodeError("uplink OpId is out of sequence");
   }
   if (cfg_.transform) check_uplink_bounds(msg.ops, from, ack);
 
@@ -233,7 +248,7 @@ void NotifierSite::apply_uplink(ParsedUplink parsed) {
     }
   }
 
-  acked_[from] = std::max(acked_[from], ack);
+  acked_[from] = ack;
 
   ot::OpList incoming = std::move(msg.ops);
   if (cfg_.transform) {

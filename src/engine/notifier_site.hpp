@@ -91,10 +91,12 @@ class NotifierSite {
   /// concurrency check, bridge ack-drop, transformation, eq. (1)-(2)
   /// stamping, and broadcast.  Single-writer — never called from two
   /// threads concurrently.  Throws util::DecodeError, with no state
-  /// changed, on an uplink acknowledging more center operations than
-  /// were sent to its site (or, in full-vector mode, whose stamp is not
-  /// an (N+1)-vector), on one whose positions fall outside the document
-  /// its stamp names, and on a leave from a site that already departed.
+  /// changed, on anything from a site that already departed, on an
+  /// uplink acknowledging more center operations than were sent to its
+  /// site or fewer than it acknowledged before (or, in full-vector mode,
+  /// whose stamp is not an (N+1)-vector), on one whose OpId is not
+  /// SV_0[from] + 1, and on one whose positions fall outside the
+  /// document its stamp names.
   void apply_uplink(ParsedUplink parsed);
 
   /// Everything a late joiner needs to enter the session consistently:

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "engine/message.hpp"
+#include "engine/reliable_link.hpp"
 #include "engine/session.hpp"
 #include "engine/snapshot.hpp"
 #include "runtime/pipeline.hpp"
@@ -57,6 +58,7 @@ EquivalenceReport run_equivalence(const EquivalenceConfig& cfg) {
 
   // --- phase 2: replay through the pipeline ------------------------
   std::vector<std::vector<net::Payload>> replay_downlinks(cfg.num_sites + 1);
+  std::vector<std::uint64_t> frame_seq(cfg.num_sites + 1, 0);
   net::Payload replay_state;
   {
     runtime::PipelineConfig pcfg;
@@ -70,6 +72,10 @@ EquivalenceReport run_equivalence(const EquivalenceConfig& cfg) {
           for (net::Payload& msg : engine::decode_batch(frame)) {
             replay_downlinks[dest].push_back(std::move(msg));
           }
+          engine::Frame data;
+          data.seq = ++frame_seq[dest];
+          data.payload = std::move(frame);
+          report.framed_bytes += engine::encode_frame(data).size();
         },
         pcfg);
     for (auto& [from, bytes] : uplinks) {

@@ -55,6 +55,9 @@ struct EquivalenceReport {
   std::uint64_t uplinks = 0;
   std::uint64_t downlink_msgs = 0;
   std::uint64_t batch_frames = 0;
+  /// Egress bytes with each batch frame wrapped in a §2.6 DataFrame, the
+  /// per-frame seq/ack/CRC cost batching amortizes (PROTOCOL.md §2.8).
+  std::uint64_t framed_bytes = 0;
   std::string sim_text;
   std::string replay_text;
 

@@ -1,6 +1,6 @@
 // Low-overhead metrics registry: counters, gauges, and fixed-bucket
-// histograms, scraped by the unified bench runner (bench/bench_main) and
-// asserted deterministic by the chaos suite.
+// histograms, scraped by replaybench's per-layer pass and asserted
+// deterministic by the chaos suite.
 //
 // Design constraints (docs/OBSERVABILITY.md):
 //
@@ -13,9 +13,6 @@
 //    platforms — no floating-point accumulation order to worry about.
 //  * Instruments live in a process-global registry sorted by name;
 //    snapshots render in name order regardless of registration order.
-//  * Compiling with -DCCVC_NO_METRICS turns every macro into a no-op
-//    that still syntax-checks (and "uses") its arguments; the registry
-//    itself stays linkable so mixed translation units agree.
 //
 // Instruments are thread-safe so the threaded runtime backend
 // (src/runtime/, docs/THREADING.md) can record from its pipeline stages:
@@ -23,7 +20,7 @@
 // loops), and the registry map itself is mutex-guarded on the cold
 // lookup/snapshot/reset paths only.  Relaxed ordering is sufficient
 // because instruments are independent monotone accumulators — snapshots
-// taken while threads are quiescent (how bench_main and the equivalence
+// taken while threads are quiescent (how replaybench and the equivalence
 // harness use them) observe exact totals, and single-threaded simulator
 // runs remain byte-deterministic exactly as before.
 #pragma once
@@ -135,7 +132,7 @@ std::string snapshot_text();
 
 /// The same snapshot as a JSON object:
 /// {"counters":{...},"gauges":{...},"histograms":{...}} with keys in
-/// name order.  Consumed by bench/bench_main and tools/bench_report.py.
+/// name order.
 std::string snapshot_json();
 
 /// Converts a simulated-time duration (milliseconds, net::SimTime) to
@@ -153,27 +150,6 @@ inline std::uint64_t to_us(double ms) {
 // reference) and then costs one guard-variable load plus the bump.  The
 // name argument must be a string literal so call sites are greppable and
 // the resolve-once pattern is sound.
-//
-// With -DCCVC_NO_METRICS the macros evaluate nothing but still "use"
-// their arguments via sizeof, so variables referenced only by metrics
-// code do not trip -Werror=unused under the stripped build.
-#if defined(CCVC_NO_METRICS)
-
-#define CCVC_METRIC_COUNT(name, n) \
-  do {                             \
-    (void)sizeof(n);               \
-  } while (0)
-#define CCVC_METRIC_GAUGE_SET(name, v) \
-  do {                                 \
-    (void)sizeof(v);                   \
-  } while (0)
-#define CCVC_METRIC_HIST(name, v) \
-  do {                            \
-    (void)sizeof(v);              \
-  } while (0)
-
-#else
-
 #define CCVC_METRIC_COUNT(name, n)                                    \
   do {                                                                \
     static ::ccvc::util::metrics::Counter& ccvc_metric_instrument =   \
@@ -194,5 +170,3 @@ inline std::uint64_t to_us(double ms) {
         ::ccvc::util::metrics::histogram(name);                       \
     ccvc_metric_instrument.record(static_cast<std::uint64_t>(v));     \
   } while (0)
-
-#endif  // CCVC_NO_METRICS

@@ -12,7 +12,7 @@
 // overwritten (and counted as dropped), and nothing allocates after
 // enable().  Timestamps are simulated milliseconds supplied by the call
 // site (layers without a clock reference simply do not trace — they
-// still count metrics).  -DCCVC_NO_METRICS compiles the macro out.
+// still count metrics).
 #pragma once
 
 #include <cstddef>
@@ -92,18 +92,6 @@ std::string chrome_json();
 
 }  // namespace ccvc::util::trace
 
-#if defined(CCVC_NO_METRICS)
-
-#define CCVC_TRACE(type, ts_ms, site, a, b) \
-  do {                                      \
-    (void)sizeof(ts_ms);                    \
-    (void)sizeof(site);                     \
-    (void)sizeof(a);                        \
-    (void)sizeof(b);                        \
-  } while (0)
-
-#else
-
 #define CCVC_TRACE(type, ts_ms, site, a, b)                              \
   do {                                                                   \
     if (::ccvc::util::trace::enabled()) {                                \
@@ -112,5 +100,3 @@ std::string chrome_json();
           static_cast<std::uint64_t>(a), static_cast<std::uint64_t>(b)); \
     }                                                                    \
   } while (0)
-
-#endif  // CCVC_NO_METRICS

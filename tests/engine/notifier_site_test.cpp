@@ -1,7 +1,7 @@
 // NotifierSite driven directly with hand-built uplinks: admission of an
-// uplink's acknowledgement, of its positions and of a repeated leave
-// before any state changes, and copy-on-write of the executed form its
-// broadcast shares across bridge queues.
+// uplink's acknowledgement, OpId and positions, and of anything after a
+// leave, before any state changes; and copy-on-write of the executed
+// form its broadcast shares across bridge queues.
 #include <gtest/gtest.h>
 
 #include <utility>
@@ -99,6 +99,77 @@ TEST(NotifierAdmission, DuplicateLeaveThrowsDecodeError) {
   ASSERT_EQ(sent.size(), 1u);
   EXPECT_EQ(sent[0].first, 2u);
   EXPECT_EQ(n.text(), "xabc");
+}
+
+// An op after the site's in-band leave is hostile too: it is neither
+// executed nor broadcast.
+TEST(NotifierAdmission, OpFromDepartedSiteThrowsBeforeAnyStateChange) {
+  Sent sent;
+  NotifierSite n(3, "abc", EngineConfig{}, collect(sent));
+  n.on_client_message(3, encode_leave(3));
+  ASSERT_FALSE(n.is_active(3));
+
+  const NotifierSite::State before = n.state();
+  EXPECT_THROW(
+      n.on_client_message(3, uplink({3, 1}, ot::make_insert(0, "z", 3), {0, 1})),
+      util::DecodeError);
+  EXPECT_EQ(n.state(), before);
+  EXPECT_TRUE(sent.empty());
+
+  n.on_client_message(1, uplink({1, 1}, ot::make_insert(0, "x", 1), {0, 1}));
+  ASSERT_EQ(sent.size(), 1u);
+  EXPECT_EQ(sent[0].first, 2u);
+  EXPECT_EQ(n.text(), "xabc");
+}
+
+// Client 1 has acknowledged both of client 2's ops, so its bridge is
+// empty.  An ack of 1 after that would have formula (7) call client 2's
+// second op concurrent while the bridge holds nothing to transform
+// against: rejected as input before the fidelity check can fire.
+TEST(NotifierAdmission, StaleAckThrowsBeforeAnyStateChange) {
+  Sent sent;
+  NotifierSite n(3, "abc", EngineConfig{}, collect(sent));
+  n.on_client_message(2, uplink({2, 1}, ot::make_insert(0, "y", 2), {0, 1}));
+  n.on_client_message(2, uplink({2, 2}, ot::make_insert(0, "z", 2), {0, 2}));
+  n.on_client_message(1, uplink({1, 1}, ot::make_insert(0, "x", 1), {2, 1}));
+  ASSERT_EQ(n.outgoing_count(1), 0u);
+  sent.clear();
+
+  const NotifierSite::State before = n.state();
+  EXPECT_THROW(
+      n.on_client_message(1, uplink({1, 2}, ot::make_insert(0, "w", 1), {1, 2})),
+      util::DecodeError);
+  EXPECT_EQ(n.state(), before);
+  EXPECT_TRUE(sent.empty());
+
+  n.on_client_message(1, uplink({1, 2}, ot::make_insert(0, "w", 1), {2, 2}));
+  EXPECT_EQ(sent.size(), 2u);
+  EXPECT_EQ(n.text(), "wxzyabc");
+}
+
+// Paper element [2]: a client's ops arrive numbered 1, 2, 3, ... so
+// SV_0[from] + 1 is the only admissible OpId.  A replay or a skip is
+// rejected before it can commit a duplicate or a gap.
+TEST(NotifierAdmission, OutOfSequenceOpIdThrowsBeforeAnyStateChange) {
+  Sent sent;
+  NotifierSite n(3, "abc", EngineConfig{}, collect(sent));
+  const net::Payload first =
+      uplink({1, 1}, ot::make_insert(0, "x", 1), {0, 1});
+  n.on_client_message(1, first);
+  sent.clear();
+
+  const NotifierSite::State before = n.state();
+  EXPECT_THROW(n.on_client_message(1, first), util::DecodeError);
+  EXPECT_THROW(
+      n.on_client_message(1, uplink({1, 3}, ot::make_insert(0, "y", 1), {0, 3})),
+      util::DecodeError);
+  EXPECT_EQ(n.state(), before);
+  EXPECT_TRUE(sent.empty());
+
+  n.on_client_message(1, uplink({1, 2}, ot::make_insert(0, "y", 1), {0, 2}));
+  EXPECT_EQ(sent.size(), 2u);
+  EXPECT_EQ(n.text(), "yxabc");
+  EXPECT_EQ(n.state_vector().from(1), 2u);
 }
 
 // An uplink is in range on the document its stamp names, not on doc_:

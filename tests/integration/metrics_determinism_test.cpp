@@ -1,9 +1,8 @@
 // The observability tentpole's load-bearing property: every metric is an
 // integer derived from simulated state, so a seeded run — even a chaos
 // run with faults, crashes, and recovery — produces a byte-identical
-// metrics snapshot every time.  This is what lets BENCH_results.json
-// treat the scraped registry as a pure function of the seed, and what
-// makes a metric diff between two commits a behaviour diff, not noise.
+// metrics snapshot every time.  This is what makes a metric diff
+// between two commits a behaviour diff, not noise.
 #include <gtest/gtest.h>
 
 #include <string>

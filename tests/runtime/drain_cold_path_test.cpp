@@ -3,7 +3,7 @@
 // ring) and every drain wake-up path (committed_, pending_batched_,
 // egress_inflight_) to actually run, across repeated
 // drain()/submit() interleavings — the regime docs/BLOCKING.md's
-// wait-for edges describe.  TSan covers this suite via CI step 13
+// wait-for edges describe.  TSan covers this suite via CI step 12
 // (ctest label `runtime`).
 #include <gtest/gtest.h>
 

@@ -22,7 +22,7 @@ using namespace ccvc;
 using sim::EquivalenceConfig;
 using sim::EquivalenceReport;
 
-void expect_equivalent(const EquivalenceConfig& cfg) {
+EquivalenceReport expect_equivalent(const EquivalenceConfig& cfg) {
   const EquivalenceReport r = sim::run_equivalence(cfg);
   EXPECT_TRUE(r.sim_converged) << "sim did not converge";
   EXPECT_TRUE(r.state_identical)
@@ -31,6 +31,7 @@ void expect_equivalent(const EquivalenceConfig& cfg) {
   EXPECT_TRUE(r.egress_identical) << "downlink byte streams diverge";
   EXPECT_GT(r.uplinks, 0u);
   EXPECT_GT(r.batch_frames, 0u);
+  return r;
 }
 
 // The acceptance sweep: every group size from pair to eight-way, three
@@ -49,16 +50,19 @@ TEST(PipelineEquivalence, SweepSitesAndSeeds) {
 
 // Batch boundaries must not affect the unbatched stream: max_batch 1
 // (degenerate, one message per frame) and the kMaxBatchMsgs extreme
-// both reproduce the same bytes.
+// both reproduce the same bytes.  On the wire, batching the same
+// messages saves per-frame bytes (PROTOCOL.md §2.8).
 TEST(PipelineEquivalence, BatchBoundIsTransparent) {
+  std::vector<std::uint64_t> framed_bytes;
   for (std::size_t max_batch : {std::size_t{1}, std::size_t{256}}) {
     EquivalenceConfig cfg;
     cfg.num_sites = 4;
     cfg.ops_per_site = 25;
     cfg.seed = 11;
     cfg.max_batch = max_batch;
-    expect_equivalent(cfg);
+    framed_bytes.push_back(expect_equivalent(cfg).framed_bytes);
   }
+  EXPECT_LT(framed_bytes[1], framed_bytes[0]);
 }
 
 // A tiny ring forces every backoff path (producers blocking on full
@@ -161,6 +165,31 @@ TEST(PipelineAdmission, AckBeyondSentIsRejected) {
   EXPECT_EQ(pipe.rejected(), 1u);
   EXPECT_EQ(pipe.site().text(), "ok");
   EXPECT_EQ(egressed, std::vector<SiteId>{2});
+}
+
+// Well-formed, but from a site whose leave has already committed.  The
+// transform thread rejects it without executing or broadcasting it.
+TEST(PipelineAdmission, OpFromDepartedSiteIsRejected) {
+  std::vector<SiteId> egressed;
+  runtime::NotifierPipeline pipe(
+      3, "", engine::EngineConfig{},
+      [&egressed](SiteId dest, net::Payload) { egressed.push_back(dest); });
+  pipe.submit(2, engine::encode_leave(2));
+  pipe.drain();
+  const engine::NotifierSite::State before = pipe.site().state();
+
+  pipe.submit(2, uplink_from(2, "xy"));
+  pipe.drain();  // would hang if the rejected uplink were not counted
+  EXPECT_EQ(pipe.rejected(), 1u);
+  EXPECT_EQ(pipe.site().state(), before);
+  EXPECT_TRUE(egressed.empty());
+
+  pipe.submit(1, uplink_from(1, "ok"));
+  pipe.drain();
+  EXPECT_EQ(pipe.committed(), 2u);  // the leave and the honest op
+  EXPECT_EQ(pipe.rejected(), 1u);
+  EXPECT_EQ(pipe.site().text(), "ok");
+  EXPECT_EQ(egressed, std::vector<SiteId>{3});
 }
 
 // Well-formed, but out of range on the client's context: with site 2's

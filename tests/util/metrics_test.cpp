@@ -1,8 +1,6 @@
 // Metrics registry semantics (src/util/metrics.hpp): counter/gauge/
 // histogram behaviour, the bit_width bucket layout, deterministic
-// snapshots, name validation, and the CCVC_NO_METRICS compile-out
-// (exercised by the sibling TU metrics_nometrics_tu.cpp, which is
-// compiled with the definition while this TU is not).
+// snapshots and name validation.
 #include "util/metrics.hpp"
 
 #include <gtest/gtest.h>
@@ -13,11 +11,6 @@
 #include "util/check.hpp"
 
 namespace ccvc::util {
-
-/// Defined in metrics_nometrics_tu.cpp (built with -DCCVC_NO_METRICS):
-/// invokes every CCVC_METRIC_* macro under names with the
-/// "test.nometrics." prefix, which must never reach the registry.
-void metrics_nometrics_probe();
 
 namespace {
 
@@ -148,15 +141,6 @@ TEST_F(MetricsTest, MacrosResolveOnceAndBump) {
   EXPECT_EQ(metrics::gauge("test.macro.gauge").value, 2);
   EXPECT_EQ(metrics::histogram("test.macro.hist").count(), 3u);
   EXPECT_EQ(metrics::instrument_count(), before + 3);
-}
-
-TEST_F(MetricsTest, NoMetricsTuRegistersNothing) {
-  const std::size_t before = metrics::instrument_count();
-  metrics_nometrics_probe();
-  EXPECT_EQ(metrics::instrument_count(), before);
-  // Nothing with the probe's prefix ever reached the registry.
-  EXPECT_EQ(metrics::snapshot_text().find("test.nometrics."),
-            std::string::npos);
 }
 
 TEST_F(MetricsTest, ToUsConversion) {

@@ -45,7 +45,7 @@ Enforces invariants generic tools cannot express:
                      under src/ must appear in the instrument catalog
                      (docs/OBSERVABILITY.md §3), and every catalogued
                      name must have a call site.  The catalog is the
-                     contract dashboards and bench tooling scrape
+                     contract dashboards and replaybench read
                      against; an undocumented instrument is invisible,
                      a documented-but-gone one is a silent dashboard
                      hole.
@@ -75,7 +75,7 @@ Enforces invariants generic tools cannot express:
                      std::random_device, no default-constructed
                      (unseeded) std::mt19937.  A single stray
                      nondeterministic draw silently breaks replay
-                     debugging and the bench suite's run-to-run
+                     debugging and the experiment tables' run-to-run
                      comparability.
 
   raw-blocking-call  Outside src/runtime/backoff.hpp, src/ must not
