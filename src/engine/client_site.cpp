@@ -6,6 +6,7 @@
 #include "ot/transform.hpp"
 #include "util/check.hpp"
 #include "util/metrics.hpp"
+#include "util/varint.hpp"
 
 namespace ccvc::engine {
 
@@ -171,15 +172,35 @@ OpId ClientSite::generate(ot::OpList ops) {
 
 void ClientSite::on_center_message(const net::Payload& bytes) {
   CenterMsg msg = decode_center_msg(bytes, cfg_.stamp_mode);
+  const bool compressed = cfg_.stamp_mode == StampMode::kCompressed;
+  if (!compressed && msg.stamp.full.size() != num_sites_ + 1) {
+    throw util::DecodeError("center stamp is not an (N+1)-vector");
+  }
 
-  // T[2] of a center message is SV_0[i] — how many of this site's own
-  // operations the notifier had executed when it issued O'.  That is
-  // both the concurrency discriminator of formula (5) and the
-  // acknowledgement for the pending list.  In full-vector mode the same
-  // count sits in component i of the vector stamp.
-  const std::uint64_t ack = (cfg_.stamp_mode == StampMode::kCompressed)
-                                ? msg.stamp.csv.from_site
-                                : msg.stamp.full[id_];
+  // T[1] of a center message is the notifier's send counter toward this
+  // site (eq. (1)), so on a FIFO downlink it is exactly SV_i[1] + 1; a
+  // duplicated, skipped or reordered message is hostile input, rejected
+  // here before any state changes.  In full-vector mode the same count
+  // is Σ over the client components other than this site's, as the
+  // notifier derives an uplink's acknowledgement.
+  const std::uint64_t seq =
+      compressed ? msg.stamp.csv.from_center
+                 : msg.stamp.full.sum() - msg.stamp.full[kNotifierSite] -
+                       msg.stamp.full[id_];
+  if (seq != clock_.stamp().from_center + 1) {
+    throw util::DecodeError("center message is out of sequence");
+  }
+  // T[2] is SV_0[i] — how many of this site's own operations the
+  // notifier had executed when it issued O'.  That is both the
+  // concurrency discriminator of formula (5) and the acknowledgement for
+  // the pending list, and it cannot exceed what this site generated.  In
+  // full-vector mode the same count sits in component i of the stamp.
+  const std::uint64_t ack =
+      compressed ? msg.stamp.csv.from_site : msg.stamp.full[id_];
+  if (ack > clock_.stamp().from_site) {
+    throw util::DecodeError(
+        "center message acknowledges operations never generated");
+  }
 
   // §4.1 — concurrency check of the incoming O'a against every buffered
   // operation.

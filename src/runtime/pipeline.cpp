@@ -65,42 +65,41 @@ std::uint64_t NotifierPipeline::rejected() const {
 
 void NotifierPipeline::submit(SiteId from, net::Payload bytes) {
   // Decode first: a malformed uplink throws to the caller before
-  // submitted_ counts it, so drain() never waits for an op that cannot
-  // commit.
-  engine::NotifierSite::ParsedUplink parsed =
-      engine::NotifierSite::parse_uplink(from, bytes, cfg_);
-  // A rising submitted_ can only falsify drained(); no sleeping waiter's
-  // predicate turns true, so no notify is needed here.
-  submitted_.fetch_add(1, std::memory_order_acq_rel);  // ccvc-sa: allow(liveness-discipline)
+  // submitted_ counts it or the ring sees it.
+  CentralItem item{engine::NotifierSite::parse_uplink(from, bytes, cfg_)};
+  submitted_.fetch_add(1, std::memory_order_acq_rel);
   CCVC_METRIC_COUNT("runtime.ingress.submitted", 1);
   Backoff bo;
   // Space always reappears: shutdown orders drain() before stop_, so the
   // transform consumer outlives every producer spin (docs/BLOCKING.md).
-  while (!central_.try_push(std::move(parsed))) bo.pause();  // ccvc-sa: allow(liveness-discipline)
+  while (!central_.try_push(std::move(item))) bo.pause();  // ccvc-sa: allow(liveness-discipline)
+}
+
+void NotifierPipeline::push_egress(EgressItem item) {
+  Backoff bo;
+  // The egress consumer outlives every transform-side producer spin
+  // (stop_ is ordered after drain(); docs/BLOCKING.md).
+  while (!egress_ring_.try_push(std::move(item))) bo.pause();  // ccvc-sa: allow(liveness-discipline)
 }
 
 void NotifierPipeline::transform_loop() {
   Backoff bo;
   for (;;) {
-    engine::NotifierSite::ParsedUplink parsed;
-    if (central_.try_pop(parsed)) {
+    CentralItem item;
+    if (central_.try_pop(item)) {
       bo.reset();
       CCVC_METRIC_GAUGE_SET("runtime.ring.depth", central_.approx_size());
-      commit(std::move(parsed));
+      if (item.drain_ticket == 0) {
+        commit(std::move(item.uplink));
+      } else {  // a drain marker: every uplink before it is committed
+        flush_all();
+        push_egress(EgressItem{0, {}, item.drain_ticket});
+      }
       continue;
     }
     // Central ring empty: a tick boundary.
-    // Every submitted uplink is committed or rejected.
-    const std::uint64_t done = committed_.load(std::memory_order_acquire) +
-                               rejected_.load(std::memory_order_acquire);
-    const bool quiet = done == submitted_.load(std::memory_order_acquire);
-    const bool draining = drain_requested_.load(std::memory_order_acquire);
-    if (pending_batched_.load(std::memory_order_acquire) > 0 &&
-        (pcfg_.flush == FlushPolicy::kAdaptive || (draining && quiet))) {
-      flush_all();
-    }
-    if (draining && quiet) notify_drain();
-    if (stop_.load(std::memory_order_acquire) && quiet) return;
+    if (pcfg_.flush == FlushPolicy::kAdaptive && unflushed_ > 0) flush_all();
+    if (stop_.load(std::memory_order_acquire)) return;
     bo.pause();
   }
 }
@@ -111,15 +110,14 @@ void NotifierPipeline::egress_loop() {
     EgressItem item;
     if (egress_ring_.try_pop(item)) {
       bo.reset();
-      egress_(item.dest, std::move(item.bytes));
-      egress_inflight_.fetch_sub(1, std::memory_order_acq_rel);
-      notify_drain();
+      if (item.drain_ticket == 0) {
+        egress_(item.dest, std::move(item.bytes));
+      } else {  // a drain marker: every frame before it is delivered
+        drained_.store(item.drain_ticket, std::memory_order_release);
+      }
       continue;
     }
-    if (stop_.load(std::memory_order_acquire) &&
-        egress_inflight_.load(std::memory_order_acquire) == 0) {
-      return;
-    }
+    if (stop_.load(std::memory_order_acquire)) return;
     bo.pause();
   }
 }
@@ -137,30 +135,17 @@ void NotifierPipeline::commit(engine::NotifierSite::ParsedUplink parsed) {
     CCVC_METRIC_COUNT("runtime.uplinks.rejected", 1);
     rejected_.fetch_add(1, std::memory_order_acq_rel);
   }
-  notify_drain();  // committed_/rejected_ are drain predicates
 }
 
 void NotifierPipeline::on_broadcast(SiteId dest, net::Payload bytes) {
   // Runs on the transform thread, inside apply_uplink's broadcast loop.
-  // A rising pending_batched_ can only falsify drained() — no notify.
-  pending_batched_.fetch_add(1, std::memory_order_acq_rel);  // ccvc-sa: allow(liveness-discipline)
+  ++unflushed_;
   if (assemblers_[dest].add(std::move(bytes))) flush_dest(dest);
 }
 
 void NotifierPipeline::flush_dest(SiteId dest) {
-  const std::int64_t n = static_cast<std::int64_t>(assemblers_[dest].size());
-  EgressItem item{dest, assemblers_[dest].flush()};
-  // inflight rises before pending falls so drained() never observes a
-  // frame that is in neither count: the inflight rise only falsifies
-  // drained(), and the pending fall cannot make it true while the frame
-  // it moved is still inflight — neither write needs a notify (the
-  // egress thread notifies after the matching inflight decrement).
-  egress_inflight_.fetch_add(1, std::memory_order_acq_rel);  // ccvc-sa: allow(liveness-discipline)
-  pending_batched_.fetch_sub(n, std::memory_order_acq_rel);  // ccvc-sa: allow(liveness-discipline)
-  Backoff bo;
-  // The egress consumer outlives every transform-side producer spin
-  // (stop_ is ordered after drain(); docs/BLOCKING.md).
-  while (!egress_ring_.try_push(std::move(item))) bo.pause();  // ccvc-sa: allow(liveness-discipline)
+  unflushed_ -= assemblers_[dest].size();
+  push_egress(EgressItem{dest, assemblers_[dest].flush()});
 }
 
 void NotifierPipeline::flush_all() {
@@ -171,30 +156,14 @@ void NotifierPipeline::flush_all() {
   }
 }
 
-bool NotifierPipeline::drained() const {
-  // submitted_ is loaded after the two counts it bounds: all three only
-  // grow, so equality means no uplink was in flight.
-  const std::uint64_t done = committed_.load(std::memory_order_acquire) +
-                             rejected_.load(std::memory_order_acquire);
-  return done == submitted_.load(std::memory_order_acquire) &&
-         pending_batched_.load(std::memory_order_acquire) == 0 &&
-         egress_inflight_.load(std::memory_order_acquire) == 0;
-}
-
-void NotifierPipeline::notify_drain() {
-  if (!drain_requested_.load(std::memory_order_acquire)) return;
-  {
-    // Lock/unlock pairs the notify with the waiter's predicate check.
-    const std::lock_guard<std::mutex> lock(drain_mu_);
-  }
-  drain_cv_.notify_all();
-}
-
 void NotifierPipeline::drain() {
-  std::unique_lock<std::mutex> lock(drain_mu_);
-  drain_requested_.store(true, std::memory_order_release);
-  drain_cv_.wait(lock, [this] { return drained(); });
-  drain_requested_.store(false, std::memory_order_release);
+  CCVC_CHECK_MSG(!threads_.empty(), "drain() after shutdown()");
+  // Drains never overlap: the last published ticket is the last issued.
+  const std::uint64_t ticket = drained_.load(std::memory_order_acquire) + 1;
+  Backoff bo;
+  // The transform consumer is still running: stop_ follows drain().
+  while (!central_.try_push(CentralItem{{}, ticket})) bo.pause();  // ccvc-sa: allow(liveness-discipline)
+  while (drained_.load(std::memory_order_acquire) < ticket) bo.pause();
 }
 
 void NotifierPipeline::shutdown() {

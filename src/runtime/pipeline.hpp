@@ -16,6 +16,8 @@
 // from one thread reproduces the simulator's state and egress bytes
 // exactly (sim/equivalence.hpp).  Calls from many client threads each
 // stay FIFO and interleave freely — the only order the protocol needs.
+// drain() rides the same order: it sends a marker down both rings behind
+// everything submitted before it and waits for the egress thread to meet it.
 //
 // Flush policy:
 //  * kFixed — a destination flushes exactly when its assembler reaches
@@ -36,12 +38,10 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string_view>
 #include <thread>
 #include <vector>
@@ -90,8 +90,8 @@ class NotifierPipeline {
   void submit(SiteId from, net::Payload bytes);
 
   /// Blocks until everything submitted so far is committed, flushed,
-  /// and handed to the EgressFn.  No submit() may run concurrently
-  /// with drain().
+  /// and handed to the EgressFn.  No submit() or other drain() may run
+  /// concurrently with it, and it may not be called after shutdown().
   void drain();
 
   /// drain() + stop + join.  Idempotent; the destructor calls it.
@@ -104,23 +104,27 @@ class NotifierPipeline {
 
   std::uint64_t submitted() const;
   std::uint64_t committed() const;
-  /// Uplinks apply_uplink rejected as hostile; they count toward drain().
+  /// Uplinks apply_uplink rejected as hostile.
   std::uint64_t rejected() const;
 
  private:
+  struct CentralItem {
+    engine::NotifierSite::ParsedUplink uplink;
+    std::uint64_t drain_ticket = 0;  // nonzero: a drain() marker, no uplink
+  };
   struct EgressItem {
     SiteId dest = 0;
     net::Payload bytes;
+    std::uint64_t drain_ticket = 0;  // nonzero: a drain() marker, no frame
   };
 
   void transform_loop();
   void egress_loop();
+  void push_egress(EgressItem item);
   void commit(engine::NotifierSite::ParsedUplink parsed);
   void on_broadcast(SiteId dest, net::Payload bytes);
   void flush_dest(SiteId dest);
   void flush_all();
-  bool drained() const;
-  void notify_drain();
 
   std::size_t num_sites_;
   engine::EngineConfig cfg_;
@@ -129,20 +133,16 @@ class NotifierPipeline {
 
   std::unique_ptr<engine::NotifierSite> site_;
   std::vector<BatchAssembler> assemblers_;  // [dest]; transform thread only
+  std::size_t unflushed_ = 0;  // msgs in assemblers_; transform thread only
 
-  BoundedRing<engine::NotifierSite::ParsedUplink> central_;
+  BoundedRing<CentralItem> central_;
   BoundedRing<EgressItem> egress_ring_;
 
   std::atomic<std::uint64_t> submitted_{0};
   std::atomic<std::uint64_t> committed_{0};
   std::atomic<std::uint64_t> rejected_{0};
-  std::atomic<std::int64_t> pending_batched_{0};
-  std::atomic<std::int64_t> egress_inflight_{0};
+  std::atomic<std::uint64_t> drained_{0};  // ticket of the last drain done
   std::atomic<bool> stop_{false};
-  std::atomic<bool> drain_requested_{false};
-
-  std::mutex drain_mu_;
-  std::condition_variable drain_cv_;
 
   std::vector<std::thread> threads_;
 };

@@ -53,10 +53,6 @@ T& lookup(std::map<std::string, std::unique_ptr<T>, std::less<>>& kind,
   return *it->second;
 }
 
-void append_json_u64(std::string& out, std::uint64_t v) {
-  out += std::to_string(v);
-}
-
 }  // namespace
 
 void Histogram::record(std::uint64_t v) {
@@ -156,59 +152,6 @@ std::string snapshot_text() {
     }
     out.append("\n");
   }
-  return out;
-}
-
-std::string snapshot_json() {
-  // Metric names are constrained to [a-z0-9_.], so no JSON escaping is
-  // ever needed and the output is a pure function of registry state.
-  Registry& r = registry();
-  const std::lock_guard<std::mutex> lock(r.mu);
-  std::string out = "{\"counters\":{";
-  bool first = true;
-  for (const auto& [name, c] : r.counters) {
-    if (!first) out.append(",");
-    first = false;
-    out.append("\"").append(name).append("\":");
-    append_json_u64(out, c->value.load(std::memory_order_relaxed));
-  }
-  out.append("},\"gauges\":{");
-  first = true;
-  for (const auto& [name, g] : r.gauges) {
-    if (!first) out.append(",");
-    first = false;
-    out.append("\"").append(name).append("\":{\"value\":");
-    out.append(std::to_string(g->value.load(std::memory_order_relaxed)));
-    out.append(",\"watermark\":");
-    out.append(std::to_string(g->watermark.load(std::memory_order_relaxed)));
-    out.append("}");
-  }
-  out.append("},\"histograms\":{");
-  first = true;
-  for (const auto& [name, h] : r.histograms) {
-    const auto buckets = h->buckets();
-    if (!first) out.append(",");
-    first = false;
-    out.append("\"").append(name).append("\":{\"count\":");
-    append_json_u64(out, h->count());
-    out.append(",\"sum\":");
-    append_json_u64(out, h->sum());
-    out.append(",\"min\":");
-    append_json_u64(out, h->min());
-    out.append(",\"max\":");
-    append_json_u64(out, h->max());
-    out.append(",\"buckets\":{");
-    bool first_bucket = true;
-    for (std::size_t i = 0; i < Histogram::kBuckets; ++i) {
-      if (buckets[i] == 0) continue;
-      if (!first_bucket) out.append(",");
-      first_bucket = false;
-      out.append("\"").append(std::to_string(i)).append("\":");
-      append_json_u64(out, buckets[i]);
-    }
-    out.append("}}");
-  }
-  out.append("}}");
   return out;
 }
 

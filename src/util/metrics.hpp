@@ -130,11 +130,6 @@ std::size_t instrument_count();
 /// name.  Two equal-seed simulation runs produce byte-identical text.
 std::string snapshot_text();
 
-/// The same snapshot as a JSON object:
-/// {"counters":{...},"gauges":{...},"histograms":{...}} with keys in
-/// name order.
-std::string snapshot_json();
-
 /// Converts a simulated-time duration (milliseconds, net::SimTime) to
 /// the integer microseconds the histograms record.
 inline std::uint64_t to_us(double ms) {

@@ -1,10 +1,10 @@
-// Cold-path coverage for the drain protocol: capacity-2 rings with
+// Cold-path coverage for the drain marker: capacity-2 rings with
 // max_batch=1 force every backoff spin (full central ring, full egress
-// ring) and every drain wake-up path (committed_, pending_batched_,
-// egress_inflight_) to actually run, across repeated
+// ring — for data and marker alike) to actually run, across repeated
 // drain()/submit() interleavings — the regime docs/BLOCKING.md's
-// wait-for edges describe.  TSan covers this suite via CI step 12
-// (ctest label `runtime`).
+// wait-for edges describe.  After every drain() the marker's guarantee
+// must hold: every earlier uplink committed, every frame delivered.
+// TSan covers this suite via CI step 12 (ctest label `runtime`).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -34,7 +34,7 @@ class DrainColdPath
 
 // One client feeding the tiniest legal pipeline, draining after every
 // tiny burst.  Every submit beyond the second of a burst must ride the
-// full-ring backoff spin; every drain starts from a freshly woken cv.
+// full-ring backoff spin, and so may the marker behind it.
 TEST_P(DrainColdPath, RepeatedDrainSubmitInterleavings) {
   runtime::PipelineConfig pcfg;
   pcfg.ring_capacity = 2;  // smallest power of two > 1
@@ -57,12 +57,12 @@ TEST_P(DrainColdPath, RepeatedDrainSubmitInterleavings) {
       1, 2, "", ecfg,
       [&pipe](net::Payload bytes) { pipe.submit(1, std::move(bytes)); });
 
-  // An empty drain is the coldest path of all: drained() is already
-  // true, the waiter must not hang waiting for a notify that never
-  // comes (nothing is in flight to send one).
+  // An empty drain is the coldest path of all: the marker is the only
+  // item either ring ever sees.
   pipe.drain();
   EXPECT_EQ(pipe.submitted(), 0u);
   EXPECT_EQ(pipe.committed(), 0u);
+  EXPECT_EQ(frames.load(std::memory_order_relaxed), 0u);
 
   std::string expected;
   for (int round = 0; round < 20; ++round) {
@@ -77,16 +77,18 @@ TEST_P(DrainColdPath, RepeatedDrainSubmitInterleavings) {
     pipe.drain();
     EXPECT_EQ(pipe.committed(), pipe.submitted());
     EXPECT_EQ(pipe.submitted(), static_cast<std::uint64_t>(expected.size()));
+    // max_batch=1: every committed op left as its own egress frame, and
+    // drain() returned only after the last of them was delivered.
+    EXPECT_EQ(frames.load(std::memory_order_relaxed), expected.size());
+    EXPECT_EQ(pipe.site().text(), expected);
 
-    // Back-to-back drain with nothing new submitted: the predicate is
-    // already true, the second wait must fall straight through.
+    // Back-to-back drain with nothing new submitted: a marker through
+    // empty rings, changing nothing.
     pipe.drain();
     EXPECT_EQ(pipe.committed(), pipe.submitted());
+    EXPECT_EQ(frames.load(std::memory_order_relaxed), expected.size());
+    EXPECT_EQ(pipe.site().text(), expected);
   }
-
-  EXPECT_EQ(pipe.site().text(), expected);
-  // max_batch=1: every committed op left as its own egress frame.
-  EXPECT_EQ(frames.load(std::memory_order_relaxed), expected.size());
 
   pipe.shutdown();
   // shutdown() is idempotent, and the destructor will call it again.

@@ -112,7 +112,7 @@ void expect_rejected_then_live(net::Payload bad) {
   EXPECT_EQ(pipe.rejected(), 0u);
 
   pipe.submit(1, uplink_from(1, "ok"));
-  pipe.drain();  // would hang if the rejected uplink had been counted
+  pipe.drain();
   EXPECT_EQ(pipe.submitted(), 1u);
   EXPECT_EQ(pipe.committed(), 1u);
   EXPECT_EQ(pipe.site().text(), "ok");
@@ -149,7 +149,7 @@ TEST(PipelineAdmission, AckBeyondSentIsRejected) {
       2, "", engine::EngineConfig{},
       [&egressed](SiteId dest, net::Payload) { egressed.push_back(dest); });
   pipe.submit(2, uplink_from(2, "xy", 1));
-  pipe.drain();  // would hang if the rejected uplink were not counted
+  pipe.drain();
   EXPECT_EQ(pipe.submitted(), 1u);
   EXPECT_EQ(pipe.committed(), 0u);
   EXPECT_EQ(pipe.rejected(), 1u);
@@ -179,7 +179,7 @@ TEST(PipelineAdmission, OpFromDepartedSiteIsRejected) {
   const engine::NotifierSite::State before = pipe.site().state();
 
   pipe.submit(2, uplink_from(2, "xy"));
-  pipe.drain();  // would hang if the rejected uplink were not counted
+  pipe.drain();
   EXPECT_EQ(pipe.rejected(), 1u);
   EXPECT_EQ(pipe.site().state(), before);
   EXPECT_TRUE(egressed.empty());
@@ -205,7 +205,7 @@ TEST(PipelineAdmission, OutOfRangeUplinkIsRejected) {
   const engine::NotifierSite::State before = pipe.site().state();
 
   pipe.submit(1, uplink_ops(1, ot::make_delete(3, 1, 1), 0));
-  pipe.drain();  // would hang if the rejected uplink were not counted
+  pipe.drain();
   EXPECT_EQ(pipe.submitted(), 2u);
   EXPECT_EQ(pipe.committed(), 1u);
   EXPECT_EQ(pipe.rejected(), 1u);

@@ -107,19 +107,6 @@ TEST_F(MetricsTest, SnapshotTextIsSortedAndDeterministic) {
             std::string::npos);
 }
 
-TEST_F(MetricsTest, SnapshotJsonShape) {
-  metrics::counter("test.json.c").inc(7);
-  metrics::gauge("test.json.g").set(-3);
-  metrics::histogram("test.json.h").record(1);
-  const std::string j = metrics::snapshot_json();
-  EXPECT_NE(j.find("\"test.json.c\":7"), std::string::npos);
-  EXPECT_NE(j.find("\"test.json.g\":{\"value\":-3,\"watermark\":0}"),
-            std::string::npos);
-  EXPECT_NE(j.find("\"test.json.h\":{\"count\":1,\"sum\":1,\"min\":1,"
-                   "\"max\":1,\"buckets\":{\"1\":1}}"),
-            std::string::npos);
-}
-
 TEST_F(MetricsTest, ResetZeroesButKeepsRegistrations) {
   metrics::Counter& c = metrics::counter("test.reset.c");
   c.inc(9);

@@ -15,10 +15,11 @@
 #                                                  (hot-path-budget)
 #   9. client inboxes made bounded: the documented 4-edge cycle closes
 #      and must surface as a blocking-graph cycle finding
-#  10. a spin seeded under drain_mu_ (hold-and-wait) — lock-order
-#      inversion closing a control/transform/egress cycle
-#  11. commit()'s drain notify deleted: predicate writes without a
-#      notify on the cv                       (liveness-discipline)
+#  10. a spin seeded under Inbox::mu (hold-and-wait) — the egress
+#      delivery waits on a client, closing a client/transform/egress
+#      cycle                                        (blocking-graph)
+#  11. a cv wait whose predicate writer never notifies
+#                                             (liveness-discipline)
 #  12. a flag spin whose flag nothing writes  (liveness-discipline)
 #  13. stale BLOCKING.md under an unchanged tree   (blocking drift)
 #
@@ -146,7 +147,7 @@ expect_findings "dead suppression entry" 1 \
 # transform-owned BatchAssembler state (msgs_) gains a second writing
 # thread closure, the concurrent producer one.
 stage
-sed 's/engine::NotifierSite::parse_uplink(from, bytes, cfg_);/engine::NotifierSite::parse_uplink(from, bytes, cfg_);\n  if (from == 0 \&\& !assemblers_[0].empty()) assemblers_[0].flush();/' \
+sed 's/engine::NotifierSite::parse_uplink(from, bytes, cfg_)};/&\n  if (from == 0 \&\& !assemblers_[0].empty()) assemblers_[0].flush();/' \
   "$TMP/src/runtime/pipeline.cpp" > "$TMP/src/runtime/pipeline.cpp.new"
 mv "$TMP/src/runtime/pipeline.cpp.new" "$TMP/src/runtime/pipeline.cpp"
 if ! grep -q 'assemblers_\[0\].flush' "$TMP/src/runtime/pipeline.cpp"; then
@@ -185,7 +186,7 @@ expect_findings "order changed under stale ATOMICS.md" 1 \
 # Mutation 8 (hot-path-budget): an allocation seeded into submit() —
 # both the allocation finding and the stale-HOTPATH.md drift must fire.
 stage
-sed 's/^  engine::NotifierSite::ParsedUplink parsed =$/  bytes.push_back(0);\n&/' \
+sed 's/^  CentralItem item{engine::NotifierSite::parse_uplink(/  bytes.push_back(0);\n&/' \
   "$TMP/src/runtime/pipeline.cpp" > "$TMP/src/runtime/pipeline.cpp.new"
 mv "$TMP/src/runtime/pipeline.cpp.new" "$TMP/src/runtime/pipeline.cpp"
 if ! grep -q 'bytes.push_back(0);' "$TMP/src/runtime/pipeline.cpp"; then
@@ -215,39 +216,51 @@ expect_findings "bounded client inboxes close the 4-edge cycle" 4 \
   "liveness-discipline.*consults no termination flag" \
   "blocking-graph.*BLOCKING.md does not match"
 
-# Mutation 10 (blocking-graph, hold-and-wait): a spin seeded under
-# drain_mu_ in notify_drain() — the mutex is now held across a wait, so
-# its other acquirers (drain on control) become wait-for targets and
-# the control → transform/egress cv edges close into a cycle.
+# Mutation 10 (blocking-graph, hold-and-wait): the egress-side
+# Inbox::push() spins under Inbox::mu until the client-side pop() clears
+# a flag — which pop() can only do after taking the same mutex.  Held
+# across the wait, the mutex makes its other acquirer (client) a
+# wait-for target of egress, closing client → transform → egress →
+# client through the two rings.
 stage
-sed 's/const std::lock_guard<std::mutex> lock(drain_mu_);/const std::lock_guard<std::mutex> lock(drain_mu_);\n    Backoff hb;\n    while (egress_inflight_.load(std::memory_order_acquire) != 0) hb.pause();/' \
-  "$TMP/src/runtime/pipeline.cpp" > "$TMP/src/runtime/pipeline.cpp.new"
-mv "$TMP/src/runtime/pipeline.cpp.new" "$TMP/src/runtime/pipeline.cpp"
-if ! grep -q 'Backoff hb;' "$TMP/src/runtime/pipeline.cpp"; then
-  echo "FAIL: mutation 10 seed did not apply (notify_drain moved?)" >&2
+sed 's/^  std::deque<net::Payload> frames;$/&\n  std::atomic<bool> full{false};/; s/^    frames.push_back(std::move(frame));$/    Backoff hb;\n    while (full.load(std::memory_order_acquire)) hb.pause();\n&/; s/^    out = std::move(frames.front());$/&\n    full.store(false, std::memory_order_release);/' \
+  "$TMP/src/runtime/threaded_star.cpp" > "$TMP/src/runtime/threaded_star.cpp.new"
+mv "$TMP/src/runtime/threaded_star.cpp.new" "$TMP/src/runtime/threaded_star.cpp"
+if [ "$(grep -c 'full[{.]' "$TMP/src/runtime/threaded_star.cpp")" -ne 3 ]; then
+  echo "FAIL: mutation 10 seed did not apply (Inbox moved?)" >&2
   exit 1
 fi
 # Three findings: the cycle, the stale BLOCKING.md, and — because the
-# seeded spin is itself a new atomic load — a stale ATOMICS.md.
-expect_findings "hold-and-wait under drain_mu_ closes a cycle" 3 \
+# seeded flag adds atomic ops — a stale ATOMICS.md.
+expect_findings "hold-and-wait under Inbox::mu closes a cycle" 3 \
   "blocking-graph.*blocking cycle among thread closures" \
   "blocking-graph.*BLOCKING.md does not match" \
   "atomics-order.*ATOMICS.md does not match"
 
-# Mutation 11 (liveness-discipline): commit()'s drain notify deleted —
-# committed_ and rejected_ are drain() predicate variables, so their
-# writer must reach a notify on drain_cv_.
+# Mutation 11 (liveness-discipline): a predicate cv wait whose predicate
+# variable is written by a function that never notifies the cv — the
+# waiter can sleep through the change.
 stage
-sed '/committed_\/rejected_ are drain predicates/d' \
-  "$TMP/src/runtime/pipeline.cpp" > "$TMP/src/runtime/pipeline.cpp.new"
-mv "$TMP/src/runtime/pipeline.cpp.new" "$TMP/src/runtime/pipeline.cpp"
-if grep -q 'are drain predicates' "$TMP/src/runtime/pipeline.cpp"; then
-  echo "FAIL: mutation 11 seed did not apply (commit moved?)" >&2
-  exit 1
-fi
-expect_findings "predicate writes without notify" 2 \
-  "liveness-discipline.*committed_.*never reaches a notify" \
-  "liveness-discipline.*rejected_.*never reaches a notify"
+cat >> "$TMP/src/runtime/pipeline.cpp" <<'EOF'
+namespace ccvc::runtime {
+std::mutex g_sa_mutation_mu;
+std::condition_variable g_sa_mutation_cv;
+std::atomic<bool> g_sa_mutation_ready{false};
+void sa_mutation_wait() {
+  std::unique_lock<std::mutex> lock(g_sa_mutation_mu);
+  g_sa_mutation_cv.wait(lock, [] {
+    return g_sa_mutation_ready.load(std::memory_order_acquire);
+  });
+}
+void sa_mutation_set_ready() {
+  g_sa_mutation_ready.store(true, std::memory_order_release);
+}
+}  // namespace ccvc::runtime
+EOF
+# The seeded flag adds atomic ops, so ATOMICS.md drifts alongside.
+expect_findings "predicate write without notify" 2 \
+  "liveness-discipline.*sa_mutation_set_ready.*g_sa_mutation_ready.*never reaches a notify" \
+  "atomics-order.*ATOMICS.md does not match"
 
 # Mutation 12 (liveness-discipline): a spin whose flag nothing in the
 # tree ever writes — unreachable from shutdown()/drain().
