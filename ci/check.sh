@@ -24,15 +24,14 @@
 #      liveness-discipline; generated docs ATOMICS.md / HOTPATH.md /
 #      BLOCKING.md byte-gated) + tools/sa_mutation.sh corpus replay,
 #      plus the `sa` ctest label
-#  11. failover under ThreadSanitizer: the hot-standby replication,
-#      fail-stop, and promotion paths (engine failover tests, the
-#      chaos failover/backpressure sweeps, and the scripted failover
-#      scenario) rebuilt and re-run with -fsanitize=thread
-#  12. threaded runtime under ThreadSanitizer: the pipelined notifier
-#      (src/runtime/) — MPSC rings, batch assembly, drain protocol —
-#      re-run with -fsanitize=thread: the sim-equivalence suite
-#      (byte-identical snapshots vs the deterministic backend across
-#      seeds and N) plus the closed-loop chaos sweep on real threads
+#  11. ThreadSanitizer: one -fsanitize=thread build, two selections —
+#      the failover paths (hot-standby replication, fail-stop and
+#      promotion: engine failover tests, the chaos failover/backpressure
+#      sweeps, the scripted failover scenario), then the threaded
+#      runtime (src/runtime/: the MPSC ring, batch assembly, the drain
+#      marker; the sim-equivalence suite with byte-identical snapshots
+#      vs the deterministic backend across seeds and N, plus the
+#      closed-loop chaos sweep on real threads)
 #
 # Any finding exits non-zero.  Optional tools that are not installed are
 # reported as SKIPPED, not failed, so the pipeline works on GCC-only
@@ -55,18 +54,18 @@ fail() {
   FAILURES=$((FAILURES + 1))
 }
 
-step "1/12 configure + build, -Werror (relwithdebinfo)"
+step "1/11 configure + build, -Werror (relwithdebinfo)"
 cmake --preset relwithdebinfo >/dev/null &&
   cmake --build --preset relwithdebinfo "$JOBS" ||
   fail "-Werror build"
 
-step "2/12 full suite under ASan+UBSan (Debug; DCHECK contracts live)"
+step "2/11 full suite under ASan+UBSan (Debug; DCHECK contracts live)"
 cmake --preset asan-ubsan >/dev/null &&
   cmake --build --preset asan-ubsan "$JOBS" &&
   ctest --preset asan-ubsan "$JOBS" -LE "fuzz_smoke|chaos|model" ||
   fail "asan-ubsan test suite"
 
-step "3/12 clang-tidy (+ gcc -fanalyzer, informational)"
+step "3/11 clang-tidy (+ gcc -fanalyzer, informational)"
 if command -v clang-tidy >/dev/null 2>&1; then
   cmake --build build-relwithdebinfo --target tidy || fail "clang-tidy"
 else
@@ -84,55 +83,52 @@ else
   echo "SKIPPED: gcc -fanalyzer target unavailable (needs GCC >= 12)"
 fi
 
-step "4/12 cppcheck"
+step "4/11 cppcheck"
 if command -v cppcheck >/dev/null 2>&1; then
   cmake --build build-relwithdebinfo --target cppcheck || fail "cppcheck"
 else
   echo "SKIPPED: cppcheck not installed"
 fi
 
-step "5/12 protocol lint (tools/ccvc_lint.py)"
+step "5/11 protocol lint (tools/ccvc_lint.py)"
 python3 tools/ccvc_lint.py --root "$PWD" --compiler "${CXX:-c++}" ||
   fail "ccvc_lint"
 
-step "6/12 fuzz smoke (sanitized, seed corpus + 20k runs each)"
+step "6/11 fuzz smoke (sanitized, seed corpus + 20k runs each)"
 ctest --preset asan-ubsan -L fuzz_smoke || fail "fuzz smoke"
 
-step "7/12 chaos property suite (sanitized fault injection + recovery)"
+step "7/11 chaos property suite (sanitized fault injection + recovery)"
 ctest --preset asan-ubsan "$JOBS" -L chaos || fail "chaos suite"
 
-step "8/12 bounded model checking (ccvc_mc + model-label tests)"
+step "8/11 bounded model checking (ccvc_mc + model-label tests)"
 cmake --build build-relwithdebinfo "$JOBS" --target ccvc_mc model_tests \
     >/dev/null &&
   ./build-relwithdebinfo/src/analysis/ccvc_mc all &&
   ctest --test-dir build-relwithdebinfo "$JOBS" -L model ||
   fail "model checking"
 
-step "9/12 wire-schema gate (ccvc_schema --check + schema-label tests)"
+step "9/11 wire-schema gate (ccvc_schema --check + schema-label tests)"
 cmake --build build-relwithdebinfo "$JOBS" --target ccvc_schema wire_tests \
     >/dev/null &&
   ./build-relwithdebinfo/src/analysis/ccvc_schema --check --root "$PWD" &&
   ctest --test-dir build-relwithdebinfo "$JOBS" -L schema ||
   fail "wire-schema gate"
 
-step "10/12 cross-TU dataflow gate (ccvc_sa --check + mutation corpus)"
+step "10/11 cross-TU dataflow gate (ccvc_sa --check + mutation corpus)"
 python3 tools/ccvc_sa --check --root "$PWD" &&
   sh tools/sa_mutation.sh "$PWD" python3 &&
   ctest --test-dir build-relwithdebinfo "$JOBS" -L sa ||
   fail "ccvc_sa gate"
 
-step "11/12 failover under TSan (hot-standby promotion + chaos sweep)"
+step "11/11 ThreadSanitizer (failover paths + threaded runtime)"
 cmake --preset tsan >/dev/null &&
   cmake --build --preset tsan "$JOBS" \
-    --target engine_tests chaos_tests scenario_player >/dev/null &&
+    --target engine_tests chaos_tests scenario_player runtime_tests \
+    >/dev/null &&
   ctest --test-dir build-tsan "$JOBS" \
-    -R "Failover|HotStandby|scenario_chaos_failover" ||
-  fail "tsan failover"
-
-step "12/12 threaded runtime under TSan (equivalence + chaos sweep)"
-cmake --build --preset tsan "$JOBS" --target runtime_tests >/dev/null &&
+    -R "Failover|HotStandby|scenario_chaos_failover" &&
   ctest --test-dir build-tsan "$JOBS" -L runtime ||
-  fail "tsan threaded runtime"
+  fail "tsan"
 
 printf '\n'
 if [ "$FAILURES" -ne 0 ]; then

@@ -1,5 +1,5 @@
 // Fuzz target: the 0xC5 EgressBatch frame decoder — the coalesced
-// downlink surface the threaded runtime's egress stage puts on the wire
+// downlink surface the threaded runtime's batch assembly puts on the wire
 // (PROTOCOL.md §2.8).
 //
 // Contract pinned on every accepted frame:

@@ -173,20 +173,13 @@ OpId ClientSite::generate(ot::OpList ops) {
 void ClientSite::on_center_message(const net::Payload& bytes) {
   CenterMsg msg = decode_center_msg(bytes, cfg_.stamp_mode);
   const bool compressed = cfg_.stamp_mode == StampMode::kCompressed;
-  if (!compressed && msg.stamp.full.size() != num_sites_ + 1) {
-    throw util::DecodeError("center stamp is not an (N+1)-vector");
-  }
 
   // T[1] of a center message is the notifier's send counter toward this
   // site (eq. (1)), so on a FIFO downlink it is exactly SV_i[1] + 1; a
   // duplicated, skipped or reordered message is hostile input, rejected
-  // here before any state changes.  In full-vector mode the same count
-  // is Σ over the client components other than this site's, as the
-  // notifier derives an uplink's acknowledgement.
+  // here before any state changes.
   const std::uint64_t seq =
-      compressed ? msg.stamp.csv.from_center
-                 : msg.stamp.full.sum() - msg.stamp.full[kNotifierSite] -
-                       msg.stamp.full[id_];
+      from_center(msg.stamp, cfg_.stamp_mode, id_, num_sites_);
   if (seq != clock_.stamp().from_center + 1) {
     throw util::DecodeError("center message is out of sequence");
   }

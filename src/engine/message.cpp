@@ -251,6 +251,15 @@ std::vector<net::Payload> decode_batch(const net::Payload& bytes) {
   return msgs;
 }
 
+std::uint64_t from_center(const Stamp& stamp, StampMode mode, SiteId site,
+                          std::size_t num_sites) {
+  if (mode == StampMode::kCompressed) return stamp.csv.from_center;
+  if (stamp.full.size() != num_sites + 1) {
+    throw util::DecodeError("stamp is not an (N+1)-vector");
+  }
+  return stamp.full.sum() - stamp.full[kNotifierSite] - stamp.full[site];
+}
+
 std::size_t stamp_wire_size(const Stamp& stamp, StampMode mode) {
   switch (mode) {
     case StampMode::kCompressed:

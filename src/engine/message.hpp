@@ -38,6 +38,15 @@ struct Stamp {
   clocks::VersionVector full;   // kFullVector (empty otherwise)
 };
 
+/// T[1] of a stamp on client `site`'s channel: the center operations
+/// counted toward that site — an uplink's acknowledgement, a downlink's
+/// send counter (eq. (1)).  A full-vector stamp derives it as
+/// Σ stamp − stamp[0] − stamp[site]: component j is SV_0[j], and
+/// component 0 counts the center's own issue events.  Throws
+/// util::DecodeError if a full-vector stamp is not an (N+1)-vector.
+std::uint64_t from_center(const Stamp& stamp, StampMode mode, SiteId site,
+                          std::size_t num_sites);
+
 struct ClientMsg {
   OpId id;          // id.site is the originating client
   ot::OpList ops;   // the operation in the client's generation context

@@ -183,22 +183,11 @@ void NotifierSite::apply_uplink(ParsedUplink parsed) {
   ClientMsg msg = std::move(parsed.msg);
 
   // Acknowledgement: T[1] of a client stamp counts the center
-  // operations the client had executed when it generated Oa (§3.3).  In
-  // full-vector mode the same count is Σ over the *client* components
-  // other than the sender's: component j of a client stamp is SV_0[j]
-  // as of the last center message it received (component 0 counts the
-  // center's own issue events and must not be included).  A client can
-  // only acknowledge what was sent to it, so a larger count is hostile
-  // input, rejected here before any state changes.
-  if (cfg_.stamp_mode == StampMode::kFullVector &&
-      msg.stamp.full.size() != num_sites_ + 1) {
-    throw util::DecodeError("uplink stamp is not an (N+1)-vector");
-  }
+  // operations the client had executed when it generated Oa (§3.3).  A
+  // client can only acknowledge what was sent to it, so a larger count
+  // is hostile input, rejected here before any state changes.
   const std::uint64_t ack =
-      (cfg_.stamp_mode == StampMode::kCompressed)
-          ? msg.stamp.csv.from_center
-          : msg.stamp.full.sum() - msg.stamp.full[kNotifierSite] -
-                msg.stamp.full[from];
+      from_center(msg.stamp, cfg_.stamp_mode, from, num_sites_);
   if (ack > enqueued_[from]) {
     throw util::DecodeError("uplink acknowledges operations never sent");
   }

@@ -32,8 +32,7 @@ NotifierPipeline::NotifierPipeline(std::size_t num_sites,
       cfg_(cfg),
       pcfg_(pcfg),
       egress_(std::move(egress)),
-      central_(pcfg.ring_capacity),
-      egress_ring_(pcfg.ring_capacity) {
+      central_(pcfg.ring_capacity) {
   CCVC_CHECK(static_cast<bool>(egress_));
   site_ = std::make_unique<engine::NotifierSite>(
       num_sites_, initial_doc, cfg_,
@@ -44,9 +43,7 @@ NotifierPipeline::NotifierPipeline(std::size_t num_sites,
   for (std::size_t i = 0; i <= num_sites_; ++i) {
     assemblers_.emplace_back(pcfg_.max_batch);
   }
-  threads_.reserve(2);
-  threads_.emplace_back([this] { transform_loop(); });
-  threads_.emplace_back([this] { egress_loop(); });
+  thread_ = std::thread([this] { transform_loop(); });
 }
 
 NotifierPipeline::~NotifierPipeline() { shutdown(); }
@@ -75,13 +72,6 @@ void NotifierPipeline::submit(SiteId from, net::Payload bytes) {
   while (!central_.try_push(std::move(item))) bo.pause();  // ccvc-sa: allow(liveness-discipline)
 }
 
-void NotifierPipeline::push_egress(EgressItem item) {
-  Backoff bo;
-  // The egress consumer outlives every transform-side producer spin
-  // (stop_ is ordered after drain(); docs/BLOCKING.md).
-  while (!egress_ring_.try_push(std::move(item))) bo.pause();  // ccvc-sa: allow(liveness-discipline)
-}
-
 void NotifierPipeline::transform_loop() {
   Backoff bo;
   for (;;) {
@@ -93,30 +83,12 @@ void NotifierPipeline::transform_loop() {
         commit(std::move(item.uplink));
       } else {  // a drain marker: every uplink before it is committed
         flush_all();
-        push_egress(EgressItem{0, {}, item.drain_ticket});
+        drained_.store(item.drain_ticket, std::memory_order_release);
       }
       continue;
     }
     // Central ring empty: a tick boundary.
     if (pcfg_.flush == FlushPolicy::kAdaptive && unflushed_ > 0) flush_all();
-    if (stop_.load(std::memory_order_acquire)) return;
-    bo.pause();
-  }
-}
-
-void NotifierPipeline::egress_loop() {
-  Backoff bo;
-  for (;;) {
-    EgressItem item;
-    if (egress_ring_.try_pop(item)) {
-      bo.reset();
-      if (item.drain_ticket == 0) {
-        egress_(item.dest, std::move(item.bytes));
-      } else {  // a drain marker: every frame before it is delivered
-        drained_.store(item.drain_ticket, std::memory_order_release);
-      }
-      continue;
-    }
     if (stop_.load(std::memory_order_acquire)) return;
     bo.pause();
   }
@@ -143,9 +115,13 @@ void NotifierPipeline::on_broadcast(SiteId dest, net::Payload bytes) {
   if (assemblers_[dest].add(std::move(bytes))) flush_dest(dest);
 }
 
-void NotifierPipeline::flush_dest(SiteId dest) {
+// noexcept: this is the one call into the EgressFn, and it can run
+// inside commit()'s broadcast loop.  Whatever the EgressFn throws, even a
+// DecodeError, must terminate rather than be counted as a rejected
+// uplink after part of a broadcast went out.
+void NotifierPipeline::flush_dest(SiteId dest) noexcept {
   unflushed_ -= assemblers_[dest].size();
-  push_egress(EgressItem{dest, assemblers_[dest].flush()});
+  egress_(dest, assemblers_[dest].flush());
 }
 
 void NotifierPipeline::flush_all() {
@@ -157,7 +133,7 @@ void NotifierPipeline::flush_all() {
 }
 
 void NotifierPipeline::drain() {
-  CCVC_CHECK_MSG(!threads_.empty(), "drain() after shutdown()");
+  CCVC_CHECK_MSG(thread_.joinable(), "drain() after shutdown()");
   // Drains never overlap: the last published ticket is the last issued.
   const std::uint64_t ticket = drained_.load(std::memory_order_acquire) + 1;
   Backoff bo;
@@ -167,11 +143,10 @@ void NotifierPipeline::drain() {
 }
 
 void NotifierPipeline::shutdown() {
-  if (threads_.empty()) return;
+  if (!thread_.joinable()) return;
   drain();
   stop_.store(true, std::memory_order_release);
-  for (std::thread& t : threads_) t.join();
-  threads_.clear();
+  thread_.join();
 }
 
 }  // namespace ccvc::runtime

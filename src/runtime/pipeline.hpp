@@ -1,23 +1,23 @@
 // The threaded notifier pipeline — the second backend behind the
 // deterministic simulator (docs/THREADING.md).
 //
-// Stage layout (every arrow is a BoundedRing):
+// Stage layout (one ring, one thread):
 //
 //   submit(from, bytes)            [any thread]
 //     parse_uplink                 [stateless decode, on the caller]
 //        |---> central MPSC ring
 //   transform thread: apply_uplink [single-writer GOT + SV state]
 //        |---> per-destination BatchAssembler (flush policy below)
-//        |---> egress ring
-//   egress thread: EgressFn(dest, 0xC5 batch frame)
+//        |---> EgressFn(dest, 0xC5 batch frame)
 //
 // Commit order is the central ring's per-producer FIFO.  Calls from one
 // thread commit in call order, so a recorded simulator trace replayed
 // from one thread reproduces the simulator's state and egress bytes
 // exactly (sim/equivalence.hpp).  Calls from many client threads each
 // stay FIFO and interleave freely — the only order the protocol needs.
-// drain() rides the same order: it sends a marker down both rings behind
-// everything submitted before it and waits for the egress thread to meet it.
+// drain() rides the same order: it sends a marker down the ring behind
+// everything submitted before it and waits for the transform thread to
+// meet it.
 //
 // Flush policy:
 //  * kFixed — a destination flushes exactly when its assembler reaches
@@ -71,7 +71,9 @@ struct PipelineConfig {
 class NotifierPipeline {
  public:
   /// Delivers one encoded EgressBatch frame toward client `dest`.
-  /// Runs on the egress thread.
+  /// Runs on the transform thread: it must not block and must not call
+  /// back into the pipeline.  An exception escaping it terminates the
+  /// process.
   using EgressFn = std::function<void(SiteId dest, net::Payload batch)>;
 
   NotifierPipeline(std::size_t num_sites, std::string_view initial_doc,
@@ -112,18 +114,11 @@ class NotifierPipeline {
     engine::NotifierSite::ParsedUplink uplink;
     std::uint64_t drain_ticket = 0;  // nonzero: a drain() marker, no uplink
   };
-  struct EgressItem {
-    SiteId dest = 0;
-    net::Payload bytes;
-    std::uint64_t drain_ticket = 0;  // nonzero: a drain() marker, no frame
-  };
 
   void transform_loop();
-  void egress_loop();
-  void push_egress(EgressItem item);
   void commit(engine::NotifierSite::ParsedUplink parsed);
   void on_broadcast(SiteId dest, net::Payload bytes);
-  void flush_dest(SiteId dest);
+  void flush_dest(SiteId dest) noexcept;
   void flush_all();
 
   std::size_t num_sites_;
@@ -136,7 +131,6 @@ class NotifierPipeline {
   std::size_t unflushed_ = 0;  // msgs in assemblers_; transform thread only
 
   BoundedRing<CentralItem> central_;
-  BoundedRing<EgressItem> egress_ring_;
 
   std::atomic<std::uint64_t> submitted_{0};
   std::atomic<std::uint64_t> committed_{0};
@@ -144,7 +138,7 @@ class NotifierPipeline {
   std::atomic<std::uint64_t> drained_{0};  // ticket of the last drain done
   std::atomic<bool> stop_{false};
 
-  std::vector<std::thread> threads_;
+  std::thread thread_;  // the transform thread
 };
 
 }  // namespace ccvc::runtime

@@ -20,10 +20,10 @@ namespace {
 
 // Unbounded per-client inbox of encoded EgressBatch frames.  Unbounded
 // on purpose: a client may be blocked in submit() (the central ring is
-// full) exactly while the egress thread is delivering to it, and a
+// full) exactly while the transform thread is delivering to it, and a
 // bounded inbox would close a blocking cycle through the pipeline's
-// rings (egress -> inbox -> client -> central -> transform -> egress).
-// The egress side must therefore never block here.
+// ring (transform -> inbox -> client -> central -> transform).  The
+// delivery side must therefore never block here.
 struct Inbox {
   std::mutex mu;
   std::deque<net::Payload> frames;

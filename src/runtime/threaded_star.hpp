@@ -5,7 +5,7 @@
 // lands in the destination client's inbox (an unbounded mutex-guarded
 // deque — the EgressFn must never block on a client that may itself be
 // blocked in submit(), or the closed loop can deadlock through the
-// pipeline's bounded rings; docs/THREADING.md §5), is decoded, and is
+// pipeline's bounded ring; docs/THREADING.md §5), is decoded, and is
 // applied with on_center_message.  Unlike the equivalence replay
 // (sim/equivalence.hpp), nothing pins the center's serialization order
 // — the client threads' submits interleave freely in the central ring,

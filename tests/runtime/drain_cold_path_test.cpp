@@ -1,10 +1,10 @@
-// Cold-path coverage for the drain marker: capacity-2 rings with
-// max_batch=1 force every backoff spin (full central ring, full egress
-// ring — for data and marker alike) to actually run, across repeated
-// drain()/submit() interleavings — the regime docs/BLOCKING.md's
-// wait-for edges describe.  After every drain() the marker's guarantee
+// Cold-path coverage for the drain marker: a capacity-2 central ring
+// with max_batch=1 forces every full-ring backoff spin (for data and
+// marker alike) to actually run, across repeated drain()/submit()
+// interleavings — the regime docs/BLOCKING.md's wait-for edges
+// describe.  After every drain() the marker's guarantee
 // must hold: every earlier uplink committed, every frame delivered.
-// TSan covers this suite via CI step 12 (ctest label `runtime`).
+// TSan covers this suite via CI step 11 (ctest label `runtime`).
 #include <gtest/gtest.h>
 
 #include <atomic>

@@ -3,7 +3,8 @@
 // simulator byte for byte — notifier checkpoint and every destination's
 // unbatched downlink stream (docs/THREADING.md §4).  Also: admission —
 // a malformed uplink is rejected by submit() before anything changes,
-// and a hostile one by the transform thread, which carries on.
+// and a hostile one by the transform thread, which carries on — and an
+// exception out of the EgressFn, which terminates.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -218,6 +219,26 @@ TEST(PipelineAdmission, OutOfRangeUplinkIsRejected) {
   EXPECT_EQ(pipe.rejected(), 1u);
   EXPECT_EQ(pipe.site().text(), "yab");
   EXPECT_EQ(egressed, (std::vector<SiteId>{1, 3, 2, 3}));
+}
+
+// The EgressFn runs on the transform thread, inside commit()'s broadcast
+// loop when max_batch is 1.  Whatever it throws, even a DecodeError,
+// must terminate the process: commit() must never count a frame it
+// failed to deliver as a rejected uplink after the broadcast ran partway.
+TEST(PipelineDeathTest, ThrowingEgressTerminates) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        runtime::NotifierPipeline pipe(
+            2, "", engine::EngineConfig{},
+            [](SiteId, net::Payload) {
+              throw util::DecodeError("egress refused the frame");
+            },
+            runtime::PipelineConfig{.max_batch = 1});
+        pipe.submit(1, uplink_from(1, "x"));
+        pipe.drain();
+      },
+      "DecodeError");
 }
 
 }  // namespace

@@ -9,10 +9,11 @@
 //   * tmp.push_back    allocation on the submit path (hot-path-budget;
 //                      the staged HOTPATH.md is generated from this
 //                      tree, so only the op finding fires, not drift);
-//   * out_ring_ spin   a capacity wait on the egress closure — the
-//                      edge-absence assertion the unbounded-inbox rule
-//                      compiles to (blocking-graph), and a spin that
-//                      consults no termination flag (liveness #1);
+//   * out_ring_ spin   a capacity wait on the transform closure, in the
+//                      flush that delivers to clients — the edge-absence
+//                      assertion the unbounded-inbox rule compiles to
+//                      (blocking-graph), and a spin that consults no
+//                      termination flag (liveness #1);
 //   * go_ spin         a flag wait whose flag nothing ever writes, so
 //                      no shutdown()/drain() can cancel it (liveness #2).
 #include <atomic>
@@ -32,9 +33,12 @@ class NotifierPipeline {
   std::uint64_t submit(int from);
   void transform_loop();
   void on_broadcast(int dest);
-  void egress_loop();
+  void drain();
+  void shutdown();
 
  private:
+  void flush_dest(int dest);
+
   std::atomic<std::uint64_t> submitted_{0};
   std::atomic<int> flag_{0};
   std::atomic<int> go_{0};
@@ -59,15 +63,19 @@ void NotifierPipeline::transform_loop() {
   }
 }
 
-void NotifierPipeline::on_broadcast(int dest) { (void)dest; }
+void NotifierPipeline::on_broadcast(int dest) { flush_dest(dest); }
 
-void NotifierPipeline::egress_loop() {
-  // Capacity wait attributed to the egress closure: violates the
-  // edge-absence assertion (blocking-graph, egress-blocks) AND consults
-  // no termination flag (liveness-discipline, spin-no-stop).
-  int item = 0;
-  while (!out_ring_.try_push(item)) {
+void NotifierPipeline::flush_dest(int dest) {
+  // Capacity wait attributed to the transform closure, which delivers
+  // to clients: violates the edge-absence assertion (blocking-graph,
+  // delivery-blocks) AND consults no termination flag
+  // (liveness-discipline, spin-no-stop).
+  while (!out_ring_.try_push(dest)) {
   }
 }
+
+void NotifierPipeline::drain() {}
+
+void NotifierPipeline::shutdown() {}
 
 }  // namespace fx

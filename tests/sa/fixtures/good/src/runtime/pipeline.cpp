@@ -1,4 +1,4 @@
-// Good-tree fixture: a miniature threaded pipeline every ccvc_sa
+// Good-tree fixture: a miniature one-thread pipeline every ccvc_sa
 // checker must accept.  Each block is a near-miss for one checker —
 // close enough to its bad pattern that a precision regression (closure
 // over-merge, write misdetection, order mis-parse) turns this tree red:
@@ -6,14 +6,17 @@
 //   * got_state_      plain write, but confined to the transform closure;
 //   * g_ops_applied   (engine/apply.cpp) a mutable global outside the
 //                     runtime, written only from the transform closure;
-//   * last_egress_    written from TWO closures, but mutex-guarded;
+//   * last_dest_      written from TWO closures, but mutex-guarded;
 //   * cold_/cold_path allocation + loop, but unreachable from the roots;
 //   * log_.push_back  real budget hit carrying a live allow() pragma;
 //   * every atomic op spells out its memory order;
-//   * transform_loop spins consult stop_, which shutdown() writes
-//     from another context (liveness must accept, not flag);
-//   * out_ring_       a capacity wait whose edge transform → egress is
-//                     acyclic (blocking-graph must accept the edge);
+//   * the submit and transform_loop spins consult stop_, which
+//     shutdown() writes from another context (liveness must accept,
+//     not flag);
+//   * central_        a capacity wait whose edge client → transform is
+//                     acyclic (blocking-graph must accept the edge),
+//                     while the transform closure, which delivers, has
+//                     no capacity wait at all;
 //   * cv_/ready_      predicate-form wait whose predicate writer
 //                     reaches a notify on the same cv (liveness accept).
 #include <atomic>
@@ -36,31 +39,36 @@ class NotifierPipeline {
   std::uint64_t submit(int from);
   void transform_loop();
   void on_broadcast(int dest);
-  void egress_loop();
   void cold_path();
   void wait_ready();
+  void drain();
   void shutdown();
 
  private:
-  void note_egress(int dest);
+  void flush_dest(int dest);
+  void note_dest(int dest);
 
   std::atomic<std::uint64_t> submitted_{0};
   std::atomic<int> stop_{0};
   std::atomic<int> ready_{0};
   Ring central_;
-  Ring out_ring_;
   std::mutex mu_;
   std::mutex cv_mu_;
   std::condition_variable cv_;
-  int last_egress_ = 0;
+  int last_dest_ = 0;
   int got_state_ = 0;
   std::vector<int> cold_;
   std::vector<int> log_;
 };
 
 std::uint64_t NotifierPipeline::submit(int from) {
-  return submitted_.fetch_add(1, std::memory_order_acq_rel) +
-         static_cast<std::uint64_t>(from);
+  // Capacity wait that (a) consults stop_, written by shutdown() in
+  // another context, and (b) forms the acyclic edge client → transform
+  // (transform pops central_).  Both checkers must accept it.
+  while (!central_.try_push(from)) {
+    if (stop_.load(std::memory_order_acquire)) break;
+  }
+  return submitted_.fetch_add(1, std::memory_order_acq_rel);
 }
 
 void NotifierPipeline::transform_loop() {
@@ -73,29 +81,22 @@ void NotifierPipeline::transform_loop() {
   got_state_ += 1;
   apply_op(item);
   on_broadcast(got_state_);
-  // Capacity wait that (a) consults stop_, written by shutdown() in
-  // another context, and (b) forms the acyclic edge transform → egress
-  // (egress pops out_ring_).  Both checkers must accept it.
-  while (!out_ring_.try_push(got_state_)) {
-    if (stop_.load(std::memory_order_acquire)) break;
-  }
 }
 
-void NotifierPipeline::on_broadcast(int dest) { note_egress(dest); }
+void NotifierPipeline::on_broadcast(int dest) { flush_dest(dest); }
 
-void NotifierPipeline::egress_loop() {
-  int item = 0;
-  if (out_ring_.try_pop(item)) note_egress(item);
+void NotifierPipeline::flush_dest(int dest) {
+  note_dest(dest);
   // Deliberate, documented allocation: exercises the inline-pragma
   // machinery on the good tree (must stay live-suppressed).
-  log_.push_back(1);  // ccvc-sa: allow(hot-path-budget)
+  log_.push_back(dest);  // ccvc-sa: allow(hot-path-budget)
 }
 
-void NotifierPipeline::note_egress(int dest) {
-  // Written from the transform AND egress closures — but every writer
+void NotifierPipeline::note_dest(int dest) {
+  // Written from the transform AND control closures — but every writer
   // locks, which the single-writer checker must accept.
   const std::lock_guard<std::mutex> lock(mu_);
-  last_egress_ = dest;
+  last_dest_ = dest;
 }
 
 void NotifierPipeline::cold_path() {
@@ -112,6 +113,8 @@ void NotifierPipeline::wait_ready() {
     return ready_.load(std::memory_order_acquire) != 0;
   });
 }
+
+void NotifierPipeline::drain() { note_dest(0); }
 
 void NotifierPipeline::shutdown() {
   // Writes every flag the tree's spins consult, then notifies: the

@@ -2,8 +2,9 @@
 """Per-checker regression tests for tools/ccvc_sa.
 
 Two fixture trees under tests/sa/fixtures/ are staged into temporary
-roots — real analyzer code, empty baseline, generated docs — and run
-through `ccvc_sa --check`:
+roots — real analyzer code, empty baseline, generated docs, and the
+common/ stubs that give every configured analysis root a function to
+match — and run through `ccvc_sa --check`:
 
   bad/   seeds at least one violation per checker and must produce
          exactly the expected per-checker finding counts, nothing
@@ -14,6 +15,11 @@ through `ccvc_sa --check`:
          allocation outside the hot-path closure, a live allow() pragma
          on a deliberate budget hit, explicit-order atomics.  Must run
          clean (exit 0).
+
+Stale configuration: the good tree with one closure root renamed away,
+or with a LAMBDA_CONTEXTS anchor broken, must exit 2 with a
+configuration error naming it — a root that matches nothing silently
+empties the closure it seeds.
 
 Coverage is enforced structurally: EXPECTED_BAD below is compared
 against the checker registry (`ccvc_sa --list`), so adding a checker
@@ -47,9 +53,22 @@ EXPECTED_BAD = {
     "single-writer": 2,        # producer+transform member, producer global
     "atomics-order": 1,
     "hot-path-budget": 1,
-    "blocking-graph": 1,       # capacity wait on the egress closure
-    "liveness-discipline": 2,  # spin w/o stop flag ×2 (egress + go_)
+    "blocking-graph": 1,       # capacity wait on the transform closure
+    "liveness-discipline": 2,  # spin w/o stop flag ×2 (out_ring_ + go_)
 }
+
+# (staged file, text to replace, replacement, expected error regex): each
+# seeds one stale entry into the good tree, which must then exit 2.
+STALE_CONFIG = [
+    ("src/runtime/pipeline.cpp", "NotifierPipeline::transform_loop()",
+     "NotifierPipeline::transform_loop_gone()",
+     r"configuration error: THREAD_CLOSURES root "
+     r"`NotifierPipeline::transform_loop` matches no function"),
+    ("src/runtime/threaded_star.cpp", "clients.emplace_back(",
+     "clients.push_back(",
+     r"configuration error: LAMBDA_CONTEXTS anchor "
+     r"`clients \. emplace_back` .* matches no lambda"),
+]
 
 EMIT_DOCS = {
     "--emit-atomics": "ATOMICS.md",
@@ -70,6 +89,8 @@ def stage(repo: pathlib.Path, fixture: pathlib.Path,
           dest: pathlib.Path) -> pathlib.Path:
     """Fixture src + real analyzer + empty baseline + generated docs."""
     shutil.copytree(fixture / "src", dest / "src")
+    shutil.copytree(fixture.parent / "common" / "src", dest / "src",
+                    dirs_exist_ok=True)
     shutil.copytree(repo / "tools" / "ccvc_sa", dest / "tools" / "ccvc_sa")
     (dest / "tools" / "ccvc_sa" / "baseline.txt").write_text("")
     docs = dest / "docs"
@@ -149,13 +170,28 @@ def main() -> int:
         if any(f.startswith("bad tree:") for f in failures):
             failures.append(f"bad tree output was:\n{out}")
 
+        # --- stale configuration: a root matching nothing exits 2 ---
+        for i, (rel, old, new, want) in enumerate(STALE_CONFIG):
+            root = tmp / f"stale{i}"
+            sa_dir = stage(repo, fixtures / "good", root)
+            path = root / rel
+            text = path.read_text()
+            if old not in text:
+                failures.append(f"stale config: {rel} lacks {old!r}")
+                continue
+            path.write_text(text.replace(old, new))
+            code, out = run_sa(sa_dir, root, "--check")
+            if code != 2 or not re.search(want, out):
+                failures.append(f"stale config ({new}): want exit 2 "
+                                f"matching {want!r}, got exit {code}\n{out}")
+
     if failures:
         for f in failures:
             print(f"sa_selftest: FAIL: {f}")
         return 1
     print(f"sa_selftest: OK ({len(EXPECTED_BAD)} checkers, "
           f"{sum(EXPECTED_BAD.values())} seeded findings rejected, "
-          "good tree clean)")
+          f"good tree clean, {len(STALE_CONFIG)} stale roots rejected)")
     return 0
 
 

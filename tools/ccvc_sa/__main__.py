@@ -12,7 +12,10 @@ all checkers and emitters share the resulting sa_model, so grouping
 checkers into one run (`--checker a,b,c`) amortizes the parse.
 
 Exit codes (matching ccvc_lint): 0 clean, 1 findings or dead
-suppressions, 2 usage/configuration error.
+suppressions, 2 usage/configuration error.  A configured closure root,
+hot-path root, transform-only entry or lambda anchor that matches
+nothing in the tree is a configuration error: it would silently empty
+the closure it seeds.
 
 Checkers register via @sa_engine.checker at import time; adding one is
 a new module plus one import below (recipe in docs/ANALYSIS.md).
@@ -37,6 +40,22 @@ import check_single_writer                         # noqa: E402,F401
 import check_atomics_order                         # noqa: E402,F401
 import check_hot_path                              # noqa: E402,F401
 import check_blocking                              # noqa: E402,F401
+
+
+def stale_config(model) -> list[str]:
+    """Configured analysis roots and anchors that match nothing."""
+    tables = {
+        "THREAD_CLOSURES": [r for roots, _ in
+                            check_single_writer.THREAD_CLOSURES.values()
+                            for r in roots],
+        "TRANSFORM_ONLY": check_single_writer.TRANSFORM_ONLY,
+        "HOT_PATH_ROOTS": check_hot_path.HOT_PATH_ROOTS,
+        "PIPELINE_ROOTS": check_hot_path.PIPELINE_ROOTS,
+    }
+    return [f"{table} root `{r}` matches no function"
+            for table, roots in tables.items() for r in roots
+            if not model.root_funcs([r])] + \
+        check_blocking.stale_anchors(model)
 
 
 def main(argv: list[str]) -> int:
@@ -92,6 +111,12 @@ def main(argv: list[str]) -> int:
 
     if not args.check:
         ap.print_help()
+        return 2
+
+    stale = stale_config(model)
+    if stale:
+        for e in stale:
+            print(f"ccvc_sa: configuration error: {e}", file=sys.stderr)
         return 2
 
     baseline = pathlib.Path(__file__).resolve().parent / "baseline.txt"

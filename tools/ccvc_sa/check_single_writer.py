@@ -20,7 +20,7 @@ satisfy one of:
                  not the protected state;
   ring           declared in bounded_ring.hpp or of a ring type — the
                  Vyukov seq protocol (release-publish / acquire-claim)
-                 is the transfer, proven by design + TSan (CI step 12);
+                 is the transfer, proven by design + TSan (CI step 11);
   mutex-guarded  every writing function locks (lock_guard/unique_lock/
                  scoped_lock appears in its body);
   single-closure all writers (constructors/destructor excluded — they
@@ -50,7 +50,7 @@ MEMBER_SCOPE = ("src/runtime/", "src/util/metrics")
 
 # Files whose state is the ring implementation itself: ownership is the
 # per-cell seq protocol, argued in the header comment and raced under
-# TSan in CI step 12 — not expressible as a per-member writer set.
+# TSan in CI step 11 — not expressible as a per-member writer set.
 RING_FILES = ("src/runtime/bounded_ring.hpp",)
 
 # closure name -> (entry points, concurrent).  `concurrent` marks
@@ -59,12 +59,14 @@ RING_FILES = ("src/runtime/bounded_ring.hpp",)
 # Entry points are seeded explicitly where std::function/std::thread
 # boundaries break the static call graph (same idiom as the hot-path
 # budget's HOT_PATH_ROOTS); `on_broadcast` runs on the transform thread
-# inside apply_uplink's broadcast callback (docs/THREADING.md §2).
+# inside apply_uplink's broadcast callback (docs/THREADING.md §2), and so
+# does the EgressFn it flushes frames to.  Every name here must match a
+# function: `ccvc_sa --check` rejects a stale root as a configuration
+# error.
 THREAD_CLOSURES: dict[str, tuple[list[str], bool]] = {
     "producer": (["NotifierPipeline::submit"], True),
     "transform": (["NotifierPipeline::transform_loop",
                    "NotifierPipeline::on_broadcast"], False),
-    "egress": (["NotifierPipeline::egress_loop"], False),
     # The external controlling thread: construction, drain, shutdown,
     # and the closed-loop harness.  drain()/shutdown() document that no
     # submit() runs concurrently with them.

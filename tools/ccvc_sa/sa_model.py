@@ -112,14 +112,18 @@ class Model:
             if f.noreturn:
                 self.noreturn_names.add(f.name)
 
+    def root_funcs(self, roots: list[str]) -> list["Func"]:
+        """Functions a root list names: a qualified name (suffix-matched)
+        or a bare function name."""
+        return [f for f in self.funcs
+                if any(f.qual == r or f.qual.endswith("::" + r)
+                       or f.name == r for r in roots)]
+
     def reachable(self, roots: list[str]) -> set[str]:
         """Transitive closure over the call graph from root *qualified*
         names (suffix-matched), returned as a set of qualified names."""
-        root_funcs = [f for f in self.funcs
-                      if any(f.qual == r or f.qual.endswith("::" + r)
-                             or f.name == r for r in roots)]
         seen: set[str] = set()
-        work = list(root_funcs)
+        work = self.root_funcs(roots)
         while work:
             fn = work.pop()
             if fn.qual in seen:
@@ -196,11 +200,8 @@ class Model:
         member the body touches).  Tighter than the name-merged graph —
         the right precision for per-thread ownership closures, where
         `add` must not merge BatchAssembler::add with Gauge::add."""
-        root_funcs = [f for f in self.funcs
-                      if any(f.qual == r or f.qual.endswith("::" + r)
-                             or f.name == r for r in roots)]
         seen: set[str] = set()
-        work = list(root_funcs)
+        work = self.root_funcs(roots)
         vis_cache: dict[str, set[str]] = {}
         while work:
             fn = work.pop()

@@ -13,10 +13,11 @@
 #   7. memory order changed under a stale ATOMICS.md (atomics drift)
 #   8. allocation seeded into the submit hot path + stale HOTPATH.md
 #                                                  (hot-path-budget)
-#   9. client inboxes made bounded: the documented 4-edge cycle closes
-#      and must surface as a blocking-graph cycle finding
-#  10. a spin seeded under Inbox::mu (hold-and-wait) — the egress
-#      delivery waits on a client, closing a client/transform/egress
+#   9. client inboxes made bounded: the documented client → transform
+#      → client cycle closes and must surface as a blocking-graph
+#      cycle finding
+#  10. a spin seeded under Inbox::mu (hold-and-wait) — the transform
+#      thread's delivery waits on a client, closing a client/transform
 #      cycle                                        (blocking-graph)
 #  11. a cv wait whose predicate writer never notifies
 #                                             (liveness-discipline)
@@ -198,10 +199,11 @@ expect_findings "allocation on the submit hot path" 2 \
   "hot-path-budget.*HOTPATH.md does not match"
 
 # Mutation 9 (blocking-graph, the headline case): client inboxes made
-# bounded.  The push side gains a capacity wait, which (a) closes the
-# documented client → rings → egress → inbox cycle, (b) violates the
-# egress edge-absence assertion, (c) consults no stop flag, and (d)
-# leaves the committed BLOCKING.md stale.
+# bounded.  The push side, which the transform thread runs inside the
+# EgressFn, gains a capacity wait, which (a) closes the documented
+# client → central ring → transform → inbox cycle, (b) violates the
+# transform closure's edge-absence assertion, (c) consults no stop
+# flag, and (d) leaves the committed BLOCKING.md stale.
 stage
 sed 's/frames.push_back(std::move(frame));/Backoff bo;\n    while (frames.size() >= 8) bo.pause();\n    frames.push_back(std::move(frame));/' \
   "$TMP/src/runtime/threaded_star.cpp" > "$TMP/src/runtime/threaded_star.cpp.new"
@@ -210,18 +212,18 @@ if ! grep -q 'frames.size() >= 8' "$TMP/src/runtime/threaded_star.cpp"; then
   echo "FAIL: mutation 9 seed did not apply (Inbox::push moved?)" >&2
   exit 1
 fi
-expect_findings "bounded client inboxes close the 4-edge cycle" 4 \
-  "blocking-graph.*blocking cycle among thread closures" \
-  "blocking-graph.*egress.*closure a capacity wait" \
+expect_findings "bounded client inboxes close the client/transform cycle" 4 \
+  "blocking-graph.*blocking cycle among thread closures {client, transform}" \
+  "blocking-graph.*transform.*closure a capacity wait" \
   "liveness-discipline.*consults no termination flag" \
   "blocking-graph.*BLOCKING.md does not match"
 
-# Mutation 10 (blocking-graph, hold-and-wait): the egress-side
-# Inbox::push() spins under Inbox::mu until the client-side pop() clears
-# a flag — which pop() can only do after taking the same mutex.  Held
-# across the wait, the mutex makes its other acquirer (client) a
-# wait-for target of egress, closing client → transform → egress →
-# client through the two rings.
+# Mutation 10 (blocking-graph, hold-and-wait): Inbox::push(), which the
+# transform thread runs inside the EgressFn, spins under Inbox::mu until
+# the client-side pop() clears a flag — which pop() can only do after
+# taking the same mutex.  Held across the wait, the mutex makes its
+# other acquirer (client) a wait-for target of transform, closing
+# client → transform → client through the central ring.
 stage
 sed 's/^  std::deque<net::Payload> frames;$/&\n  std::atomic<bool> full{false};/; s/^    frames.push_back(std::move(frame));$/    Backoff hb;\n    while (full.load(std::memory_order_acquire)) hb.pause();\n&/; s/^    out = std::move(frames.front());$/&\n    full.store(false, std::memory_order_release);/' \
   "$TMP/src/runtime/threaded_star.cpp" > "$TMP/src/runtime/threaded_star.cpp.new"
@@ -233,7 +235,7 @@ fi
 # Three findings: the cycle, the stale BLOCKING.md, and — because the
 # seeded flag adds atomic ops — a stale ATOMICS.md.
 expect_findings "hold-and-wait under Inbox::mu closes a cycle" 3 \
-  "blocking-graph.*blocking cycle among thread closures" \
+  "blocking-graph.*blocking cycle among thread closures {client, transform}" \
   "blocking-graph.*BLOCKING.md does not match" \
   "atomics-order.*ATOMICS.md does not match"
 
