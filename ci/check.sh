@@ -29,9 +29,11 @@
 #      promotion: engine failover tests, the chaos failover/backpressure
 #      sweeps, the scripted failover scenario), then the threaded
 #      runtime (src/runtime/: the MPSC ring, batch assembly, the drain
-#      marker; the sim-equivalence suite with byte-identical snapshots
-#      vs the deterministic backend across seeds and N, plus the
-#      closed-loop chaos sweep on real threads)
+#      marker, parking on eventcount words; the sim-equivalence suite
+#      with byte-identical snapshots vs the deterministic backend across
+#      seeds and N, plus the closed-loop chaos sweep on real threads),
+#      repeated up to 10 times so a rare lost wakeup gets a chance to
+#      show (each runtime test times out after 120 s)
 #
 # Any finding exits non-zero.  Optional tools that are not installed are
 # reported as SKIPPED, not failed, so the pipeline works on GCC-only
@@ -127,7 +129,8 @@ cmake --preset tsan >/dev/null &&
     >/dev/null &&
   ctest --test-dir build-tsan "$JOBS" \
     -R "Failover|HotStandby|scenario_chaos_failover" &&
-  ctest --test-dir build-tsan "$JOBS" -L runtime ||
+  ctest --test-dir build-tsan "$JOBS" -L runtime \
+    --repeat until-fail:10 ||
   fail "tsan"
 
 printf '\n'

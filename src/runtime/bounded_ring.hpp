@@ -15,8 +15,9 @@
 //    a single-threaded replay commit in exactly its submit order;
 //  * a single consumer observes items in position order.
 //
-// try_push/try_pop never block; callers layer their own backoff
-// (runtime/pipeline.cpp) so the waiting policy stays in one place.
+// try_push/try_pop never block; a caller that must wait parks on its
+// own eventcount word and re-checks with try_push/try_pop before it
+// sleeps (runtime/pipeline.cpp, docs/THREADING.md §2).
 #pragma once
 
 #include <atomic>

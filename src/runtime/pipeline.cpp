@@ -3,7 +3,6 @@
 #include <chrono>
 #include <utility>
 
-#include "runtime/backoff.hpp"
 #include "util/check.hpp"
 #include "util/metrics.hpp"
 #include "util/varint.hpp"
@@ -66,31 +65,64 @@ void NotifierPipeline::submit(SiteId from, net::Payload bytes) {
   CentralItem item{engine::NotifierSite::parse_uplink(from, bytes, cfg_)};
   submitted_.fetch_add(1, std::memory_order_acq_rel);
   CCVC_METRIC_COUNT("runtime.ingress.submitted", 1);
-  Backoff bo;
+  enqueue(std::move(item));
+}
+
+// Both waits are eventcount handshakes (docs/THREADING.md §2): the
+// parker sets kParked with an acq_rel RMW and then looks at the ring;
+// the other side changes the ring and then RMWs the same word.  The
+// RMWs are totally ordered, so either the parker's look sees the change
+// or the other side sees the bit and wakes it.
+void NotifierPipeline::enqueue(CentralItem item) {
   // Space always reappears: shutdown orders drain() before stop_, so the
-  // transform consumer outlives every producer spin (docs/BLOCKING.md).
-  while (!central_.try_push(std::move(item))) bo.pause();  // ccvc-sa: allow(liveness-discipline)
+  // transform thread outlives every parked producer (docs/BLOCKING.md).
+  while (!central_.try_push(std::move(item))) {
+    const std::uint32_t word =
+        space_.fetch_or(kParked, std::memory_order_acq_rel) | kParked;
+    if (central_.try_push(std::move(item))) break;
+    space_.wait(word, std::memory_order_acquire);
+  }
+  // Only a parked transform thread costs a syscall.
+  if (consumer_.fetch_add(kEpoch, std::memory_order_acq_rel) & kParked) {
+    consumer_.notify_one();
+  }
 }
 
 void NotifierPipeline::transform_loop() {
-  Backoff bo;
+  const std::size_t half = central_.capacity() / 2;
   for (;;) {
     CentralItem item;
-    if (central_.try_pop(item)) {
-      bo.reset();
-      CCVC_METRIC_GAUGE_SET("runtime.ring.depth", central_.approx_size());
-      if (item.drain_ticket == 0) {
-        commit(std::move(item.uplink));
-      } else {  // a drain marker: every uplink before it is committed
-        flush_all();
-        drained_.store(item.drain_ticket, std::memory_order_release);
+    if (!central_.try_pop(item)) {
+      // Central ring empty: a tick boundary, then park.  stop_ is read
+      // after the bit goes up, or shutdown()'s wake could be missed.
+      if (pcfg_.flush == FlushPolicy::kAdaptive && unflushed_ > 0) flush_all();
+      const std::uint32_t word =
+          consumer_.fetch_or(kParked, std::memory_order_acq_rel) | kParked;
+      const bool popped = central_.try_pop(item);
+      if (!popped) {
+        if (stop_.load(std::memory_order_acquire)) return;
+        consumer_.wait(word, std::memory_order_acquire);
       }
-      continue;
+      consumer_.fetch_and(~kParked, std::memory_order_relaxed);
+      if (!popped) continue;
     }
-    // Central ring empty: a tick boundary.
-    if (pcfg_.flush == FlushPolicy::kAdaptive && unflushed_ > 0) flush_all();
-    if (stop_.load(std::memory_order_acquire)) return;
-    bo.pause();
+    const std::size_t depth = central_.approx_size();
+    CCVC_METRIC_GAUGE_SET("runtime.ring.depth", depth);
+    // Release parked producers only once half the ring is free: a wake
+    // per pop would put a syscall per op on this thread.  The estimate
+    // only times the wake; each producer re-checks with try_push.
+    if (depth <= half &&
+        (space_.fetch_and(~kParked, std::memory_order_acq_rel) & kParked)) {
+      space_.fetch_add(kEpoch, std::memory_order_release);
+      space_.notify_all();
+    }
+    if (item.drain_ticket == 0) {
+      commit(std::move(item.uplink));
+    } else {  // a drain marker: every uplink before it is committed
+      flush_all();
+      drained_.store(item.drain_ticket, std::memory_order_release);
+      drained_.notify_all();
+    }
   }
 }
 
@@ -135,17 +167,22 @@ void NotifierPipeline::flush_all() {
 void NotifierPipeline::drain() {
   CCVC_CHECK_MSG(thread_.joinable(), "drain() after shutdown()");
   // Drains never overlap: the last published ticket is the last issued.
-  const std::uint64_t ticket = drained_.load(std::memory_order_acquire) + 1;
-  Backoff bo;
-  // The transform consumer is still running: stop_ follows drain().
-  while (!central_.try_push(CentralItem{{}, ticket})) bo.pause();  // ccvc-sa: allow(liveness-discipline)
-  while (drained_.load(std::memory_order_acquire) < ticket) bo.pause();
+  std::uint64_t done = drained_.load(std::memory_order_acquire);
+  const std::uint64_t ticket = done + 1;
+  // The transform thread is still running: stop_ follows drain().
+  enqueue(CentralItem{{}, ticket});
+  while (done < ticket) {
+    drained_.wait(done, std::memory_order_acquire);
+    done = drained_.load(std::memory_order_acquire);
+  }
 }
 
 void NotifierPipeline::shutdown() {
   if (!thread_.joinable()) return;
   drain();
   stop_.store(true, std::memory_order_release);
+  consumer_.fetch_add(kEpoch, std::memory_order_acq_rel);
+  consumer_.notify_one();
   thread_.join();
 }
 

@@ -24,8 +24,8 @@
 //    max_batch, plus a final residue flush at drain().  Deterministic
 //    batch boundaries (benchmarks, golden comparisons).
 //  * kAdaptive — additionally flushes everything whenever the central
-//    ring runs empty (a tick boundary), bounding latency under light
-//    load.
+//    ring runs empty (a tick boundary: the transform thread is about to
+//    park), bounding latency under light load.
 //
 // A malformed uplink throws DecodeError out of submit(), before any
 // counter or notifier state changes.  A well-formed but hostile one (an
@@ -86,7 +86,7 @@ class NotifierPipeline {
 
   /// Decodes one uplink payload from client `from` on the calling
   /// thread and enqueues it for commit.  Callable from any thread;
-  /// blocks (backoff) while the central ring is full.  Calls from one
+  /// parks while the central ring is full.  Calls from one
   /// thread commit in call order.  Throws util::DecodeError, with no
   /// state changed, if the payload is malformed or names another site.
   void submit(SiteId from, net::Payload bytes);
@@ -115,6 +115,7 @@ class NotifierPipeline {
     std::uint64_t drain_ticket = 0;  // nonzero: a drain() marker, no uplink
   };
 
+  void enqueue(CentralItem item);
   void transform_loop();
   void commit(engine::NotifierSite::ParsedUplink parsed);
   void on_broadcast(SiteId dest, net::Payload bytes);
@@ -137,6 +138,15 @@ class NotifierPipeline {
   std::atomic<std::uint64_t> rejected_{0};
   std::atomic<std::uint64_t> drained_{0};  // ticket of the last drain done
   std::atomic<bool> stop_{false};
+
+  // Eventcount words (docs/THREADING.md §2): bit 0 is set while a thread
+  // is parked on the word, and every wake adds kEpoch.  Each has its own
+  // cache line: every push RMWs consumer_, and on a shallow ring every
+  // pop RMWs space_.
+  static constexpr std::uint32_t kParked = 1;
+  static constexpr std::uint32_t kEpoch = 2;
+  alignas(64) std::atomic<std::uint32_t> consumer_{0};  // transform parks
+  alignas(64) std::atomic<std::uint32_t> space_{0};  // producers park
 
   std::thread thread_;  // the transform thread
 };

@@ -10,7 +10,6 @@
 
 #include "engine/client_site.hpp"
 #include "engine/message.hpp"
-#include "runtime/backoff.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -101,13 +100,12 @@ ThreadedStarReport run_threaded_star(const ThreadedStarConfig& cfg) {
           site.insert(rng.index(len + 1), std::string(1, ch));
         }
       }
-      generating.fetch_sub(1, std::memory_order_acq_rel);
-      // Consume-only phase: everything in flight still has to land.
-      Backoff bo;
-      while (!done.load(std::memory_order_acquire)) {
-        drain_inbox();
-        bo.pause();
+      if (generating.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        generating.notify_one();
       }
+      // Consume-only phase: on_center_message never sends, so nothing
+      // in flight needs this client before the notifier has drained.
+      done.wait(false, std::memory_order_acquire);
       drain_inbox();
       finals[c] = site.text();
     });
@@ -115,10 +113,13 @@ ThreadedStarReport run_threaded_star(const ThreadedStarConfig& cfg) {
 
   // All submissions precede the drain: clients only submit while
   // generating, and they are all past that phase here.
-  Backoff bo;
-  while (generating.load(std::memory_order_acquire) > 0) bo.pause();
+  for (std::size_t left = generating.load(std::memory_order_acquire);
+       left > 0; left = generating.load(std::memory_order_acquire)) {
+    generating.wait(left, std::memory_order_acquire);
+  }
   pipeline.drain();
   done.store(true, std::memory_order_release);
+  done.notify_all();
   for (std::thread& t : clients) t.join();
   pipeline.shutdown();
 

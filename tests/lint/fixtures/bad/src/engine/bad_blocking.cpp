@@ -1,5 +1,5 @@
 // Seeds the raw-blocking-call rule, twice: a raw sleep and a bare
-// empty-body atomic spin — both must route through runtime::Backoff.
+// empty-body atomic spin — both must park instead.
 #include <atomic>
 #include <chrono>
 #include <thread>

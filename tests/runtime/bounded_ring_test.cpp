@@ -7,7 +7,6 @@
 #include <thread>
 #include <vector>
 
-#include "runtime/backoff.hpp"
 #include "runtime/bounded_ring.hpp"
 #include "util/check.hpp"
 
@@ -65,24 +64,20 @@ TEST(BoundedRing, MpscStressPreservesPerProducerFifo) {
   producers.reserve(kProducers);
   for (std::uint32_t p = 0; p < kProducers; ++p) {
     producers.emplace_back([&ring, p] {
-      runtime::Backoff bo;
       for (std::uint32_t i = 0; i < kPerProducer; ++i) {
-        while (!ring.try_push(Item{p, i})) bo.pause();
-        bo.reset();
+        while (!ring.try_push(Item{p, i})) std::this_thread::yield();
       }
     });
   }
 
   std::vector<std::uint32_t> next_seq(kProducers, 0);
   std::uint64_t received = 0;
-  runtime::Backoff bo;
   while (received < std::uint64_t{kProducers} * kPerProducer) {
     Item item;
     if (!ring.try_pop(item)) {
-      bo.pause();
+      std::this_thread::yield();
       continue;
     }
-    bo.reset();
     ASSERT_LT(item.producer, kProducers);
     EXPECT_EQ(item.seq, next_seq[item.producer]);
     ++next_seq[item.producer];
@@ -95,19 +90,16 @@ TEST(BoundedRing, MpscStressPreservesPerProducerFifo) {
   // One producer racing one consumer: the pop sequence is exactly the
   // push sequence.
   std::thread solo([&ring] {
-    runtime::Backoff pbo;
     for (std::uint32_t i = 0; i < kPerProducer; ++i) {
-      while (!ring.try_push(Item{0, i})) pbo.pause();
-      pbo.reset();
+      while (!ring.try_push(Item{0, i})) std::this_thread::yield();
     }
   });
   for (std::uint32_t want = 0; want < kPerProducer;) {
     Item item;
     if (!ring.try_pop(item)) {
-      bo.pause();
+      std::this_thread::yield();
       continue;
     }
-    bo.reset();
     EXPECT_EQ(item.seq, want);
     ++want;
   }

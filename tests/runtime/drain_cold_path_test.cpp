@@ -1,8 +1,8 @@
 // Cold-path coverage for the drain marker: a capacity-2 central ring
-// with max_batch=1 forces every full-ring backoff spin (for data and
-// marker alike) to actually run, across repeated drain()/submit()
-// interleavings — the regime docs/BLOCKING.md's wait-for edges
-// describe.  After every drain() the marker's guarantee
+// with max_batch=1 forces every full-ring park (for data and marker
+// alike) and the transform thread's release of parked producers to
+// actually run, across repeated drain()/submit() interleavings — the
+// regime docs/BLOCKING.md's wait-for edges describe.  After every drain() the marker's guarantee
 // must hold: every earlier uplink committed, every frame delivered.
 // TSan covers this suite via CI step 11 (ctest label `runtime`).
 #include <gtest/gtest.h>
@@ -33,8 +33,8 @@ class DrainColdPath
     : public ::testing::TestWithParam<runtime::FlushPolicy> {};
 
 // One client feeding the tiniest legal pipeline, draining after every
-// tiny burst.  Every submit beyond the second of a burst must ride the
-// full-ring backoff spin, and so may the marker behind it.
+// tiny burst.  Every submit beyond the second of a burst may park on
+// the full ring, and so may the marker behind it.
 TEST_P(DrainColdPath, RepeatedDrainSubmitInterleavings) {
   runtime::PipelineConfig pcfg;
   pcfg.ring_capacity = 2;  // smallest power of two > 1
@@ -67,8 +67,8 @@ TEST_P(DrainColdPath, RepeatedDrainSubmitInterleavings) {
   std::string expected;
   for (int round = 0; round < 20; ++round) {
     // A 3-insert burst can overfill the capacity-2 central ring, so the
-    // third submit exercises the producer-side backoff spin while the
-    // consumer threads race the drain that follows.
+    // third submit exercises the producer-side park while the
+    // transform thread races the drain that follows.
     for (int k = 0; k < 3; ++k) {
       const char ch = static_cast<char>('a' + ((round + k) % 26));
       client.insert(expected.size(), std::string(1, ch));

@@ -1,14 +1,18 @@
 // Determinism equivalence of the threaded backend: a recorded simulator
 // trace replayed through the pipeline from one thread must reproduce the
 // simulator byte for byte — notifier checkpoint and every destination's
-// unbatched downlink stream (docs/THREADING.md §4).  Also: admission —
+// unbatched downlink stream (docs/THREADING.md §4).  Also: an idle
+// pipeline parks instead of polling.  And admission —
 // a malformed uplink is rejected by submit() before anything changes,
 // and a hostile one by the transform thread, which carries on — and an
 // exception out of the EgressFn, which terminates.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <chrono>
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -66,8 +70,9 @@ TEST(PipelineEquivalence, BatchBoundIsTransparent) {
   EXPECT_LT(framed_bytes[1], framed_bytes[0]);
 }
 
-// A tiny ring forces every backoff path (producers blocking on full
-// rings) without changing the result.
+// A tiny ring forces every parking path (producers parked on a full
+// ring, the transform thread parked on an empty one) without changing
+// the result.
 TEST(PipelineEquivalence, TinyRingsStillEquivalent) {
   EquivalenceConfig cfg;
   cfg.num_sites = 4;
@@ -84,6 +89,24 @@ TEST(PipelineEquivalence, FullVectorModeEquivalent) {
   cfg.seed = 29;
   cfg.engine.stamp_mode = engine::StampMode::kFullVector;
   expect_equivalent(cfg);
+}
+
+long voluntary_context_switches() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_nvcsw;
+}
+
+// With nothing to do, the transform thread sleeps on its eventcount word
+// instead of waking to poll the ring: over 200 ms a polling loop makes
+// thousands of voluntary context switches, a parked one none.
+TEST(PipelineTest, IdlePipelineParks) {
+  runtime::NotifierPipeline pipe(2, "", engine::EngineConfig{},
+                                 [](SiteId, net::Payload) {});
+  pipe.drain();
+  const long before = voluntary_context_switches();
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  EXPECT_LE(voluntary_context_switches() - before, 20);
 }
 
 // The uplink client `site` sends for `ops`, its first operation, having

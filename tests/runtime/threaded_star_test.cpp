@@ -34,8 +34,8 @@ TEST(ThreadedStar, SweepSitesAndSeeds) {
   }
 }
 
-// Chaos sweep: hostile pipeline shapes — tiny rings (every stage hits
-// its full/empty backoff path), degenerate and maximal batch bounds —
+// Chaos sweep: hostile pipeline shapes — tiny rings (producers park on
+// a full ring, the transform thread on an empty one), degenerate and maximal batch bounds —
 // across seeds.  Convergence must be unconditional.
 TEST(ThreadedStar, ChaosSweepHostileShapes) {
   struct Shape {

@@ -9,10 +9,11 @@
 //   * last_dest_      written from TWO closures, but mutex-guarded;
 //   * cold_/cold_path allocation + loop, but unreachable from the roots;
 //   * log_.push_back  real budget hit carrying a live allow() pragma;
-//   * every atomic op spells out its memory order;
-//   * the submit and transform_loop spins consult stop_, which
-//     shutdown() writes from another context (liveness must accept,
-//     not flag);
+//   * every atomic op, wait included, spells out its memory order;
+//   * the submit and transform_loop waits park on eventcount words
+//     (space_, consumer_) and consult stop_; every other writer of
+//     those — the pushing producer, the popping transform thread,
+//     shutdown() — notifies the word (liveness must accept, not flag);
 //   * central_        a capacity wait whose edge client → transform is
 //                     acyclic (blocking-graph must accept the edge),
 //                     while the transform closure, which delivers, has
@@ -51,6 +52,8 @@ class NotifierPipeline {
   std::atomic<std::uint64_t> submitted_{0};
   std::atomic<int> stop_{0};
   std::atomic<int> ready_{0};
+  std::atomic<int> space_{0};
+  std::atomic<int> consumer_{0};
   Ring central_;
   std::mutex mu_;
   std::mutex cv_mu_;
@@ -62,12 +65,16 @@ class NotifierPipeline {
 };
 
 std::uint64_t NotifierPipeline::submit(int from) {
-  // Capacity wait that (a) consults stop_, written by shutdown() in
-  // another context, and (b) forms the acyclic edge client → transform
+  // Capacity wait that (a) parks on space_, which transform_loop bumps
+  // and notifies, (b) consults stop_, which shutdown() writes and
+  // notifies, and (c) forms the acyclic edge client → transform
   // (transform pops central_).  Both checkers must accept it.
   while (!central_.try_push(from)) {
     if (stop_.load(std::memory_order_acquire)) break;
+    space_.wait(0, std::memory_order_acquire);
   }
+  consumer_.fetch_add(1, std::memory_order_acq_rel);
+  consumer_.notify_one();
   return submitted_.fetch_add(1, std::memory_order_acq_rel);
 }
 
@@ -75,7 +82,10 @@ void NotifierPipeline::transform_loop() {
   int item = 0;
   while (!stop_.load(std::memory_order_acquire)) {
     if (central_.try_pop(item)) break;
+    consumer_.wait(0, std::memory_order_acquire);
   }
+  space_.fetch_add(1, std::memory_order_release);
+  space_.notify_all();
   // Plain unlocked write — legal because only the transform closure
   // ever writes it.
   got_state_ += 1;
@@ -117,14 +127,17 @@ void NotifierPipeline::wait_ready() {
 void NotifierPipeline::drain() { note_dest(0); }
 
 void NotifierPipeline::shutdown() {
-  // Writes every flag the tree's spins consult, then notifies: the
-  // termination contract the liveness checker demands.
+  // Writes every flag the tree's waits consult, then notifies each
+  // word they park on: the termination contract the liveness checker
+  // demands.
   ready_.store(1, std::memory_order_release);
   {
     const std::lock_guard<std::mutex> lock(cv_mu_);
   }
   cv_.notify_all();
   stop_.store(1, std::memory_order_release);
+  space_.notify_all();
+  consumer_.notify_one();
 }
 
 }  // namespace fx

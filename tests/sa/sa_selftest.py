@@ -51,10 +51,10 @@ EXPECTED_BAD = {
     "wire-taint": 1,
     "exception-discipline": 1,
     "single-writer": 2,        # producer+transform member, producer global
-    "atomics-order": 1,
+    "atomics-order": 2,        # defaulted store + defaulted wait
     "hot-path-budget": 1,
     "blocking-graph": 1,       # capacity wait on the transform closure
-    "liveness-discipline": 2,  # spin w/o stop flag ×2 (out_ring_ + go_)
+    "liveness-discipline": 3,  # park w/o writer ×2 (room_, go_) + no-notify
 }
 
 # (staged file, text to replace, replacement, expected error regex): each

@@ -78,14 +78,13 @@ Enforces invariants generic tools cannot express:
                      debugging and the experiment tables' run-to-run
                      comparability.
 
-  raw-blocking-call  Outside src/runtime/backoff.hpp, src/ must not
-                     call std::this_thread::sleep_for/yield or
-                     hand-roll an empty-body atomic spin loop.  Every
-                     wait goes through runtime::Backoff so the
-                     spin→yield→sleep policy (and the blocking-graph
-                     checker's classification of waits) stays in one
-                     audited place; a raw sleep is an invisible
-                     latency cliff and a bare spin burns a core.
+  raw-blocking-call  src/ must not call std::this_thread::sleep_for/
+                     yield or hand-roll an empty-body atomic spin
+                     loop.  A thread that waits parks: on an atomic
+                     word with std::atomic::wait, woken by a notify
+                     the liveness-discipline checker proves, or in a
+                     predicate condition_variable wait.  A sleep is an
+                     invisible latency cliff and a spin burns a core.
 
   schema-doc-table   The generated table in docs/PROTOCOL.md §2.0
                      (between the ccvc_schema:doc-table markers) must
@@ -213,13 +212,13 @@ DETERMINISM_RE = re.compile(
     r"|std::mt19937(?:_64)?\s+\w+\s*(?:;|\{\s*\})"
     r"|std::mt19937(?:_64)?\s*(?:\(\s*\)|\{\s*\})"
 )
-# Raw blocking primitives: only runtime::Backoff (src/runtime/
-# backoff.hpp) may sleep or yield; everything else waits through it.
+# Raw blocking primitives: nothing in src/ sleeps or yields; a waiting
+# thread parks on an atomic word or a condition variable.
 RAW_BLOCKING_RE = re.compile(r"std::this_thread::(?:sleep_for|yield)\b")
 # An empty-body spin on an atomic load, single line: `while (...)`
 # whose header (one nesting level of parens tolerated) contains .load
-# and whose body is `;` or `{}`.  `while (...) bo.pause();` — a body —
-# deliberately does not match: that is the sanctioned Backoff idiom.
+# and whose body is `;` or `{}`.  `while (...) x.wait(old, order);` — a
+# body — deliberately does not match: that is the park idiom.
 RAW_SPIN_RE = re.compile(
     r"while\s*\(((?:[^()]|\([^()]*\))*)\)\s*(?:;|\{\s*\})\s*$")
 DOC_TABLE_BEGIN = "<!-- ccvc_schema:doc-table:begin -->"
@@ -323,16 +322,15 @@ class Linter:
                                 "src/wire/ — encode through wire::Writer/"
                                 "wire::Reader against a schema FieldDesc")
 
-            if rel != "src/runtime/backoff.hpp":
-                spin = RAW_SPIN_RE.search(line)
-                if (RAW_BLOCKING_RE.search(line)
-                        or (spin and ".load" in spin.group(1))):
-                    if "raw-blocking-call" not in allowed:
-                        self.report(path, lineno, "raw-blocking-call",
-                                    "raw sleep/yield or bare atomic spin "
-                                    "— wait through runtime::Backoff "
-                                    "(src/runtime/backoff.hpp) so backoff "
-                                    "policy stays in one audited place")
+            spin = RAW_SPIN_RE.search(line)
+            if (RAW_BLOCKING_RE.search(line)
+                    or (spin and ".load" in spin.group(1))):
+                if "raw-blocking-call" not in allowed:
+                    self.report(path, lineno, "raw-blocking-call",
+                                "raw sleep/yield or bare atomic spin — "
+                                "park instead: std::atomic::wait plus a "
+                                "notify that liveness-discipline proves, "
+                                "or a predicate condition_variable wait")
 
             if (not rel.startswith("src/util/rng.")
                     and DETERMINISM_RE.search(line)):

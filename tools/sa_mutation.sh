@@ -16,13 +16,16 @@
 #   9. client inboxes made bounded: the documented client → transform
 #      → client cycle closes and must surface as a blocking-graph
 #      cycle finding
-#  10. a spin seeded under Inbox::mu (hold-and-wait) — the transform
+#  10. a park seeded under Inbox::mu (hold-and-wait) — the transform
 #      thread's delivery waits on a client, closing a client/transform
 #      cycle                                        (blocking-graph)
 #  11. a cv wait whose predicate writer never notifies
 #                                             (liveness-discipline)
-#  12. a flag spin whose flag nothing writes  (liveness-discipline)
+#  12. a park on a word nothing writes          (liveness-discipline)
 #  13. stale BLOCKING.md under an unchanged tree   (blocking drift)
+#  14. the producer's wake of the parked transform thread dropped:
+#      a write to the parked word that never notifies
+#                                             (liveness-discipline)
 #
 # This is the self-validation the framework's approximations lean on:
 # a lexer or extractor regression that blinds a checker turns up here
@@ -200,12 +203,12 @@ expect_findings "allocation on the submit hot path" 2 \
 
 # Mutation 9 (blocking-graph, the headline case): client inboxes made
 # bounded.  The push side, which the transform thread runs inside the
-# EgressFn, gains a capacity wait, which (a) closes the documented
-# client → central ring → transform → inbox cycle, (b) violates the
-# transform closure's edge-absence assertion, (c) consults no stop
-# flag, and (d) leaves the committed BLOCKING.md stale.
+# EgressFn, gains a capacity wait (a yield spin), which (a) closes the
+# documented client → central ring → transform → inbox cycle, (b)
+# violates the transform closure's edge-absence assertion, (c) consults
+# no stop flag, and (d) leaves the committed BLOCKING.md stale.
 stage
-sed 's/frames.push_back(std::move(frame));/Backoff bo;\n    while (frames.size() >= 8) bo.pause();\n    frames.push_back(std::move(frame));/' \
+sed 's/frames.push_back(std::move(frame));/while (frames.size() >= 8) std::this_thread::yield();\n    frames.push_back(std::move(frame));/' \
   "$TMP/src/runtime/threaded_star.cpp" > "$TMP/src/runtime/threaded_star.cpp.new"
 mv "$TMP/src/runtime/threaded_star.cpp.new" "$TMP/src/runtime/threaded_star.cpp"
 if ! grep -q 'frames.size() >= 8' "$TMP/src/runtime/threaded_star.cpp"; then
@@ -219,16 +222,17 @@ expect_findings "bounded client inboxes close the client/transform cycle" 4 \
   "blocking-graph.*BLOCKING.md does not match"
 
 # Mutation 10 (blocking-graph, hold-and-wait): Inbox::push(), which the
-# transform thread runs inside the EgressFn, spins under Inbox::mu until
-# the client-side pop() clears a flag — which pop() can only do after
-# taking the same mutex.  Held across the wait, the mutex makes its
-# other acquirer (client) a wait-for target of transform, closing
-# client → transform → client through the central ring.
+# transform thread runs inside the EgressFn, parks under Inbox::mu until
+# the client-side pop() clears a flag and notifies — which pop() can
+# only do after taking the same mutex.  Held across the wait, the mutex
+# makes its other acquirer (client) a wait-for target of transform,
+# closing client → transform → client through the central ring.  The
+# notify keeps liveness-discipline quiet: the cycle is the finding.
 stage
-sed 's/^  std::deque<net::Payload> frames;$/&\n  std::atomic<bool> full{false};/; s/^    frames.push_back(std::move(frame));$/    Backoff hb;\n    while (full.load(std::memory_order_acquire)) hb.pause();\n&/; s/^    out = std::move(frames.front());$/&\n    full.store(false, std::memory_order_release);/' \
+sed 's/^  std::deque<net::Payload> frames;$/&\n  std::atomic<bool> full{false};/; s/^    frames.push_back(std::move(frame));$/    full.wait(true, std::memory_order_acquire);\n&/; s/^    out = std::move(frames.front());$/&\n    full.store(false, std::memory_order_release);\n    full.notify_all();/' \
   "$TMP/src/runtime/threaded_star.cpp" > "$TMP/src/runtime/threaded_star.cpp.new"
 mv "$TMP/src/runtime/threaded_star.cpp.new" "$TMP/src/runtime/threaded_star.cpp"
-if [ "$(grep -c 'full[{.]' "$TMP/src/runtime/threaded_star.cpp")" -ne 3 ]; then
+if [ "$(grep -c 'full[{.]' "$TMP/src/runtime/threaded_star.cpp")" -ne 4 ]; then
   echo "FAIL: mutation 10 seed did not apply (Inbox moved?)" >&2
   exit 1
 fi
@@ -264,19 +268,22 @@ expect_findings "predicate write without notify" 2 \
   "liveness-discipline.*sa_mutation_set_ready.*g_sa_mutation_ready.*never reaches a notify" \
   "atomics-order.*ATOMICS.md does not match"
 
-# Mutation 12 (liveness-discipline): a spin whose flag nothing in the
-# tree ever writes — unreachable from shutdown()/drain().
+# Mutation 12 (liveness-discipline): a park on a word nothing in the
+# tree ever writes — no notify can come, and no shutdown()/drain() can
+# cancel it.
 stage
 cat >> "$TMP/src/runtime/pipeline.cpp" <<'EOF'
 namespace ccvc::runtime {
 void sa_mutation_spin(std::atomic<int>& v) {
-  Backoff b;
-  while (v.load(std::memory_order_acquire) == 0) b.pause();
+  while (v.load(std::memory_order_acquire) == 0) {
+    v.wait(0, std::memory_order_acquire);
+  }
 }
 }  // namespace ccvc::runtime
 EOF
-# The seeded load is a new atomic op, so ATOMICS.md drifts alongside.
-expect_findings "spin without a written stop flag" 2 \
+# The seeded load and wait are new atomic ops, so ATOMICS.md drifts
+# alongside.
+expect_findings "park on a word nothing writes" 2 \
   "liveness-discipline.*sa_mutation_spin.*consults no termination flag" \
   "atomics-order.*ATOMICS.md does not match"
 
@@ -286,5 +293,21 @@ stage
 printf '\nstale trailing line\n' >> "$TMP/docs/BLOCKING.md"
 expect_findings "stale BLOCKING.md" 1 \
   "blocking-graph.*BLOCKING.md does not match"
+
+# Mutation 14 (liveness-discipline, lost wakeup): a producer bumps the
+# transform thread's eventcount word but no longer wakes it.  A parked
+# transform thread would sleep through the push: the write must surface
+# as a no-notify finding.  (notify_* takes no memory order, so neither
+# ATOMICS.md nor BLOCKING.md changes.)
+stage
+sed '/^void NotifierPipeline::enqueue(/,/^}/{/^    consumer_\.notify_one();$/d;}' \
+  "$TMP/src/runtime/pipeline.cpp" > "$TMP/src/runtime/pipeline.cpp.new"
+mv "$TMP/src/runtime/pipeline.cpp.new" "$TMP/src/runtime/pipeline.cpp"
+if [ "$(grep -c 'consumer_\.notify_one();' "$TMP/src/runtime/pipeline.cpp")" -ne 1 ]; then
+  echo "FAIL: mutation 14 seed did not apply (enqueue moved?)" >&2
+  exit 1
+fi
+expect_findings "producer drops the consumer wake" 1 \
+  "liveness-discipline.*NotifierPipeline::enqueue writes .*consumer_.*never reaches a notify"
 
 echo "sa_mutation: all mutation classes rejected"
