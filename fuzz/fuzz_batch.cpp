@@ -8,12 +8,17 @@
 //  * fixed point — one decode→encode normalizes; from then on
 //    decode→encode is a byte-identical fixed point (fuzz_message.cpp's
 //    convention: varints may arrive non-minimal);
-//  * tag discipline — is_batch_msg agrees with decode acceptance.
+//  * tag discipline — is_batch_msg agrees with decode acceptance;
+//  * in-place assembly — runtime::BatchAssembler, fed the decoded
+//    messages, flushes exactly encode_batch's frame, at a max_batch the
+//    input picks (so the ≥ 128 reservation's shift path runs too).
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "engine/message.hpp"
 #include "fuzz_common.hpp"
+#include "runtime/batch.hpp"
 #include "wire/schema.hpp"
 
 using ccvc::util::DecodeError;
@@ -40,5 +45,11 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
       ccvc::engine::decode_batch(pass1);
   CCVC_FUZZ_REQUIRE(again == msgs);
   CCVC_FUZZ_REQUIRE(ccvc::engine::encode_batch(again) == pass1);
+
+  const std::size_t max_batch = std::max<std::size_t>(
+      msgs.size(), 1 + data[size - 1] % ccvc::wire::kMaxBatchMsgs);
+  ccvc::runtime::BatchAssembler assembler(max_batch);
+  for (const ccvc::net::Payload& m : msgs) assembler.add(m);
+  CCVC_FUZZ_REQUIRE(assembler.flush() == pass1);
   return 0;
 }

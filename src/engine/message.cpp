@@ -1,6 +1,7 @@
 #include "engine/message.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <utility>
 
 #include "util/check.hpp"
@@ -118,29 +119,19 @@ CenterMsgSplicer::CenterMsgSplicer(const OpId& id, const ot::OpList& ops) {
   body_ = std::move(sink).take();
 }
 
-net::Payload CenterMsgSplicer::splice(const Stamp& stamp,
-                                      StampMode mode) const {
-  std::uint8_t csv[clocks::CompressedSv::kMaxEncodedSize];
-  util::ByteSink full;  // an (N+1)-vector is too long for the stack
-  const std::uint8_t* stamp_bytes = csv;
-  std::size_t stamp_size = 0;
-  switch (mode) {
-    case StampMode::kCompressed:
-      stamp_size = stamp.csv.encode_to(csv);
-      break;
-    case StampMode::kFullVector:
-      stamp.full.encode(full);
-      stamp_bytes = full.bytes().data();
-      stamp_size = full.size();
-      break;
-  }
-  const auto tail = body_.begin() + static_cast<std::ptrdiff_t>(head_size_);
-  net::Payload out;
-  // One payload per destination is the broadcast's job.
-  out.resize(body_.size() + stamp_size);  // ccvc-sa: allow(hot-path-budget)
-  auto at = std::copy(body_.begin(), tail, out.begin());
-  at = std::copy(stamp_bytes, stamp_bytes + stamp_size, at);
-  std::copy(tail, body_.end(), at);
+void Downlink::write_to(std::uint8_t* out) const {
+  const std::uint8_t* body = wire_.body_.data();
+  const std::size_t head = wire_.head_size_;
+  std::memcpy(out, body, head);
+  std::memcpy(out + head, stamp_, stamp_size_);
+  std::memcpy(out + head + stamp_size_, body + head,
+              wire_.body_.size() - head);
+}
+
+Downlink::operator net::Payload() const {
+  // A consumer that keeps the message pays for its own buffer.
+  net::Payload out(size());
+  write_to(out.data());
   return out;
 }
 

@@ -13,6 +13,7 @@
 // byte counts directly off the channel statistics.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -65,19 +66,50 @@ net::Payload encode(const CenterMsg& msg, StampMode mode);
 /// One executed operation's CenterMsg, encoded once for its whole
 /// broadcast.  The notifier sends the same O' to N−1 destinations and
 /// only the stamp differs (eq. (1)-(2)), so the head (tag + OpId) and
-/// the tail (coalesced op list) are encoded here once; splice() then
-/// writes one exact-size payload per destination: head, that
-/// destination's stamp, tail.
+/// the tail (coalesced op list) are encoded here once; a Downlink then
+/// names one destination's message: head, that destination's stamp,
+/// tail.
 class CenterMsgSplicer {
  public:
   CenterMsgSplicer(const OpId& id, const ot::OpList& ops);
 
-  /// Byte-identical to encode(CenterMsg{id, ops, stamp}, mode).
-  net::Payload splice(const Stamp& stamp, StampMode mode) const;
-
  private:
+  friend class Downlink;
+
   net::Payload body_;  // head then tail, with no stamp between them
   std::size_t head_size_ = 0;
+};
+
+/// One destination's CenterMsg as the notifier's broadcast hands it to
+/// its SendFn: a view of the op's shared head and tail plus this
+/// destination's encoded stamp, both owned by the caller and valid only
+/// for the call.  Nothing is allocated until a consumer wants its own
+/// bytes: write_to() copies the message into a buffer the consumer
+/// owns (the threaded runtime's open batch frame), and the implicit
+/// conversion splices one exact-size payload.  Either way the bytes are
+/// those of encode(CenterMsg{id, ops, stamp}, mode).
+class Downlink {
+ public:
+  /// `stamp` holds the stamp's encoding in the session's StampMode.
+  Downlink(const CenterMsgSplicer& wire, const std::uint8_t* stamp,
+           std::size_t stamp_size)
+      : wire_(wire), stamp_(stamp), stamp_size_(stamp_size) {}
+
+  /// Encoded size of the whole message.
+  std::size_t size() const { return wire_.body_.size() + stamp_size_; }
+  /// Encoded size of its timestamp alone (stamp_wire_size()).
+  std::size_t stamp_size() const { return stamp_size_; }
+
+  /// Writes the size() message bytes to `out`.
+  void write_to(std::uint8_t* out) const;
+
+  /// Implicit on purpose: a SendFn taking net::Payload gets the bytes.
+  operator net::Payload() const;
+
+ private:
+  const CenterMsgSplicer& wire_;
+  const std::uint8_t* stamp_;
+  std::size_t stamp_size_;
 };
 
 ClientMsg decode_client_msg(const net::Payload& bytes, StampMode mode);

@@ -10,6 +10,16 @@
 
 namespace ccvc::engine {
 
+namespace {
+
+net::Payload encoded(const clocks::VersionVector& vc) {
+  util::ByteSink sink;
+  vc.encode(sink);
+  return std::move(sink).take();
+}
+
+}  // namespace
+
 NotifierSite::NotifierSite(std::size_t num_sites, std::string_view initial_doc,
                            const EngineConfig& cfg, SendFn send_to_client,
                            EngineObserver* observer)
@@ -288,12 +298,16 @@ void NotifierSite::apply_uplink(ParsedUplink parsed) {
 
   // Broadcast O' to every other (active) client, stamped per
   // destination with eq. (1)-(2).  O' is encoded once and queued once:
-  // each destination gets the shared form and a payload spliced around
-  // its own stamp.
+  // each destination gets the shared form and a Downlink view of the
+  // encoded O' around its own stamp.
   const CenterMsgSplicer wire(msg.id, incoming);
   const auto executed = std::make_shared<ot::OpList>(std::move(incoming));
-  Stamp stamp;
-  if (cfg_.stamp_mode == StampMode::kFullVector) stamp.full = vc_;
+  // The full-vector stamp is the same for every destination.
+  const net::Payload full = (cfg_.stamp_mode == StampMode::kFullVector)
+                                ? encoded(vc_)
+                                : net::Payload{};
+  std::uint8_t csv[clocks::CompressedSv::kMaxEncodedSize] = {};
+  util::metrics::Tally stamp_bytes;
   std::uint64_t sent = 0;
   for (SiteId dest = 1; dest <= num_sites_; ++dest) {
     if (dest == from || !active_[dest]) continue;
@@ -302,19 +316,22 @@ void NotifierSite::apply_uplink(ParsedUplink parsed) {
       outgoing_[dest].push_back(QueuedOp{msg.id, enqueued_[dest], executed});
     }
 
-    stamp.csv = clock_.stamp_for(dest);
+    const clocks::CompressedSv stamp = clock_.stamp_for(dest);
     // Eq. (1) invariant: the per-destination send counter *is*
     // Σ_{j≠dest} SV_0[j].
-    CCVC_CHECK(stamp.csv.from_center == enqueued_[dest]);
-    net::Payload out_bytes = wire.splice(stamp, cfg_.stamp_mode);
-    const std::size_t stamp_bytes = stamp_wire_size(stamp, cfg_.stamp_mode);
-    CCVC_METRIC_HIST("engine.wire.stamp_bytes", stamp_bytes);
+    CCVC_CHECK(stamp.from_center == enqueued_[dest]);
+    const Downlink out =
+        (cfg_.stamp_mode == StampMode::kCompressed)
+            ? Downlink(wire, csv, stamp.encode_to(csv))
+            : Downlink(wire, full.data(), full.size());
+    stamp_bytes.add(out.stamp_size());
     if (observer_) {
-      observer_->on_wire(kNotifierSite, dest, out_bytes.size(), stamp_bytes);
+      observer_->on_wire(kNotifierSite, dest, out.size(), out.stamp_size());
     }
-    send_(dest, std::move(out_bytes));
+    send_(dest, out);
     ++sent;
   }
+  CCVC_METRIC_HIST_TALLY("engine.wire.stamp_bytes", stamp_bytes);
   CCVC_METRIC_COUNT("engine.notifier.broadcasts", sent);
 
   if (cfg_.gc_history) gc_history();

@@ -27,9 +27,14 @@
 // Broadcast layout.  Of an executed O' sent to N−1 destinations only the
 // eq. (1)-(2) stamp differs, so apply_uplink does the rest once per op:
 //  * CenterMsgSplicer encodes the head (tag + OpId) and the tail
-//    (coalesced op list) once; each destination's payload is one
-//    exact-size buffer spliced as head, its 2-varint stamp (written on
-//    the stack), tail — byte-identical to encode(CenterMsg).
+//    (coalesced op list) once; each destination's stamp is encoded on
+//    the stack (a full-vector stamp, the same for every destination,
+//    once per op), and the SendFn gets a Downlink view of head, stamp,
+//    tail — no per-destination buffer.  The threaded runtime copies the
+//    view straight into its open batch frame; a SendFn taking a
+//    net::Payload gets the spliced bytes of encode(CenterMsg).
+//  * Per-destination instruments are gathered in a metrics::Tally and
+//    published once per op.
 //  * The executed form is allocated once and every bridge queue holds a
 //    shared_ptr to it.  A form is copied once while it is still shared,
 //    then transformed in place (ot::transform_in_place), so one client's
@@ -57,8 +62,10 @@ namespace ccvc::engine {
 
 class NotifierSite {
  public:
-  /// Sends an encoded message toward client `dest`.
-  using SendFn = std::function<void(SiteId dest, net::Payload bytes)>;
+  /// Sends one encoded message toward client `dest`.  The view is valid
+  /// only during the call; a function taking net::Payload instead
+  /// receives the bytes by the view's implicit conversion.
+  using SendFn = std::function<void(SiteId dest, Downlink msg)>;
 
   NotifierSite(std::size_t num_sites, std::string_view initial_doc,
                const EngineConfig& cfg, SendFn send_to_client,

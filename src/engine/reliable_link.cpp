@@ -14,10 +14,34 @@ namespace {
 
 constexpr std::size_t kCrcBytes = 4;
 
+// The exact encoded size of `frame`, so encode_frame allocates once.
+std::size_t frame_size(const Frame& frame) {
+  std::size_t n = 1 + util::uvarint_size(frame.ack) + kCrcBytes;
+  switch (frame.kind) {
+    case Frame::Kind::kData:
+      n += util::uvarint_size(frame.seq) + frame.payload.size();
+      break;
+    case Frame::Kind::kAck:
+      break;
+    case Frame::Kind::kSack: {
+      n += util::uvarint_size(frame.sack.size());
+      std::uint64_t prev = frame.ack;
+      for (const auto& [first, last] : frame.sack) {
+        n += util::uvarint_size(first - prev) +
+             util::uvarint_size(last - first + 1);
+        prev = last;
+      }
+      break;
+    }
+  }
+  return n;
+}
+
 }  // namespace
 
 net::Payload encode_frame(const Frame& frame) {
   util::ByteSink sink;
+  sink.reserve(frame_size(frame));
   wire::Writer w(sink);
   switch (frame.kind) {
     case Frame::Kind::kData:
@@ -51,6 +75,7 @@ net::Payload encode_frame(const Frame& frame) {
     }
   }
   w.crc(wire::f::kFrameCrc);
+  CCVC_DCHECK(sink.size() == frame_size(frame));
   return std::move(sink).take();
 }
 

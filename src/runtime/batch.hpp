@@ -1,8 +1,13 @@
 // Per-destination egress batch assembly (docs/PROTOCOL.md §2.8).
 //
-// The transform stage hands every broadcast payload to the
-// destination's assembler instead of the channel; the assembler
-// coalesces them, in order, into one 0xC5 EgressBatch frame per flush.
+// The transform stage hands every broadcast to the destination's
+// assembler instead of the channel; the assembler coalesces them, in
+// order, into one 0xC5 EgressBatch frame per flush.  The frame is built
+// in place: one open buffer per destination starts with a reserved
+// prefix (the tag plus the longest count varint max_batch can need),
+// each message is appended behind it as a length-prefixed blob, and
+// flush() fills the prefix in and hands the buffer out.  The bytes are
+// exactly encode_batch() over the messages' encodings.
 // Flush triggers (docs/THREADING.md):
 //  * the max-batch bound — add() reports when the batch is full;
 //  * a tick boundary / drain — the pipeline calls flush() explicitly.
@@ -12,7 +17,7 @@
 #pragma once
 
 #include <cstddef>
-#include <vector>
+#include <cstdint>
 
 #include "engine/message.hpp"
 #include "net/channel.hpp"
@@ -26,19 +31,30 @@ class BatchAssembler {
 
   /// Appends one complete downlink message; true when the batch just
   /// reached the max-batch bound (the caller must flush before adding
-  /// more).
-  bool add(net::Payload msg);
+  /// more).  The Downlink form copies the broadcast's view straight
+  /// into the frame; the Payload form takes any encoded message.
+  bool add(const engine::Downlink& msg);
+  bool add(const net::Payload& msg);
 
-  bool empty() const { return msgs_.empty(); }
-  std::size_t size() const { return msgs_.size(); }
+  bool empty() const { return count_ == 0; }
+  std::size_t size() const { return count_; }
 
-  /// Encodes everything pending into one EgressBatch frame, records the
-  /// engine.batch.* instruments, and clears.  Never called empty.
+  /// Closes everything pending into one EgressBatch frame, records the
+  /// engine.batch.* instruments, and starts a new frame.  Never called
+  /// empty.
   net::Payload flush();
 
  private:
+  /// Appends the blob length of an n-byte message and returns where its
+  /// n bytes go.
+  std::uint8_t* append_entry(std::size_t n);
+
   std::size_t max_batch_;
-  std::vector<net::Payload> msgs_;
+  std::size_t prefix_;        // reserved for the tag and the count
+  std::size_t count_ = 0;     // messages in the open frame
+  std::size_t used_ = 0;      // bytes of frame_ written so far
+  std::size_t last_size_ = 0; // the last frame's size: the next one's start
+  net::Payload frame_;        // the open frame; size() is its capacity
 };
 
 }  // namespace ccvc::runtime

@@ -35,9 +35,7 @@ NotifierPipeline::NotifierPipeline(std::size_t num_sites,
   CCVC_CHECK(static_cast<bool>(egress_));
   site_ = std::make_unique<engine::NotifierSite>(
       num_sites_, initial_doc, cfg_,
-      [this](SiteId dest, net::Payload bytes) {
-        on_broadcast(dest, std::move(bytes));
-      });
+      [this](SiteId dest, engine::Downlink msg) { on_broadcast(dest, msg); });
   assemblers_.reserve(num_sites_ + 1);
   for (std::size_t i = 0; i <= num_sites_; ++i) {
     assemblers_.emplace_back(pcfg_.max_batch);
@@ -141,10 +139,11 @@ void NotifierPipeline::commit(engine::NotifierSite::ParsedUplink parsed) {
   }
 }
 
-void NotifierPipeline::on_broadcast(SiteId dest, net::Payload bytes) {
-  // Runs on the transform thread, inside apply_uplink's broadcast loop.
+void NotifierPipeline::on_broadcast(SiteId dest, const engine::Downlink& msg) {
+  // Runs on the transform thread, inside apply_uplink's broadcast loop:
+  // the message goes straight into the destination's open frame.
   ++unflushed_;
-  if (assemblers_[dest].add(std::move(bytes))) flush_dest(dest);
+  if (assemblers_[dest].add(msg)) flush_dest(dest);
 }
 
 // noexcept: this is the one call into the EgressFn, and it can run

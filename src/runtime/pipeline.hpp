@@ -7,8 +7,9 @@
 //     parse_uplink                 [stateless decode, on the caller]
 //        |---> central MPSC ring
 //   transform thread: apply_uplink [single-writer GOT + SV state]
-//        |---> per-destination BatchAssembler (flush policy below)
-//        |---> EgressFn(dest, 0xC5 batch frame)
+//        |---> Downlink view (shared head/tail + stamp on the stack)
+//        |---> appended in place to dest's open BatchAssembler frame
+//        |---> flush (policy below): EgressFn(dest, 0xC5 batch frame)
 //
 // Commit order is the central ring's per-producer FIFO.  Calls from one
 // thread commit in call order, so a recorded simulator trace replayed
@@ -118,7 +119,7 @@ class NotifierPipeline {
   void enqueue(CentralItem item);
   void transform_loop();
   void commit(engine::NotifierSite::ParsedUplink parsed);
-  void on_broadcast(SiteId dest, net::Payload bytes);
+  void on_broadcast(SiteId dest, const engine::Downlink& msg);
   void flush_dest(SiteId dest) noexcept;
   void flush_all();
 

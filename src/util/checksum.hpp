@@ -6,6 +6,11 @@
 // guarantees detection of any single error burst up to 32 bits — which
 // covers the injector's single-byte flips exactly — and catches longer
 // damage with probability 1 - 2^-32.
+//
+// The kernel is slice-by-8: eight bytes per step through eight 256-entry
+// tables, bytewise for the tail.  Same polynomial, same output as the
+// classic one-table loop — not CRC-32C, whose hardware instruction
+// would change every framed byte.
 #pragma once
 
 #include <cstddef>

@@ -70,6 +70,27 @@ void Histogram::record(std::uint64_t v) {
       1, std::memory_order_relaxed);
 }
 
+void Histogram::publish(const Tally& t) {
+  count_.fetch_add(t.count_, std::memory_order_relaxed);
+  sum_.fetch_add(t.sum_, std::memory_order_relaxed);
+  std::uint64_t seen_min = min_.load(std::memory_order_relaxed);
+  while (t.min_ < seen_min && !min_.compare_exchange_weak(
+                                  seen_min, t.min_, std::memory_order_relaxed)) {
+  }
+  std::uint64_t seen_max = max_.load(std::memory_order_relaxed);
+  while (t.max_ > seen_max && !max_.compare_exchange_weak(
+                                  seen_max, t.max_, std::memory_order_relaxed)) {
+  }
+  // Only the buckets between min and max can be nonzero.
+  const auto hi = static_cast<std::size_t>(std::bit_width(t.max_));
+  for (auto i = static_cast<std::size_t>(std::bit_width(t.min_)); i <= hi;
+       ++i) {
+    if (t.buckets_[i] != 0) {
+      buckets_[i].fetch_add(t.buckets_[i], std::memory_order_relaxed);
+    }
+  }
+}
+
 std::array<std::uint64_t, Histogram::kBuckets> Histogram::buckets() const {
   std::array<std::uint64_t, kBuckets> out{};
   for (std::size_t i = 0; i < kBuckets; ++i) {

@@ -25,8 +25,10 @@
 // runs remain byte-deterministic exactly as before.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -68,6 +70,8 @@ struct Gauge {
   }
 };
 
+class Tally;
+
 /// Fixed power-of-two bucket histogram for sizes and latencies.
 ///
 /// Bucket i counts values v with bit_width(v) == i, i.e. bucket 0 holds
@@ -82,6 +86,10 @@ class Histogram {
   static constexpr std::size_t kBuckets = 65;  // bit_width(v) in [0, 64]
 
   void record(std::uint64_t v);
+
+  /// Adds everything `t` gathered: afterwards count, sum, min, max and
+  /// every bucket equal what recording its values one by one gives.
+  void publish(const Tally& t);
 
   std::uint64_t count() const {
     return count_.load(std::memory_order_relaxed);
@@ -109,6 +117,31 @@ class Histogram {
   std::atomic<std::uint64_t> min_{kNoMin};
   std::atomic<std::uint64_t> max_{0};
   std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
+};
+
+/// Histogram values gathered in plain integers by one thread, for a loop
+/// that would otherwise record one value per iteration: it pays the
+/// histogram's atomics once, in Histogram::publish.
+class Tally {
+ public:
+  void add(std::uint64_t v) {
+    ++count_;
+    sum_ += v;
+    min_ = std::min(min_, v);
+    max_ = std::max(max_, v);
+    ++buckets_[static_cast<std::size_t>(std::bit_width(v))];
+  }
+
+  std::uint64_t count() const { return count_; }
+
+ private:
+  friend class Histogram;
+
+  std::uint64_t count_ = 0;
+  std::uint64_t sum_ = 0;
+  std::uint64_t min_ = std::numeric_limits<std::uint64_t>::max();
+  std::uint64_t max_ = 0;
+  std::array<std::uint64_t, Histogram::kBuckets> buckets_{};
 };
 
 /// Looks up (registering on first use) the named instrument.  Names must
@@ -164,4 +197,15 @@ inline std::uint64_t to_us(double ms) {
     static ::ccvc::util::metrics::Histogram& ccvc_metric_instrument = \
         ::ccvc::util::metrics::histogram(name);                       \
     ccvc_metric_instrument.record(static_cast<std::uint64_t>(v));     \
+  } while (0)
+
+// Publishes a metrics::Tally.  An empty tally leaves the instrument
+// unregistered, exactly as a loop of CCVC_METRIC_HIST that never ran.
+#define CCVC_METRIC_HIST_TALLY(name, tally)                           \
+  do {                                                                \
+    if ((tally).count() != 0) {                                       \
+      static ::ccvc::util::metrics::Histogram& ccvc_metric_instrument = \
+          ::ccvc::util::metrics::histogram(name);                     \
+      ccvc_metric_instrument.publish(tally);                          \
+    }                                                                 \
   } while (0)

@@ -6,6 +6,8 @@
 #include <string>
 #include <vector>
 
+#include "util/rng.hpp"
+
 namespace ccvc::util {
 namespace {
 
@@ -38,6 +40,49 @@ TEST(Crc32, DetectsEverySingleByteFlip) {
       mutated[i] ^= static_cast<std::uint8_t>(1u << bit);
       EXPECT_NE(crc32(mutated), want) << "byte " << i << " bit " << bit;
     }
+  }
+}
+
+// The classic one-table loop, kept here only as the reference the
+// word-at-a-time kernel must reproduce bit for bit.
+std::uint32_t bytewise_crc32(const std::uint8_t* p, std::size_t n,
+                             std::uint32_t seed = 0) {
+  std::uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::uint8_t> b(n);
+  for (auto& x : b) x = static_cast<std::uint8_t>(rng.below(256));
+  return b;
+}
+
+TEST(Crc32, SlicedKernelMatchesBytewiseReference) {
+  // Every length through several 8-byte steps plus every tail, at every
+  // start alignment of the 8-byte loads.
+  const auto buf = random_bytes(1100 + 8, 2005);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t n = 0; n <= 1100; ++n) {
+      const std::uint8_t* p = buf.data() + offset;
+      ASSERT_EQ(crc32(p, n), bytewise_crc32(p, n))
+          << "offset " << offset << " length " << n;
+    }
+  }
+  // Seed chaining splits the kernel's words at every point.
+  const auto all = random_bytes(300, 9);
+  const std::uint32_t whole = crc32(all);
+  ASSERT_EQ(whole, bytewise_crc32(all.data(), all.size()));
+  for (std::size_t split = 0; split <= all.size(); ++split) {
+    const std::uint32_t head = crc32(all.data(), split);
+    ASSERT_EQ(crc32(all.data() + split, all.size() - split, head), whole)
+        << "split " << split;
   }
 }
 

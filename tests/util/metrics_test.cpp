@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <vector>
 
 #include "util/check.hpp"
 
@@ -80,6 +81,45 @@ TEST_F(MetricsTest, HistogramSumAndEmptyMin) {
   EXPECT_EQ(h.sum(), 15u);
   EXPECT_EQ(h.min(), 5u);
   EXPECT_EQ(h.max(), 10u);
+}
+
+TEST_F(MetricsTest, PublishedTallyEqualsRecordingOneByOne) {
+  metrics::Histogram& one_by_one = metrics::histogram("test.tally.direct");
+  metrics::Histogram& tallied = metrics::histogram("test.tally.published");
+  // Two publishes into a histogram that already holds values: totals,
+  // extremes and every bucket must merge, not overwrite.
+  const std::vector<std::vector<std::uint64_t>> passes = {
+      {3, 3, 2, 5, 1000, 0},
+      {7, 1, std::numeric_limits<std::uint64_t>::max(), 64},
+  };
+  one_by_one.record(9);
+  tallied.record(9);
+  for (const auto& values : passes) {
+    metrics::Tally t;
+    for (const std::uint64_t v : values) {
+      one_by_one.record(v);
+      t.add(v);
+    }
+    EXPECT_EQ(t.count(), values.size());
+    tallied.publish(t);
+  }
+  tallied.publish(metrics::Tally{});  // an empty tally changes nothing
+  EXPECT_EQ(tallied.count(), one_by_one.count());
+  EXPECT_EQ(tallied.sum(), one_by_one.sum());
+  EXPECT_EQ(tallied.min(), one_by_one.min());
+  EXPECT_EQ(tallied.max(), one_by_one.max());
+  EXPECT_EQ(tallied.buckets(), one_by_one.buckets());
+}
+
+TEST_F(MetricsTest, TallyMacroRegistersNothingWhenEmpty) {
+  const std::size_t before = metrics::instrument_count();
+  for (int i = 0; i < 2; ++i) {
+    metrics::Tally t;
+    if (i == 1) t.add(4);
+    CCVC_METRIC_HIST_TALLY("test.macro.tally", t);
+    EXPECT_EQ(metrics::instrument_count(), before + static_cast<std::size_t>(i));
+  }
+  EXPECT_EQ(metrics::histogram("test.macro.tally").count(), 1u);
 }
 
 TEST_F(MetricsTest, MalformedNamesAreRejected) {

@@ -190,7 +190,7 @@ DOC_XREF_RE = re.compile(
 # file text (the comment/string stripper blanks the literal), tolerant
 # of the macro call being split over lines.
 METRIC_USE_RE = re.compile(
-    r'CCVC_METRIC_(?:COUNT|GAUGE_SET|HIST)\s*\(\s*"([a-z0-9_.]+)"'
+    r'CCVC_METRIC_(?:COUNT|GAUGE_SET|HIST|HIST_TALLY)\s*\(\s*"([a-z0-9_.]+)"'
 )
 # A metric name in the instrument catalog: dotted lower-case, at least
 # two components (filters out prose words and C++ identifiers).

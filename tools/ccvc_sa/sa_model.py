@@ -50,6 +50,7 @@ MACRO_CALLS = {
     "CCVC_METRIC_COUNT": ["counter"],
     "CCVC_METRIC_GAUGE_SET": ["gauge"],
     "CCVC_METRIC_HIST": ["histogram"],
+    "CCVC_METRIC_HIST_TALLY": ["histogram"],
     "CCVC_TRACE": ["enabled", "record"],
     "CCVC_CHECK": ["check_failed"],
     "CCVC_CHECK_MSG": ["check_failed"],

@@ -148,8 +148,9 @@ expect_findings "dead suppression entry" 1 \
   "error: dead suppression.*bogus"
 
 # Mutation 5 (single-writer): submit() starts flushing assemblers —
-# transform-owned BatchAssembler state (msgs_) gains a second writing
-# thread closure, the concurrent producer one.
+# transform-owned BatchAssembler state (the open frame and its three
+# cursors) gains a second writing thread closure, the concurrent
+# producer one.
 stage
 sed 's/engine::NotifierSite::parse_uplink(from, bytes, cfg_)};/&\n  if (from == 0 \&\& !assemblers_[0].empty()) assemblers_[0].flush();/' \
   "$TMP/src/runtime/pipeline.cpp" > "$TMP/src/runtime/pipeline.cpp.new"
@@ -158,8 +159,11 @@ if ! grep -q 'assemblers_\[0\].flush' "$TMP/src/runtime/pipeline.cpp"; then
   echo "FAIL: mutation 5 seed did not apply (submit moved?)" >&2
   exit 1
 fi
-expect_findings "transform state written from producer closure" 1 \
-  "single-writer.*msgs_.*thread closures"
+expect_findings "transform state written from producer closure" 4 \
+  "single-writer.*BatchAssembler::frame_.*thread closures" \
+  "single-writer.*BatchAssembler::count_.*thread closures" \
+  "single-writer.*BatchAssembler::used_.*thread closures" \
+  "single-writer.*BatchAssembler::last_size_.*thread closures"
 
 # Mutation 6 (atomics-order): an atomic op with the order defaulted to
 # seq_cst instead of spelled out.
