@@ -3,15 +3,17 @@
 // position p.
 //
 // Representation choice (load-bearing): user-level deletes are
-// decomposed into single-character primitive deletions.  A length-1
-// delete range has no strict interior, so a concurrent insert can never
-// land *inside* it — which means inclusion transformation of primitives
-// never needs to split an operation.  That keeps the transformation
-// kernel total on PrimOp × PrimOp and makes the classic symmetric
-// list-transform loop (transform.hpp) provably terminating.  The effect
-// of the textbook "split the delete around the concurrent insert" rule
-// falls out naturally: the insert simply ends up between two of the
-// per-character deletions.
+// decomposed into single-character primitive deletions, so Delete[n, p]
+// is n × Del[1, p] — each removes the character that slid into p.  A
+// length-1 delete range has no strict interior, so including one
+// primitive into another never splits it: include_prim (transform.hpp)
+// is total on PrimOp × PrimOp, and a character deleted twice collapses
+// to one Identity in place.  The textbook "split the delete around the
+// concurrent insert" rule still applies, one level up: the
+// transformation kernel walks the n primitives as one run, and an
+// insert landing inside it leaves the first k deletes at p and moves
+// the rest past the inserted text — two runs in the same list, with no
+// primitive added or removed.
 //
 // An operation as generated, shipped, buffered, and transformed is an
 // OpList: a *sequence* of primitives applied one after another.

@@ -14,12 +14,31 @@
 // is all the star-topology control algorithm needs for convergence; it
 // is exhaustively property-tested in tests/ot.
 //
-// transform_in_place is the kernel: each grid cell rewrites the two
-// primitives' positions (and collapses a double delete to Identity)
-// without copying a primitive or a list.  The hot loops (the notifier's
-// bridge walk, the client's pending walk) call it directly — a bridge
-// form still shared with other queues is copied once, then transformed
-// in place.  transform and include_list are value wrappers over it.
+// transform_in_place is the kernel.  Its results are defined by the
+// grid walk: cell (i, j) includes a[i] and b[j] into each other, where
+// its left input is a[i] after b[0..j) and its top input is b[j] after
+// a[0..i).  A cell reads nothing else, so every order that computes a
+// cell after its left and top neighbours gives the same outputs, and a
+// block of cells may be computed at once by any closed form that equals
+// the per-cell results.  The kernel walks blocks.  A block is a run —
+// the 1-char deletes of one Delete[n, p], all at p, with any identities
+// in between skipped — or a single insert.  Identity cells change
+// neither side, so identities are skipped on both sides.  With L the
+// insert's text length:
+//   * run × insert, on either side: the first k = clamp(q − p, 0, n)
+//     deletes keep p, the other n − k move to p + L, and the insert
+//     moves to q − k.  An insert inside the run splits it in two.
+//   * disjoint runs, p + n ≤ q (adjacent included): A's run stays at p
+//     and B's moves to q − n; the mirror case moves A's to p − m.
+//   * insert × insert (ties) and overlapping runs (collapses) take the
+//     per-cell rule, which is also the base case: a collapsed delete
+//     becomes exactly include_prim's Identity.
+// So an n-char delete costs O(n + m) against a disjoint m-char delete,
+// not n·m cells.  The kernel allocates nothing and copies no primitive
+// or list.  The hot loops (the notifier's bridge walk, the client's
+// pending walk) call it directly — a bridge form still shared with
+// other queues is copied once, then transformed in place.  transform
+// and include_list are value wrappers over it.
 //
 // Insert–insert ties (equal position) break on (origin site, text)
 // order: concurrent operations always have distinct origin sites in the

@@ -93,7 +93,7 @@ void NotifierPipeline::transform_loop() {
     if (!central_.try_pop(item)) {
       // Central ring empty: a tick boundary, then park.  stop_ is read
       // after the bit goes up, or shutdown()'s wake could be missed.
-      if (pcfg_.flush == FlushPolicy::kAdaptive && unflushed_ > 0) flush_all();
+      if (pcfg_.flush == FlushPolicy::kAdaptive && unflushed_) flush_all();
       const std::uint32_t word =
           consumer_.fetch_or(kParked, std::memory_order_acq_rel) | kParked;
       const bool popped = central_.try_pop(item);
@@ -126,8 +126,13 @@ void NotifierPipeline::transform_loop() {
 
 void NotifierPipeline::commit(engine::NotifierSite::ParsedUplink parsed) {
   const auto t0 = std::chrono::steady_clock::now();
+  const bool op = !parsed.leave;  // a leave broadcasts nothing
   try {
     site_->apply_uplink(std::move(parsed));
+    // One mark per committed op, not one per destination.  With no
+    // other site active the mark is spare: flush_all skips empty
+    // assemblers, so every frame is the same either way.
+    if (op) unflushed_ = true;
     CCVC_METRIC_COUNT("runtime.commits", 1);
     CCVC_METRIC_HIST("runtime.stage.commit_us", wall_us_since(t0));
     committed_.fetch_add(1, std::memory_order_acq_rel);
@@ -142,7 +147,6 @@ void NotifierPipeline::commit(engine::NotifierSite::ParsedUplink parsed) {
 void NotifierPipeline::on_broadcast(SiteId dest, const engine::Downlink& msg) {
   // Runs on the transform thread, inside apply_uplink's broadcast loop:
   // the message goes straight into the destination's open frame.
-  ++unflushed_;
   if (assemblers_[dest].add(msg)) flush_dest(dest);
 }
 
@@ -151,7 +155,6 @@ void NotifierPipeline::on_broadcast(SiteId dest, const engine::Downlink& msg) {
 // DecodeError, must terminate rather than be counted as a rejected
 // uplink after part of a broadcast went out.
 void NotifierPipeline::flush_dest(SiteId dest) noexcept {
-  unflushed_ -= assemblers_[dest].size();
   egress_(dest, assemblers_[dest].flush());
 }
 
@@ -161,6 +164,7 @@ void NotifierPipeline::flush_all() {
   for (SiteId dest = 1; dest <= num_sites_; ++dest) {  // ccvc-sa: allow(hot-path-budget)
     if (!assemblers_[dest].empty()) flush_dest(dest);
   }
+  unflushed_ = false;
 }
 
 void NotifierPipeline::drain() {

@@ -130,7 +130,8 @@ class NotifierPipeline {
 
   std::unique_ptr<engine::NotifierSite> site_;
   std::vector<BatchAssembler> assemblers_;  // [dest]; transform thread only
-  std::size_t unflushed_ = 0;  // msgs in assemblers_; transform thread only
+  bool unflushed_ = false;  // an op committed since the last flush_all;
+                           // transform thread only
 
   BoundedRing<CentralItem> central_;
 

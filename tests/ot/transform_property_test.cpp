@@ -7,8 +7,9 @@
 //   * primitive × primitive on random documents,
 //   * user-op lists (multi-char inserts, decomposed range deletes),
 //   * chains: one op against a *sequence* of sequential ops.
-// A further sweep pins the in-place kernel to the value grid walk, field
-// for field.
+// Two further sweeps pin the in-place kernel to the value grid walk,
+// field for field: one on workload-shaped lists, one on delete runs of
+// up to 64 chars aimed at inserts and runs of the other side.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -184,40 +185,256 @@ OpList workload_list(util::Rng& rng, doc::Document& d, SiteId origin) {
   return out;
 }
 
+/// A delete run of 1–`max_n` chars at `pos` of `d`, sometimes with an
+/// identity interleaved mid-run.
+OpList run_step(util::Rng& rng, const doc::Document& d, std::size_t pos,
+                std::size_t max_n, SiteId origin) {
+  const std::size_t n =
+      1 + rng.index(std::min<std::size_t>(max_n, d.size() - pos));
+  OpList step = make_delete(pos, n, origin);
+  if (n > 1 && rng.chance(0.3)) {
+    const auto mid = static_cast<std::ptrdiff_t>(1 + rng.index(n - 1));
+    step.insert(step.begin() + mid, make_identity(origin)[0]);
+  }
+  return step;
+}
+
+OpList insert_step(util::Rng& rng, std::size_t pos, SiteId origin) {
+  return make_insert(
+      pos, std::string(1 + rng.index(8), static_cast<char>('A' + origin)),
+      origin);
+}
+
+/// Clamps a wanted start so that a run of at least one char fits.
+std::size_t run_start(const doc::Document& d, std::ptrdiff_t want) {
+  const auto last = static_cast<std::ptrdiff_t>(d.size()) - 1;
+  return static_cast<std::size_t>(std::clamp<std::ptrdiff_t>(want, 0, last));
+}
+
+/// A first step for B aimed at A's first step `a0` on the same
+/// document: an insert at, inside or just past a delete run; a run
+/// adjacent to, apart from or overlapping it; or, against an insert, a
+/// tie or a run around it.
+OpList aimed_step(util::Rng& rng, const doc::Document& d, const OpList& a0,
+                  SiteId origin) {
+  auto roll = [&](std::ptrdiff_t n) {
+    return static_cast<std::ptrdiff_t>(rng.index(static_cast<std::size_t>(n)));
+  };
+  auto ins = [&](std::ptrdiff_t at) {
+    return insert_step(rng, static_cast<std::size_t>(at), origin);
+  };
+  auto run = [&](std::ptrdiff_t at, std::ptrdiff_t max_n) {
+    return run_step(rng, d, run_start(d, at), static_cast<std::size_t>(max_n),
+                    origin);
+  };
+  const auto p = static_cast<std::ptrdiff_t>(a0.front().pos);
+  if (a0.front().kind == OpKind::kInsert) {
+    switch (rng.index(3)) {
+      case 0:
+        return ins(p);
+      case 1:
+        return run(p, 64);
+      default:
+        return run(p - 1 - roll(8), 64);
+    }
+  }
+  const auto n = std::count_if(a0.begin(), a0.end(), [](const PrimOp& x) {
+    return !x.is_identity();
+  });
+  const std::ptrdiff_t m = 1 + roll(64);
+  switch (rng.index(8)) {
+    case 0:
+      return ins(p);
+    case 1:  // strictly inside when n > 1: splits the run
+      return ins(p + 1 + roll(std::max<std::ptrdiff_t>(n - 1, 1)));
+    case 2:
+      return ins(p + n);
+    case 3:  // adjacent, on the left or on the right
+      return rng.chance(0.5) ? run(p - m, m) : run(p + n, 64);
+    case 4:  // apart, on the left or on the right
+      return rng.chance(0.5) ? run(p - m - 1 - roll(4), m)
+                             : run(p + n + 1 + roll(4), 64);
+    default:  // overlapping
+      return run(p - m + 1 + roll(m + n - 1), 64);
+  }
+}
+
+/// Any step near `anchor`: an insert, a delete run of up to 64 chars, or
+/// an identity.
+OpList near_step(util::Rng& rng, const doc::Document& d, std::size_t anchor,
+                 SiteId origin) {
+  const std::size_t at = std::min(anchor + rng.index(16), d.size());
+  const std::size_t roll = rng.index(6);
+  if (roll == 0) return make_identity(origin);
+  if (d.size() == 0 || roll < 3) return insert_step(rng, at, origin);
+  return run_step(rng, d, run_start(d, static_cast<std::ptrdiff_t>(at)), 64,
+                  origin);
+}
+
+/// Executes `step` into `d` (capturing deleted text or not, like a
+/// bridge form or an uplink) and appends it to `out`.
+void take(util::Rng& rng, doc::Document& d, OpList step, OpList& out) {
+  if (rng.chance(0.5)) {
+    d.apply(step);
+  } else {
+    d.apply_copy(step);
+  }
+  out.insert(out.end(), step.begin(), step.end());
+}
+
+// The block kinds the kernel evaluates in closed form or per cell.
+struct BranchCounts {
+  std::size_t split = 0;         // insert strictly inside a run
+  std::size_t insert_at_run_start = 0;
+  std::size_t insert_at_run_end = 0;
+  std::size_t disjoint = 0;      // runs with a gap between them
+  std::size_t adjacent = 0;      // runs that touch
+  std::size_t overlap = 0;       // runs sharing characters: per cell
+  std::size_t tie = 0;           // equal-position inserts: per cell
+};
+
+// The first block of a list: a single insert, or the run of 1-char
+// deletes at one position starting at its first live primitive.
+struct Block {
+  bool insert;
+  std::size_t pos;
+  std::size_t n;  // live deletes in the run
+};
+
+Block first_block(const OpList& ops) {
+  auto it = std::find_if(ops.begin(), ops.end(),
+                         [](const PrimOp& p) { return !p.is_identity(); });
+  if (it->kind == OpKind::kInsert) return {true, it->pos, 0};
+  Block blk{false, it->pos, 0};
+  for (; it != ops.end(); ++it) {
+    if (it->is_identity()) continue;
+    if (it->kind != OpKind::kDelete || it->pos != blk.pos) break;
+    ++blk.n;
+  }
+  return blk;
+}
+
+// Classifies the first block pair the kernel meets: both lists' first
+// blocks, as generated.
+void count_first_meeting(const OpList& a, const OpList& b,
+                         BranchCounts& counts) {
+  if (is_identity(a) || is_identity(b)) return;
+  const Block x = first_block(a);
+  const Block y = first_block(b);
+  if (x.insert && y.insert) {
+    if (x.pos == y.pos) ++counts.tie;
+    return;
+  }
+  if (x.insert || y.insert) {
+    const Block& run = x.insert ? y : x;
+    const std::size_t q = x.insert ? x.pos : y.pos;
+    if (q == run.pos) ++counts.insert_at_run_start;
+    if (q > run.pos && q < run.pos + run.n) ++counts.split;
+    if (q == run.pos + run.n) ++counts.insert_at_run_end;
+    return;
+  }
+  if (x.pos + x.n == y.pos || y.pos + y.n == x.pos) {
+    ++counts.adjacent;
+  } else if (x.pos + x.n < y.pos || y.pos + y.n < x.pos) {
+    ++counts.disjoint;
+  } else {
+    ++counts.overlap;
+  }
+}
+
+/// Two op lists on the document `s` whose first steps are aimed at each
+/// other, then up to two more steps each near the same spot.  The
+/// lists swap sides half the time, so every shape meets both ways.
+std::pair<OpList, OpList> aimed_pair(util::Rng& rng, const std::string& s,
+                                     doc::Document& da, doc::Document& db) {
+  const std::size_t anchor = rng.index(s.size() - 8);
+  OpList a;
+  OpList b;
+  OpList a0 = rng.chance(0.7)
+                  ? run_step(rng, da, anchor, 64, 1)
+                  : insert_step(rng, anchor, 1);
+  const OpList b0 = aimed_step(rng, db, a0, 2);
+  take(rng, da, std::move(a0), a);
+  take(rng, db, b0, b);
+  for (std::size_t k = rng.index(3); k > 0; --k) {
+    take(rng, da, near_step(rng, da, anchor, 1), a);
+  }
+  for (std::size_t k = rng.index(3); k > 0; --k) {
+    take(rng, db, near_step(rng, db, anchor, 2), b);
+  }
+  if (rng.chance(0.5)) {
+    std::swap(a, b);
+    std::swap(da, db);
+  }
+  return {a, b};
+}
+
+// transform_in_place, transform and include_list must each match the
+// per-cell reference on (a, b), field for field, and satisfy TP1.
+void expect_kernel_matches(const std::string& s, const OpList& a,
+                           const OpList& b, const std::string& after_a,
+                           const std::string& after_b, CellCounts& cells) {
+  const auto want = value_walk(a, b, cells);
+  OpList a2 = a;
+  OpList b2 = b;
+  transform_in_place(a2, b2);
+  ASSERT_EQ(a2, want.first) << "doc=\"" << s << "\" a=" << to_string(a)
+                            << " b=" << to_string(b);
+  ASSERT_EQ(b2, want.second) << "doc=\"" << s << "\" a=" << to_string(a)
+                             << " b=" << to_string(b);
+  ASSERT_EQ(transform(a, b), want);
+  ASSERT_EQ(include_list(a, b), want.first);
+  // A collapsed delete carries nothing: no captured text, count 0.
+  for (const OpList* side : {&a2, &b2}) {
+    for (const PrimOp& p : *side) {
+      if (!p.is_identity()) continue;
+      ASSERT_TRUE(p.text.empty()) << to_string(*side);
+      ASSERT_EQ(p.count, 0u) << to_string(*side);
+    }
+  }
+  ASSERT_EQ(apply_str(after_a, b2), apply_str(after_b, a2))
+      << "doc=\"" << s << "\" a=" << to_string(a) << " b=" << to_string(b);
+}
+
 TEST_P(Tp1Sweep, InPlaceKernelMatchesValueWalk) {
   util::Rng rng(GetParam() ^ 0x5eed1e55u);
-  CellCounts counts;
+  CellCounts cells;
   for (int iter = 0; iter < 400; ++iter) {
     const std::string s = random_doc(rng, 12);
     doc::Document da(s);
     doc::Document db(s);
     const OpList a = workload_list(rng, da, 1);
     const OpList b = workload_list(rng, db, 2);
-    const auto want = value_walk(a, b, counts);
-
-    OpList a2 = a;
-    OpList b2 = b;
-    transform_in_place(a2, b2);
-    ASSERT_EQ(a2, want.first) << "doc=\"" << s << "\" a=" << to_string(a)
-                              << " b=" << to_string(b);
-    ASSERT_EQ(b2, want.second) << "doc=\"" << s << "\" a=" << to_string(a)
-                               << " b=" << to_string(b);
-    ASSERT_EQ(transform(a, b), want);
-    ASSERT_EQ(include_list(a, b), want.first);
-    // A collapsed delete carries nothing: no captured text, count 0.
-    for (const OpList* side : {&a2, &b2}) {
-      for (const PrimOp& p : *side) {
-        if (!p.is_identity()) continue;
-        ASSERT_TRUE(p.text.empty()) << to_string(*side);
-        ASSERT_EQ(p.count, 0u) << to_string(*side);
-      }
-    }
-    // TP1 holds for the workload shapes too.
-    ASSERT_EQ(apply_str(da.text(), b2), apply_str(db.text(), a2))
-        << "doc=\"" << s << "\" a=" << to_string(a) << " b=" << to_string(b);
+    expect_kernel_matches(s, a, b, da.text(), db.text(), cells);
+    if (HasFatalFailure()) return;
   }
-  EXPECT_GT(counts.ties, 0u);
-  EXPECT_GT(counts.collapses, 0u);
+  EXPECT_GT(cells.ties, 0u);
+  EXPECT_GT(cells.collapses, 0u);
+}
+
+TEST_P(Tp1Sweep, InPlaceKernelMatchesValueWalkOnRuns) {
+  // Long runs aimed at each other, so every block the kernel evaluates
+  // in closed form or per cell is hit, on both sides.
+  util::Rng rng(GetParam() ^ 0x0b10c4u);
+  CellCounts cells;
+  BranchCounts branches;
+  for (int iter = 0; iter < 400; ++iter) {
+    const std::string s = random_doc(rng, 180) + std::string(40, 'z');
+    doc::Document da(s);
+    doc::Document db(s);
+    const auto [a, b] = aimed_pair(rng, s, da, db);
+    count_first_meeting(a, b, branches);
+    expect_kernel_matches(s, a, b, da.text(), db.text(), cells);
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GT(branches.split, 0u);
+  EXPECT_GT(branches.insert_at_run_start, 0u);
+  EXPECT_GT(branches.insert_at_run_end, 0u);
+  EXPECT_GT(branches.disjoint, 0u);
+  EXPECT_GT(branches.adjacent, 0u);
+  EXPECT_GT(branches.overlap, 0u);
+  EXPECT_GT(branches.tie, 0u);
+  EXPECT_GT(cells.collapses, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, Tp1Sweep,
