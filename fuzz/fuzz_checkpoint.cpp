@@ -7,8 +7,13 @@
 // Accepted input must reach an encode fixed point: the decoder
 // tolerates non-canonical varints, so the first re-encoding may differ
 // from the input, but encoding is canonical from then on.
+//
+// Restore is a fixed point too: a NotifierSite built from the decoded
+// state either refuses it (ContractViolation from the restore checks)
+// or reports exactly that state back from state().
 #include <cstdint>
 
+#include "engine/notifier_site.hpp"
 #include "engine/snapshot.hpp"
 #include "fuzz_common.hpp"
 #include "util/check.hpp"
@@ -32,5 +37,14 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   CCVC_FUZZ_REQUIRE(again.num_sites == bundle.num_sites);
   CCVC_FUZZ_REQUIRE(again.links.size() == bundle.links.size());
   CCVC_FUZZ_REQUIRE(ccvc::engine::encode_notifier_bundle(again) == pass1);
+
+  try {
+    const ccvc::engine::NotifierSite site(
+        bundle.notifier, ccvc::engine::EngineConfig{},
+        [](ccvc::SiteId, ccvc::net::Payload) {});
+    CCVC_FUZZ_REQUIRE(site.state() == bundle.notifier);
+  } catch (const ccvc::ContractViolation&) {
+    // The restore checks refused the decoded shape.
+  }
   return 0;
 }

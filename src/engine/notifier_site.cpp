@@ -1,6 +1,6 @@
 #include "engine/notifier_site.hpp"
 
-#include <memory>
+#include <algorithm>
 #include <utility>
 
 #include "ot/transform.hpp"
@@ -18,6 +18,33 @@ net::Payload encoded(const clocks::VersionVector& vc) {
   return std::move(sink).take();
 }
 
+// Eq. (1): HB entry e's position in client x's bridge, Σ_{j≠x} T_e[j].
+std::uint64_t bridge_index(const NotifierHbEntry& e, SiteId x) {
+  return e.stamp_sum - e.stamp.at_or_zero(x);
+}
+
+const NotifierSite::State& validated(const NotifierSite::State& s) {
+  const std::size_t slots = s.num_sites + 1;
+  CCVC_CHECK_MSG(s.sv0.size() == slots && s.outgoing.size() == slots &&
+                     s.enqueued.size() == slots && s.acked.size() == slots &&
+                     s.active.size() == slots,
+                 "notifier checkpoint needs num_sites + 1 slots per site");
+  for (const auto& e : s.hb) {
+    CCVC_CHECK_MSG(e.origin >= 1 && e.origin <= s.num_sites,
+                   "notifier checkpoint HB origin is not a site");
+  }
+  for (SiteId x = 0; x < slots; ++x) {
+    CCVC_CHECK_MSG(s.acked[x] <= s.enqueued[x],
+                   "notifier checkpoint acknowledges ops never sent");
+    // state() derives an active site's count from SV_0: a checkpoint
+    // that disagrees is refused, not silently rewritten.
+    CCVC_CHECK_MSG(x == kNotifierSite || !s.active[x] ||
+                       s.enqueued[x] == s.sv0.sum() - s.sv0[x],
+                   "notifier checkpoint send count is not eq. (1)'s");
+  }
+  return s;
+}
+
 }  // namespace
 
 NotifierSite::NotifierSite(std::size_t num_sites, std::string_view initial_doc,
@@ -30,8 +57,7 @@ NotifierSite::NotifierSite(std::size_t num_sites, std::string_view initial_doc,
       doc_(initial_doc),
       clock_(num_sites),
       vc_(cfg.stamp_mode == StampMode::kFullVector ? num_sites + 1 : 0),
-      outgoing_(num_sites + 1),
-      enqueued_(num_sites + 1, 0),
+      bridges_(num_sites + 1),
       acked_(num_sites + 1, 0),
       active_(num_sites + 1, true) {
   CCVC_CHECK(static_cast<bool>(send_));
@@ -44,13 +70,16 @@ NotifierSite::State NotifierSite::state() const {
   s.sv0 = clock_.full();
   s.vc = vc_;
   s.hb = hb_;
-  s.outgoing.reserve(outgoing_.size());
-  for (const auto& q : outgoing_) {
-    auto& out = s.outgoing.emplace_back();
-    out.reserve(q.size());
-    for (const auto& b : q) out.push_back(BridgeEntry{b.id, b.index, *b.ops});
+  for (SiteId x = 0; x < bridges_.size(); ++x) {
+    auto& out = s.outgoing.emplace_back(bridges_[x].own.begin(),
+                                        bridges_[x].own.end());
+    for (const auto& e : view(x)) {
+      out.push_back(BridgeEntry{e.id, bridge_index(e, x), e.executed});
+    }
+    s.enqueued.push_back(x == kNotifierSite || !active_[x]
+                             ? bridges_[x].left_with
+                             : clock_.stamp_for(x).from_center);
   }
-  s.enqueued = enqueued_;
   s.acked = acked_;
   s.active = active_;
   s.hb_collected = hb_collected_;
@@ -59,7 +88,7 @@ NotifierSite::State NotifierSite::state() const {
 
 NotifierSite::NotifierSite(const State& state, const EngineConfig& cfg,
                            SendFn send_to_client, EngineObserver* observer)
-    : num_sites_(state.num_sites),
+    : num_sites_(validated(state).num_sites),
       cfg_(cfg),
       send_(std::move(send_to_client)),
       observer_(observer),
@@ -67,19 +96,16 @@ NotifierSite::NotifierSite(const State& state, const EngineConfig& cfg,
       clock_(state.sv0),
       vc_(state.vc),
       hb_(state.hb),
-      enqueued_(state.enqueued),
       acked_(state.acked),
       active_(state.active),
       hb_collected_(state.hb_collected) {
   CCVC_CHECK(static_cast<bool>(send_));
-  CCVC_CHECK(state.outgoing.size() == num_sites_ + 1);
-  outgoing_.reserve(state.outgoing.size());
-  for (const auto& q : state.outgoing) {
-    auto& in = outgoing_.emplace_back();
-    for (const auto& b : q) {
-      in.push_back(
-          QueuedOp{b.id, b.index, std::make_shared<ot::OpList>(b.ops)});
-    }
+  // Each checkpointed bridge becomes its site's private prefix, with an
+  // empty view: the mark sits at the end of HB.
+  for (SiteId x = 0; x <= num_sites_; ++x) {
+    const auto& q = state.outgoing[x];
+    bridges_.push_back(
+        Bridge{{q.begin(), q.end()}, log_end(), state.enqueued[x]});
   }
 }
 
@@ -92,11 +118,10 @@ NotifierSite::JoinTicket NotifierSite::add_site() {
                  "dynamic membership requires the compressed scheme");
   const SiteId id = clock_.add_site();
   num_sites_ = clock_.num_sites();
-  outgoing_.emplace_back();
   // The snapshot hands over every operation executed so far, so the
-  // send counter — and eq. (1)'s Σ_{j≠id} SV_0[j] — starts at total().
-  enqueued_.push_back(clock_.total());
-  // Likewise GC may treat everything up to the snapshot as acknowledged.
+  // bridge starts empty at the end of HB, and GC may treat everything up
+  // to the snapshot as acknowledged (eq. (1)'s Σ_{j≠id} SV_0[j]).
+  bridges_.push_back(Bridge{{}, log_end(), 0});
   acked_.push_back(clock_.total());
   active_.push_back(true);
   if (observer_) observer_->on_client_join(id);
@@ -109,12 +134,10 @@ NotifierSite::ResyncTicket NotifierSite::resync_site(SiteId site) {
   CCVC_CHECK(site >= 1 && site <= num_sites_);
   CCVC_CHECK_MSG(active_[site], "cannot resync a departed site");
   // The snapshot embodies everything executed at site 0 *except* the
-  // site's own operations (eq. (1) excludes them from its stamp), so the
-  // send counter restarts at exactly Σ_{j≠site} SV_0[j] — preserving the
-  // eq. (1) invariant checked on every broadcast.
-  outgoing_[site].clear();
+  // site's own operations (eq. (1) excludes them from its stamp): the
+  // bridge restarts empty at the end of HB, everything sent acknowledged.
+  bridges_[site] = Bridge{{}, log_end(), 0};
   const std::uint64_t embodied = clock_.total() - clock_.from(site);
-  enqueued_[site] = embodied;
   acked_[site] = embodied;
   if (observer_) observer_->on_client_resync(site);
   return ResyncTicket{doc_.text(), embodied, clock_.from(site)};
@@ -123,10 +146,12 @@ NotifierSite::ResyncTicket NotifierSite::resync_site(SiteId site) {
 void NotifierSite::remove_site(SiteId site) {
   CCVC_CHECK(site >= 1 && site <= num_sites_);
   CCVC_CHECK_MSG(active_[site], "site already departed");
+  // Nothing the site sends after leaving is admitted, so its bridge is
+  // never read again; it is frozen into the private prefix (GC may then
+  // drop the HB entries under it) only so checkpoints keep their bytes.
+  take_view(site, acked_[site]);
+  bridges_[site].left_with = clock_.stamp_for(site).from_center;
   active_[site] = false;
-  // The bridge queue is kept: messages the site sent before departing
-  // may still be in flight and must transform against it.  It stops
-  // growing because broadcasts skip inactive destinations.
   if (cfg_.gc_history) gc_history();  // its acks no longer gate GC
 }
 
@@ -135,9 +160,22 @@ bool NotifierSite::is_active(SiteId site) const {
   return active_[site];
 }
 
+std::span<const NotifierHbEntry> NotifierSite::view(SiteId x) const {
+  if (x == kNotifierSite || !active_[x] || !cfg_.transform) return {};
+  CCVC_DCHECK(bridges_[x].mark >= hb_collected_);
+  return std::span(hb_).subspan(bridges_[x].mark - hb_collected_);
+}
+
+void NotifierSite::take_view(SiteId x, std::uint64_t ack) {
+  for (const auto& e : view(x)) {
+    const std::uint64_t index = bridge_index(e, x);
+    if (index > ack) bridges_[x].own.push_back({e.id, index, e.executed});
+  }
+}
+
 std::size_t NotifierSite::outgoing_count(SiteId client) const {
   CCVC_CHECK(client >= 1 && client <= num_sites_);
-  return outgoing_[client].size();
+  return bridges_[client].own.size() + view(client).size();
 }
 
 void NotifierSite::on_client_message(SiteId from, const net::Payload& bytes) {
@@ -198,7 +236,7 @@ void NotifierSite::apply_uplink(ParsedUplink parsed) {
   // is hostile input, rejected here before any state changes.
   const std::uint64_t ack =
       from_center(msg.stamp, cfg_.stamp_mode, from, num_sites_);
-  if (ack > enqueued_[from]) {
+  if (ack > clock_.stamp_for(from).from_center) {
     throw util::DecodeError("uplink acknowledges operations never sent");
   }
   // Acks are monotone on a FIFO channel, and the bridge has already
@@ -251,32 +289,23 @@ void NotifierSite::apply_uplink(ParsedUplink parsed) {
 
   ot::OpList incoming = std::move(msg.ops);
   if (cfg_.transform) {
-    // Everything this client has seen leaves its bridge queue.
-    auto& bridge = outgoing_[from];
-    while (!bridge.empty() && bridge.front().index <= ack) {
-      bridge.pop_front();
-    }
+    // Everything this client has seen leaves its bridge; the rest of its
+    // HB view becomes private forms for this op to transform.
+    auto& bridge = bridges_[from].own;
+    while (!bridge.empty() && bridge.front().index <= ack) bridge.pop_front();
+    take_view(from, ack);
 
-    if (cfg_.log_verdicts && cfg_.check_fidelity) {
-      std::vector<OpId> control;
-      control.reserve(bridge.size());
-      for (const auto& b : bridge) control.push_back(b.id);
-      CCVC_CHECK_MSG(formula_concurrent == control,
-                     "formula (7) disagrees with transformation control");
-    }
+    CCVC_CHECK_MSG(!cfg_.log_verdicts || !cfg_.check_fidelity ||
+                       std::ranges::equal(formula_concurrent, bridge, {}, {},
+                                          &BridgeEntry::id),
+                   "formula (7) disagrees with transformation control");
 
     // Transform Oa against the concurrent operations, symmetrically
     // updating their bridge forms (they must end in the post-Oa context
-    // for the next message from this client).  A form still shared with
-    // other clients' queues is copied once, then transformed in place.
+    // for the next message from this client).
     CCVC_METRIC_COUNT("engine.notifier.transforms", bridge.size());
     CCVC_METRIC_HIST("engine.notifier.transform_path_len", bridge.size());
-    for (auto& b : bridge) {
-      if (b.ops.use_count() != 1) {
-        b.ops = std::make_shared<ot::OpList>(*b.ops);
-      }
-      ot::transform_in_place(incoming, *b.ops);
-    }
+    for (auto& b : bridge) ot::transform_in_place(incoming, b.ops);
     doc_.apply(incoming, doc::ApplyMode::kStrict);
   } else {
     doc_.apply(incoming, doc::ApplyMode::kClamped);
@@ -291,17 +320,17 @@ void NotifierSite::apply_uplink(ParsedUplink parsed) {
     vc_.tick(kNotifierSite);
   }
 
-  // §3.3: buffer O' with the current full state vector.
+  // Broadcast O' to every other (active) client, stamped per
+  // destination with eq. (1)-(2).  O' is encoded once, and each
+  // destination gets a Downlink view of it around its own stamp.
+  const CenterMsgSplicer wire(msg.id, incoming);
+  // §3.3: buffer O' with the current full state vector.  Every other
+  // bridge reads it from there; the sender's view starts past it.
   hb_.push_back(NotifierHbEntry{msg.id, from, clock_.full(), clock_.total(),
-                                incoming});
+                                std::move(incoming)});
+  bridges_[from].mark = log_end();
   if (observer_) observer_->on_center_execute(msg.id, hb_.back().executed);
 
-  // Broadcast O' to every other (active) client, stamped per
-  // destination with eq. (1)-(2).  O' is encoded once and queued once:
-  // each destination gets the shared form and a Downlink view of the
-  // encoded O' around its own stamp.
-  const CenterMsgSplicer wire(msg.id, incoming);
-  const auto executed = std::make_shared<ot::OpList>(std::move(incoming));
   // The full-vector stamp is the same for every destination.
   const net::Payload full = (cfg_.stamp_mode == StampMode::kFullVector)
                                 ? encoded(vc_)
@@ -311,15 +340,7 @@ void NotifierSite::apply_uplink(ParsedUplink parsed) {
   std::uint64_t sent = 0;
   for (SiteId dest = 1; dest <= num_sites_; ++dest) {
     if (dest == from || !active_[dest]) continue;
-    ++enqueued_[dest];
-    if (cfg_.transform) {
-      outgoing_[dest].push_back(QueuedOp{msg.id, enqueued_[dest], executed});
-    }
-
     const clocks::CompressedSv stamp = clock_.stamp_for(dest);
-    // Eq. (1) invariant: the per-destination send counter *is*
-    // Σ_{j≠dest} SV_0[j].
-    CCVC_CHECK(stamp.from_center == enqueued_[dest]);
     const Downlink out =
         (cfg_.stamp_mode == StampMode::kCompressed)
             ? Downlink(wire, csv, stamp.encode_to(csv))
@@ -345,10 +366,13 @@ void NotifierSite::check_uplink_bounds(const ot::OpList& ops, SiteId from,
   // there stays in range after transformation against that path (TP1),
   // so this walk is the whole bounds check doc_.apply(kStrict) would
   // otherwise make only after the bridge forms have been rewritten.
-  const auto& bridge = outgoing_[from];
   auto len = static_cast<std::ptrdiff_t>(doc_.size());
-  for (const auto& b : bridge) {
-    if (b.index > ack) len -= ot::size_delta(*b.ops);
+  const auto& own = bridges_[from].own;
+  for (const auto& b : own) {
+    if (b.index > ack) len -= ot::size_delta(b.ops);
+  }
+  for (const auto& e : view(from)) {
+    if (bridge_index(e, from) > ack) len -= ot::size_delta(e.executed);
   }
   CCVC_DCHECK(len >= 0);
   for (const auto& op : ops) {
@@ -371,23 +395,17 @@ void NotifierSite::gc_history() {
   // no future check can select Ob, so it is dead.  Both sides of the
   // inequality are monotone along HB order, so dead entries form a
   // prefix — collect from the front.
-  std::size_t dead = 0;
-  for (const auto& e : hb_) {
-    bool all_covered = true;
+  const auto dead = [this](const NotifierHbEntry& e) {
     for (SiteId x = 1; x <= num_sites_; ++x) {
-      if (x == e.origin || !active_[x]) continue;
-      if (e.stamp_sum - e.stamp.at_or_zero(x) > acked_[x]) {
-        all_covered = false;
-        break;
+      if (x != e.origin && active_[x] && bridge_index(e, x) > acked_[x]) {
+        return false;
       }
     }
-    if (!all_covered) break;
-    ++dead;
-  }
-  if (dead > 0) {
-    hb_.erase(hb_.begin(), hb_.begin() + static_cast<std::ptrdiff_t>(dead));
-    hb_collected_ += dead;
-  }
+    return true;
+  };
+  const auto live = std::find_if_not(hb_.begin(), hb_.end(), dead);
+  hb_collected_ += static_cast<std::uint64_t>(live - hb_.begin());
+  hb_.erase(hb_.begin(), live);
 }
 
 }  // namespace ccvc::engine

@@ -15,14 +15,18 @@
 //  * concurrency checking with formula (7) (§4.2);
 //  * transformation against concurrent HB operations (§2.3).
 //
-// The control is the server half of client/server OT: one outgoing
-// queue per client holds the operations executed at site 0 that the
-// client has not acknowledged, continuously context-updated, always
-// ending at the current server document context.  Invariant (asserted):
-// the number of operations ever enqueued for client y equals
-// Σ_{j≠y} SV_0[j] — exactly eq. (1) — and after acknowledgement-dropping
-// the queue for an arriving op's origin holds exactly the operations
-// formula (7) classifies as concurrent.
+// The control is the server half of client/server OT: each client's
+// bridge holds the operations executed at site 0 that the client has not
+// acknowledged, continuously context-updated, always ending at the
+// current server document context.  The bridge is a view of HB, not a
+// second queue.  Client x keeps a private prefix of the forms its own
+// uplinks transformed, and a mark: the log position just past its newest
+// HB entry (or its join or resync point).  x's bridge is that prefix
+// followed by every HB entry from the mark on, and the index of an entry
+// e in it is Σ_{j≠x} T_e[j], so the send counter for x *is* eq. (1)'s
+// Σ_{j≠x} SV_0[j].  After acknowledgement-dropping, x's bridge holds
+// exactly the operations formula (7) classifies as concurrent with x's
+// arriving op.
 //
 // Broadcast layout.  Of an executed O' sent to N−1 destinations only the
 // eq. (1)-(2) stamp differs, so apply_uplink does the rest once per op:
@@ -35,17 +39,17 @@
 //    net::Payload gets the spliced bytes of encode(CenterMsg).
 //  * Per-destination instruments are gathered in a metrics::Tally and
 //    published once per op.
-//  * The executed form is allocated once and every bridge queue holds a
-//    shared_ptr to it.  A form is copied once while it is still shared,
-//    then transformed in place (ot::transform_in_place), so one client's
-//    transform never reaches another client's queue and no transform
-//    step copies an op list.  state() and checkpoints see plain
+//  * The executed form is stored once, in HB, and nothing is pushed per
+//    destination.  x's uplink copies the unacknowledged part of its view
+//    into its private prefix and transforms that in place
+//    (ot::transform_in_place), so one client's transform never reaches
+//    another client's bridge.  state() and checkpoints see plain
 //    BridgeEntry values.
 #pragma once
 
 #include <deque>
 #include <functional>
-#include <memory>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -134,7 +138,7 @@ class NotifierSite {
   };
 
   /// Re-synchronizes a crashed client from the notifier's current state,
-  /// like a late joiner that keeps its site id: the site's bridge queue
+  /// like a late joiner that keeps its site id: the site's bridge
   /// resets (the snapshot embodies everything) and its acknowledgement
   /// counters jump to the snapshot point.  Local operations the crash
   /// destroyed before they reached the notifier are gone — that is what
@@ -162,7 +166,7 @@ class NotifierSite {
 
   struct BridgeEntry {
     OpId id;
-    std::uint64_t index;  // 1-based enqueue counter for this client
+    std::uint64_t index;  // 1-based send count: eq. (1) for this client
     ot::OpList ops;       // context-updated form in the client's frame
 
     friend bool operator==(const BridgeEntry&, const BridgeEntry&) = default;
@@ -187,17 +191,22 @@ class NotifierSite {
 
   State state() const;
 
-  /// Restores a checkpointed notifier; `cfg` must match.
+  /// Restores a checkpointed notifier; `cfg` must match.  Throws
+  /// ContractViolation, before building anything, unless every per-site
+  /// vector has num_sites + 1 slots, every HB origin is a site, no site
+  /// has acknowledged more than was sent to it, and every active site's
+  /// send count is eq. (1)'s.
   NotifierSite(const State& state, const EngineConfig& cfg,
                SendFn send_to_client, EngineObserver* observer = nullptr);
 
  private:
-  // A bridge entry as queued: the executed form is shared by every
-  // queue it was broadcast to until a transform rewrites it.
-  struct QueuedOp {
-    OpId id;
-    std::uint64_t index;
-    std::shared_ptr<ot::OpList> ops;
+  // Client x's bridge: `own`, then view(x).  A departed site's bridge is
+  // frozen into `own`, and `left_with` keeps the count sent to it (slot
+  // 0's, too); an active site's count is eq. (1)'s, read off clock_.
+  struct Bridge {
+    std::deque<BridgeEntry> own;  // forms x's uplinks transformed
+    std::uint64_t mark = 0;       // log position where the HB view starts
+    std::uint64_t left_with = 0;
   };
 
   std::size_t num_sites_;
@@ -209,17 +218,22 @@ class NotifierSite {
   clocks::NotifierClock clock_;
   clocks::VersionVector vc_;  // (N+1)-vector, kFullVector mode only
   void gc_history();
+  std::uint64_t log_end() const { return hb_collected_ + hb_.size(); }
+  /// The HB entries in client x's bridge after its private prefix; empty
+  /// for slot 0, a departed site, and with transform off.
+  std::span<const NotifierHbEntry> view(SiteId x) const;
+  /// Copies the entries of view(x) past index `ack` into x's prefix.
+  void take_view(SiteId x, std::uint64_t ack);
   /// Throws util::DecodeError unless `ops` is in range on the document
   /// its stamp (acknowledging `ack` center operations) names.  Pure.
   void check_uplink_bounds(const ot::OpList& ops, SiteId from,
                            std::uint64_t ack) const;
 
-  std::vector<NotifierHbEntry> hb_;
-  std::vector<std::deque<QueuedOp>> outgoing_;      // [client id]
-  std::vector<std::uint64_t> enqueued_;             // total ever, per client
-  std::vector<std::uint64_t> acked_;                // latest T[1] per client
-  std::vector<bool> active_;                        // departed sites: false
-  std::uint64_t hb_collected_ = 0;                  // GC statistics
+  std::vector<NotifierHbEntry> hb_;   // the one log of executed ops
+  std::vector<Bridge> bridges_;       // [client id]
+  std::vector<std::uint64_t> acked_;  // latest T[1] per client
+  std::vector<bool> active_;          // departed sites: false
+  std::uint64_t hb_collected_ = 0;    // GC statistics
 };
 
 }  // namespace ccvc::engine

@@ -1,7 +1,8 @@
 // NotifierSite driven directly with hand-built uplinks: admission of an
 // uplink's acknowledgement, OpId and positions, and of anything after a
-// leave, before any state changes; and copy-on-write of the executed
-// form its broadcast shares across bridge queues.
+// leave, before any state changes; bridges that keep their own copy of
+// a form their client's op transformed; and checkpoint shapes a restore
+// must refuse.
 #include <gtest/gtest.h>
 
 #include <utility>
@@ -208,6 +209,48 @@ TEST(NotifierAdmission, OutOfRangeUplinkThrowsBeforeAnyStateChange) {
   EXPECT_EQ(n.state_vector().from(1), 1u);
 }
 
+// The bounds walk covers every kind of bridge entry at once: client 1's
+// bridge holds two forms its first op transformed (the first of which
+// the rejected uplink acknowledges) and two ops broadcast to it since.
+// Its context is "bpc" while the notifier holds six characters.
+TEST(NotifierAdmission,
+     OutOfRangeUplinkOverAMixedBridgeThrowsBeforeAnyStateChange) {
+  Sent sent;
+  NotifierSite n(3, "abc", EngineConfig{}, collect(sent));
+  n.on_client_message(2, uplink({2, 1}, ot::make_insert(2, "p", 2), {0, 1}));
+  n.on_client_message(2, uplink({2, 2}, ot::make_insert(0, "q", 2), {0, 2}));
+  n.on_client_message(1, uplink({1, 1}, ot::make_delete(0, 1, 1), {0, 1}));
+  n.on_client_message(2, uplink({2, 3}, ot::make_insert(0, "r", 2), {1, 3}));
+  n.on_client_message(3, uplink({3, 1}, ot::make_insert(0, "w", 3), {0, 1}));
+  ASSERT_EQ(n.document().size(), 6u);
+
+  const NotifierSite::State before = n.state();
+  const auto& bridge = before.outgoing[1];
+  ASSERT_EQ(bridge.size(), 4u);
+  for (std::uint64_t i = 0; i < 4; ++i) EXPECT_EQ(bridge[i].index, i + 1);
+  EXPECT_EQ(bridge[0].id, (OpId{2, 1}));
+  EXPECT_EQ(bridge[0].ops, ot::make_insert(1, "p", 2));  // transformed
+  EXPECT_EQ(bridge[1].id, (OpId{2, 2}));
+  EXPECT_EQ(bridge[2].id, (OpId{2, 3}));  // broadcast since
+  EXPECT_EQ(bridge[3].id, (OpId{3, 1}));
+  sent.clear();
+
+  // Acknowledging the first entry leaves "bpc" as the context.
+  EXPECT_THROW(
+      n.on_client_message(1, uplink({1, 2}, ot::make_insert(4, "x", 1), {1, 2})),
+      util::DecodeError);
+  EXPECT_THROW(
+      n.on_client_message(1, uplink({1, 2}, ot::make_delete(3, 1, 1), {1, 2})),
+      util::DecodeError);
+  EXPECT_EQ(n.state(), before);
+  EXPECT_TRUE(sent.empty());
+
+  n.on_client_message(1, uplink({1, 2}, ot::make_insert(3, "x", 1), {1, 2}));
+  EXPECT_EQ(sent.size(), 2u);
+  EXPECT_EQ(n.state_vector().from(1), 2u);
+  EXPECT_EQ(n.outgoing_count(1), 3u);
+}
+
 TEST(NotifierBridge, TransformCopiesASharedExecutedForm) {
   Sent sent;
   NotifierSite n(3, "abcdef", EngineConfig{}, collect(sent));
@@ -251,6 +294,84 @@ TEST(NotifierBridge, TransformCopiesASharedExecutedForm) {
   ASSERT_EQ(after.outgoing[1].size(), 2u);
   EXPECT_EQ(after.outgoing[1][0].ops, n.history()[1].executed);
   EXPECT_FALSE(ot::is_identity(after.outgoing[1][0].ops));
+}
+
+// A checkpoint restores only if its shape is one state() can produce:
+// anything else would index past a vector on the first uplink, or be
+// silently rewritten by the next state().
+NotifierSite::State restorable_state() {
+  NotifierSite n(3, "abc", EngineConfig{}, [](SiteId, net::Payload) {});
+  n.on_client_message(1, uplink({1, 1}, ot::make_insert(0, "x", 1), {0, 1}));
+  n.on_client_message(2, uplink({2, 1}, ot::make_delete(0, 1, 2), {0, 1}));
+  n.on_client_message(3, encode_leave(3));
+  return n.state();
+}
+
+void expect_refused(const NotifierSite::State& s) {
+  EXPECT_THROW(NotifierSite(s, EngineConfig{}, [](SiteId, net::Payload) {}),
+               ContractViolation);
+}
+
+TEST(NotifierRestore, WellFormedCheckpointIsAFixedPoint) {
+  const NotifierSite::State s = restorable_state();
+  const NotifierSite restored(s, EngineConfig{}, [](SiteId, net::Payload) {});
+  EXPECT_EQ(restored.state(), s);
+}
+
+TEST(NotifierRestore, ShortAckedIsRefused) {
+  NotifierSite::State s = restorable_state();
+  s.acked.pop_back();
+  expect_refused(s);
+}
+
+TEST(NotifierRestore, ShortActiveIsRefused) {
+  NotifierSite::State s = restorable_state();
+  s.active.pop_back();
+  expect_refused(s);
+}
+
+TEST(NotifierRestore, ShortEnqueuedIsRefused) {
+  NotifierSite::State s = restorable_state();
+  s.enqueued.pop_back();
+  expect_refused(s);
+}
+
+TEST(NotifierRestore, ShortOutgoingIsRefused) {
+  NotifierSite::State s = restorable_state();
+  s.outgoing.pop_back();
+  expect_refused(s);
+}
+
+TEST(NotifierRestore, Sv0WidthOtherThanNumSitesIsRefused) {
+  NotifierSite::State s = restorable_state();
+  s.sv0.grow(s.sv0.size() + 1);  // same sum, one slot too many
+  expect_refused(s);
+}
+
+TEST(NotifierRestore, HbOriginOutsideTheSitesIsRefused) {
+  NotifierSite::State s = restorable_state();
+  s.hb[0].origin = 0;
+  expect_refused(s);
+  s.hb[0].origin = 4;
+  expect_refused(s);
+}
+
+TEST(NotifierRestore, AckBeyondSentIsRefused) {
+  NotifierSite::State s = restorable_state();
+  s.acked[3] = s.enqueued[3] + 1;  // the departed site
+  expect_refused(s);
+}
+
+TEST(NotifierRestore, ActiveSendCountOtherThanEq1IsRefused) {
+  NotifierSite::State s = restorable_state();
+  ++s.enqueued[1];
+  expect_refused(s);
+  // A departed site's count is stored, not derived: any value at or
+  // above its acknowledgement restores.
+  s = restorable_state();
+  ++s.enqueued[3];
+  const NotifierSite restored(s, EngineConfig{}, [](SiteId, net::Payload) {});
+  EXPECT_EQ(restored.state(), s);
 }
 
 }  // namespace

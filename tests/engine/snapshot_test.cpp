@@ -3,6 +3,8 @@
 // subsequent inputs (crash-recovery for the notifier process).
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include "engine/session.hpp"
@@ -235,6 +237,63 @@ TEST(Snapshot, CorruptCheckpointRejected) {
   net::Payload truncated(bytes.begin(), bytes.begin() + 5);
   truncated[0] ^= 0xFF;  // restore the tag
   EXPECT_ANY_THROW(load_notifier_checkpoint(truncated));
+}
+
+// Bridges are views of the notifier's HB.  A notifier with gc_history on
+// goes through a leave, a late join and a resync; cut anywhere, the
+// restored notifier reports the live one's state() and emits the same
+// bytes for the same remaining uplinks.
+TEST(Snapshot, NotifierBridgesRestoreAtEveryCut) {
+  EngineConfig ecfg;
+  ecfg.gc_history = true;
+  using Step = std::function<void(NotifierSite&)>;
+  const auto op = [](OpId id, ot::OpList ops, std::uint64_t ack) -> Step {
+    ClientMsg m;
+    m.id = id;
+    m.ops = std::move(ops);
+    m.stamp.csv = clocks::CompressedSv{ack, id.seq};
+    return [id, bytes = encode(m, StampMode::kCompressed)](NotifierSite& n) {
+      n.on_client_message(id.site, bytes);
+    };
+  };
+  const std::vector<Step> steps = {
+      op({1, 1}, ot::make_insert(4, "X", 1), 0),
+      op({2, 1}, ot::make_delete(0, 1, 2), 0),
+      op({3, 1}, ot::make_insert(1, "Z", 3), 1),
+      [](NotifierSite& n) { n.on_client_message(4, encode_leave(4)); },
+      [](NotifierSite& n) { ASSERT_EQ(n.add_site().ops_embodied, 3u); },
+      op({5, 1}, ot::make_insert(0, "Q", 5), 3),
+      op({1, 2}, ot::make_delete(0, 1, 1), 2),
+      [](NotifierSite& n) { ASSERT_EQ(n.resync_site(2).ops_embodied, 4u); },
+      op({2, 2}, ot::make_insert(0, "R", 2), 4),
+      op({3, 2}, ot::make_insert(0, "W", 3), 1),
+      op({5, 2}, ot::make_delete(0, 1, 5), 3),
+      op({1, 3}, ot::make_insert(2, "V", 1), 4),
+  };
+  using Sent = std::vector<std::pair<SiteId, net::Payload>>;
+  const auto collect = [](Sent& sent) {
+    return [&sent](SiteId dest, net::Payload b) {
+      sent.emplace_back(dest, std::move(b));
+    };
+  };
+  for (std::size_t cut = 0; cut <= steps.size(); ++cut) {
+    Sent live_sent;
+    Sent restored_sent;
+    NotifierSite live(4, "abcdef", ecfg, collect(live_sent));
+    for (std::size_t i = 0; i < cut; ++i) steps[i](live);
+    NotifierSite restored(load_notifier_checkpoint(save_checkpoint(live)),
+                          ecfg, collect(restored_sent));
+    ASSERT_EQ(restored.state(), live.state()) << "cut " << cut;
+    live_sent.clear();
+    for (std::size_t i = cut; i < steps.size(); ++i) {
+      steps[i](live);
+      steps[i](restored);
+    }
+    EXPECT_EQ(restored_sent, live_sent) << "cut " << cut;
+    EXPECT_EQ(restored.state(), live.state()) << "cut " << cut;
+    EXPECT_EQ(live.text(), "RWVbcdXef");
+    EXPECT_GT(live.hb_collected(), 0u);
+  }
 }
 
 }  // namespace

@@ -217,6 +217,50 @@ TEST_F(GoldenCheckpoints, NotifierBundle) {
   EXPECT_EQ(hex(engine::encode_notifier_bundle(bundle)), kNotifierBundleHex);
 }
 
+constexpr const char* kNotifierGcCkptHex =
+    "d2040663645958656605000202010000040201020500010100000101000102016103"
+    "01030500010101000102000003000202020500010201000100030002015901020105"
+    "00020201000101000101016205000203010201020000030002020301000200020159"
+    "02030102010200000300010203010100010101620302010201020000020002020301"
+    "00030002015901020401010001010162020101010100040001015802010201010001"
+    "02016105000303040205000101010005010101010001";
+
+// A notifier (4 sites, gc_history on) driven by fixed uplinks into a
+// state whose bridges hold, at once, a form still shared with another
+// bridge, a transformed form, an identity, and a departed site's frozen
+// entry that GC has already dropped from the HB.
+TEST(GoldenBytes, NotifierCheckpoint) {
+  engine::EngineConfig cfg;
+  cfg.gc_history = true;
+  engine::NotifierSite n(4, "abcdef", cfg, [](SiteId, net::Payload) {});
+  const auto send = [&n](OpId id, ot::OpList ops, std::uint64_t ack) {
+    ClientMsg m;
+    m.id = id;
+    m.ops = std::move(ops);
+    m.stamp.csv = clocks::CompressedSv{ack, id.seq};
+    n.on_client_message(id.site, engine::encode(m, StampMode::kCompressed));
+  };
+  send({1, 1}, ot::make_insert(4, "X", 1), 0);  // A
+  send({2, 1}, ot::make_delete(0, 1, 2), 0);    // B, concurrent with A
+  n.on_client_message(4, engine::encode_leave(4));
+  send({3, 1}, ot::make_delete(0, 1, 3), 1);    // C: B's delete, again
+  send({2, 2}, ot::make_insert(3, "Y", 2), 1);  // D: acks A, so GC drops A
+  send({1, 2}, ot::make_delete(0, 1, 1), 1);    // E: shifts client 1's D
+
+  const engine::NotifierSite::State s = n.state();
+  ASSERT_EQ(s.hb_collected, 1u);
+  ASSERT_EQ(s.outgoing[4].size(), 2u);
+  EXPECT_EQ(s.outgoing[4][0].id, (OpId{1, 1}));  // frozen, gone from HB
+  ASSERT_EQ(s.outgoing[1].size(), 2u);
+  EXPECT_NE(s.outgoing[1][1].ops, s.hb[2].executed);  // transformed D
+  ASSERT_EQ(s.outgoing[3].size(), 3u);
+  EXPECT_TRUE(ot::is_identity(s.outgoing[3][0].ops));  // B against C
+  ASSERT_EQ(s.outgoing[2].size(), 2u);
+  EXPECT_EQ(s.outgoing[2][1].id, s.outgoing[3][2].id);  // E, shared
+  EXPECT_EQ(s.outgoing[2][1].ops, s.outgoing[3][2].ops);
+  EXPECT_EQ(hex(engine::save_checkpoint(n)), kNotifierGcCkptHex);
+}
+
 // Decode → re-encode over the captured bytes: the decoders accept the
 // goldens and reproduce them exactly.
 TEST(GoldenBytes, ClientMsgRoundTripFromGolden) {

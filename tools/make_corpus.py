@@ -145,22 +145,48 @@ def notifier_hb_entry(site: int, seq: int, origin: int,
     return uvarint(site) + uvarint(seq) + uvarint(origin) + vv(stamp) + ops
 
 
+def notifier_blob(num_sites: int, document: bytes, sv0: list[int],
+                  hb: list[bytes] = [],
+                  outgoing: list[list[bytes]] | None = None,
+                  enqueued: list[int] | None = None,
+                  acked: list[int] | None = None,
+                  active: list[int] | None = None) -> bytes:
+    """Tag-0xD2 blob with every per-site list explicit.  The defaults are
+    the shapes a restore accepts: num_sites + 1 slots each, empty
+    bridges, nothing acknowledged, every site active, and each site's
+    send count eq. (1)'s sum(sv0) - sv0[x] (slot 0 counts nothing)."""
+    slots = num_sites + 1
+    outgoing = outgoing if outgoing is not None else [[] for _ in range(slots)]
+    if enqueued is None:
+        enqueued = [0] + [sum(sv0) - sv0[x] for x in range(1, slots)]
+    acked = acked if acked is not None else [0] * slots
+    active = active if active is not None else [1] * slots
+    body = bytes([0xD2]) + uvarint(num_sites) + string(document)
+    body += vv(sv0) + vv([0] * slots)          # sv0, vc
+    body += uvarint(len(hb)) + b"".join(hb)
+    body += uvarint(len(outgoing))
+    for bridge in outgoing:
+        body += uvarint(len(bridge)) + b"".join(bridge)
+    for values in (enqueued, acked):
+        body += uvarint(len(values)) + b"".join(uvarint(v) for v in values)
+    body += uvarint(len(active)) + bytes(active)
+    body += uvarint(0)                         # hb_collected
+    return body
+
+
+def bridge_entry(site: int, seq: int, index: int, ops: bytes) -> bytes:
+    return uvarint(site) + uvarint(seq) + uvarint(index) + ops
+
+
 def notifier_state(num_sites: int, document: bytes,
                    hb: list[bytes] = [],
                    outgoing_depth: int = 0) -> bytes:
-    """Tag-0xD2 notifier checkpoint blob (engine/snapshot.cpp layout)."""
-    body = bytes([0xD2]) + uvarint(num_sites) + string(document)
-    body += vv([0] * (num_sites + 1))          # sv0
-    body += vv([0] * (num_sites + 1))          # vc
-    body += uvarint(len(hb)) + b"".join(hb)
-    body += uvarint(outgoing_depth)            # outgoing queues
-    for _ in range(outgoing_depth):
-        body += uvarint(0)                     # ... each empty
-    body += uvarint(num_sites) + b"".join(uvarint(0) for _ in range(num_sites))
-    body += uvarint(num_sites) + b"".join(uvarint(0) for _ in range(num_sites))
-    body += uvarint(num_sites) + bytes([1] * num_sites)  # active flags
-    body += uvarint(0)                         # hb_collected
-    return body
+    """Tag-0xD2 notifier blob whose counter and flag lists have
+    num_sites entries, one short of what a restore accepts."""
+    return notifier_blob(num_sites, document, [0] * (num_sites + 1), hb,
+                         outgoing=[[] for _ in range(outgoing_depth)],
+                         enqueued=[0] * num_sites, acked=[0] * num_sites,
+                         active=[1] * num_sites)
 
 
 def link_state(next_seq: int = 1, expected: int = 1, ack_due: bool = False,
@@ -182,6 +208,28 @@ def notifier_bundle(num_sites: int, blob: bytes, links: list[bytes]) -> bytes:
     """Tag-0xD4 durable checkpoint: notifier blob + per-site link state."""
     return (bytes([0xD4]) + uvarint(num_sites) + string(blob)
             + b"".join(links))
+
+
+_X = ckpt_ops(ckpt_prim(0, 0, 1, 1, b"X"))
+_HB = [notifier_hb_entry(1, 1, 1, [0, 1, 0], _X)]
+_SV0 = [0, 1, 0]
+RESTORE_SHAPES = {
+    "restorable": notifier_blob(
+        2, b"Xab", _SV0, _HB, outgoing=[[], [], [bridge_entry(1, 1, 1, _X)]]),
+    "restore_short_acked": notifier_blob(2, b"Xab", _SV0, _HB, acked=[0, 0]),
+    "restore_short_active": notifier_blob(2, b"Xab", _SV0, _HB, active=[1, 1]),
+    "restore_short_enqueued": notifier_blob(
+        2, b"Xab", _SV0, _HB, enqueued=[0, 0]),
+    "restore_wide_sv0": notifier_blob(2, b"Xab", [0, 1, 0, 0], _HB),
+    "restore_hb_origin_zero": notifier_blob(
+        2, b"Xab", _SV0, [notifier_hb_entry(1, 1, 0, [0, 1, 0], _X)]),
+    "restore_hb_origin_past_sites": notifier_blob(
+        2, b"Xab", _SV0, [notifier_hb_entry(1, 1, 3, [0, 1, 0], _X)]),
+    "restore_ack_beyond_sent": notifier_blob(
+        2, b"Xab", _SV0, _HB, acked=[0, 0, 2]),
+    "restore_send_count_not_eq1": notifier_blob(
+        2, b"Xab", _SV0, _HB, enqueued=[0, 0, 2]),
+}
 
 
 SEEDS = {
@@ -342,6 +390,11 @@ SEEDS = {
         "bad_tag": bytes([0xD3]) + notifier_bundle(
             1, notifier_state(1, b""), [link_state()]
         )[1:],
+        # Restore shapes: one a NotifierSite accepts (client 2's bridge
+        # holds client 1's op), then one malformed variant per restore
+        # check.  Each decodes; only the first may be restored.
+        **{name: notifier_bundle(2, blob, [link_state(), link_state()])
+           for name, blob in RESTORE_SHAPES.items()},
         "hostile_num_sites": bytes([0xD4]) + uvarint((1 << 32))
         + string(notifier_state(1, b"")) + link_state(),
         # Schema boundaries: membership and blob-length claims at the
