@@ -154,7 +154,7 @@ OpId ClientSite::generate(ot::OpList ops) {
 
   ClientMsg msg;
   msg.id = id;
-  msg.ops = ops;
+  msg.ops = std::move(ops);
   msg.stamp.csv = stamp;
   msg.stamp.full = vc_;
   net::Payload bytes = encode(msg, cfg_.stamp_mode);
@@ -255,7 +255,8 @@ void ClientSite::on_center_message(const net::Payload& bytes) {
   clock_.on_center_op_executed();
   if (cfg_.stamp_mode == StampMode::kFullVector) vc_.merge(msg.stamp.full);
   hb_.push_back(ClientHbEntry{msg.id, clocks::HbSource::kFromCenter,
-                              msg.stamp.csv, msg.stamp.full, incoming});
+                              msg.stamp.csv, msg.stamp.full,
+                              std::move(incoming)});
 
   if (observer_) {
     observer_->on_client_execute_center(id_, msg.id, hb_.back().executed);

@@ -56,7 +56,6 @@ NotifierSite::NotifierSite(std::size_t num_sites, std::string_view initial_doc,
       observer_(observer),
       doc_(initial_doc),
       clock_(num_sites),
-      vc_(cfg.stamp_mode == StampMode::kFullVector ? num_sites + 1 : 0),
       bridges_(num_sites + 1),
       acked_(num_sites + 1, 0),
       active_(num_sites + 1, true) {
@@ -68,7 +67,7 @@ NotifierSite::State NotifierSite::state() const {
   s.num_sites = num_sites_;
   s.document = doc_.text();
   s.sv0 = clock_.full();
-  s.vc = vc_;
+  s.vc = full_stamp();
   s.hb = hb_;
   for (SiteId x = 0; x < bridges_.size(); ++x) {
     auto& out = s.outgoing.emplace_back(bridges_[x].own.begin(),
@@ -94,12 +93,15 @@ NotifierSite::NotifierSite(const State& state, const EngineConfig& cfg,
       observer_(observer),
       doc_(state.document),
       clock_(state.sv0),
-      vc_(state.vc),
       hb_(state.hb),
       acked_(state.acked),
       active_(state.active),
       hb_collected_(state.hb_collected) {
   CCVC_CHECK(static_cast<bool>(send_));
+  // state() derives the stamp from SV_0: a checkpoint that disagrees is
+  // refused, not silently rewritten.
+  CCVC_CHECK_MSG(state.vc == full_stamp(),
+                 "notifier checkpoint full-vector stamp is not SV_0's");
   // Each checkpointed bridge becomes its site's private prefix, with an
   // empty view: the mark sits at the end of HB.
   for (SiteId x = 0; x <= num_sites_; ++x) {
@@ -125,7 +127,7 @@ NotifierSite::JoinTicket NotifierSite::add_site() {
   acked_.push_back(clock_.total());
   active_.push_back(true);
   if (observer_) observer_->on_client_join(id);
-  return JoinTicket{id, doc_.text(), clock_.total(), vc_};
+  return JoinTicket{id, doc_.text(), clock_.total()};
 }
 
 NotifierSite::ResyncTicket NotifierSite::resync_site(SiteId site) {
@@ -315,10 +317,6 @@ void NotifierSite::apply_uplink(ParsedUplink parsed) {
   // an operation generated at site 0 (§5).
   CCVC_METRIC_COUNT("engine.notifier.ops_executed", 1);
   clock_.on_op_from(from);
-  if (cfg_.stamp_mode == StampMode::kFullVector) {
-    vc_.merge(msg.stamp.full);
-    vc_.tick(kNotifierSite);
-  }
 
   // Broadcast O' to every other (active) client, stamped per
   // destination with eq. (1)-(2).  O' is encoded once, and each
@@ -333,7 +331,7 @@ void NotifierSite::apply_uplink(ParsedUplink parsed) {
 
   // The full-vector stamp is the same for every destination.
   const net::Payload full = (cfg_.stamp_mode == StampMode::kFullVector)
-                                ? encoded(vc_)
+                                ? encoded(full_stamp())
                                 : net::Payload{};
   std::uint8_t csv[clocks::CompressedSv::kMaxEncodedSize] = {};
   util::metrics::Tally stamp_bytes;
@@ -367,8 +365,7 @@ void NotifierSite::check_uplink_bounds(const ot::OpList& ops, SiteId from,
   // so this walk is the whole bounds check doc_.apply(kStrict) would
   // otherwise make only after the bridge forms have been rewritten.
   auto len = static_cast<std::ptrdiff_t>(doc_.size());
-  const auto& own = bridges_[from].own;
-  for (const auto& b : own) {
+  for (const auto& b : bridges_[from].own) {
     if (b.index > ack) len -= ot::size_delta(b.ops);
   }
   for (const auto& e : view(from)) {
@@ -385,6 +382,13 @@ void NotifierSite::check_uplink_bounds(const ot::OpList& ops, SiteId from,
     }
     len += op.size_delta();
   }
+}
+
+clocks::VersionVector NotifierSite::full_stamp() const {
+  if (cfg_.stamp_mode != StampMode::kFullVector) return {};
+  clocks::VersionVector vc = clock_.full();
+  vc.merge_component(kNotifierSite, clock_.total());
+  return vc;
 }
 
 void NotifierSite::gc_history() {

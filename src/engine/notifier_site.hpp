@@ -118,7 +118,6 @@ class NotifierSite {
     SiteId site = 0;
     std::string document;
     std::uint64_t ops_embodied = 0;
-    clocks::VersionVector vc_snapshot;  // kFullVector mode only
   };
 
   /// Admits a new collaborating site (dynamic membership — the paper's
@@ -178,7 +177,7 @@ class NotifierSite {
     std::size_t num_sites = 0;
     std::string document;
     clocks::VersionVector sv0;
-    clocks::VersionVector vc;
+    clocks::VersionVector vc;  // full_stamp(); empty in compressed mode
     std::vector<NotifierHbEntry> hb;
     std::vector<std::vector<BridgeEntry>> outgoing;  // [client id]
     std::vector<std::uint64_t> enqueued;
@@ -194,8 +193,8 @@ class NotifierSite {
   /// Restores a checkpointed notifier; `cfg` must match.  Throws
   /// ContractViolation, before building anything, unless every per-site
   /// vector has num_sites + 1 slots, every HB origin is a site, no site
-  /// has acknowledged more than was sent to it, and every active site's
-  /// send count is eq. (1)'s.
+  /// has acknowledged more than was sent to it, every active site's
+  /// send count is eq. (1)'s, and `vc` is full_stamp()'s.
   NotifierSite(const State& state, const EngineConfig& cfg,
                SendFn send_to_client, EngineObserver* observer = nullptr);
 
@@ -216,8 +215,12 @@ class NotifierSite {
 
   doc::Document doc_;
   clocks::NotifierClock clock_;
-  clocks::VersionVector vc_;  // (N+1)-vector, kFullVector mode only
   void gc_history();
+  /// The full-vector broadcast stamp [Σ SV_0, SV_0[1..N]] (empty in
+  /// compressed mode).  Merging every honest uplink stamp and ticking
+  /// slot 0 per op gives exactly this, so it is derived rather than
+  /// merged: a hostile uplink stamp cannot skew later broadcasts.
+  clocks::VersionVector full_stamp() const;
   std::uint64_t log_end() const { return hb_collected_ + hb_.size(); }
   /// The HB entries in client x's bridge after its private prefix; empty
   /// for slot 0, a departed site, and with transform off.

@@ -13,6 +13,9 @@ namespace ccvc::engine {
 namespace {
 
 constexpr std::size_t kCrcBytes = 4;
+// Delayed standalone-ack window: data flowing back within it carries
+// the ack instead.
+constexpr double kAckDelayMs = 5.0;
 
 // The exact encoded size of `frame`, so encode_frame allocates once.
 std::size_t frame_size(const Frame& frame) {
@@ -151,32 +154,23 @@ ReliableLink::ReliableLink(net::EventQueue& queue,
       cfg_(cfg),
       name_(std::move(name)),
       raw_send_(std::move(raw_send)),
-      deliver_(std::move(deliver)),
-      estimator_(cfg.rto_ms, cfg.min_rto_ms, cfg.max_rto_ms, cfg.rto_backoff) {
+      deliver_(std::move(deliver)) {
   CCVC_CHECK_MSG(!cfg.enabled || cfg.max_unacked >= 1,
                  "link " + name_ + " needs a send window of at least 1");
 }
 
-std::shared_ptr<ReliableLink> ReliableLink::make(net::EventQueue& queue,
-                                                 const ReliabilityConfig& cfg,
-                                                 std::string name,
-                                                 RawSend raw_send,
-                                                 Deliver deliver) {
-  return std::shared_ptr<ReliableLink>(new ReliableLink(
-      queue, cfg, std::move(name), std::move(raw_send), std::move(deliver)));
-}
-
-std::shared_ptr<ReliableLink> ReliableLink::restore(
+std::shared_ptr<ReliableLink> ReliableLink::make(
     net::EventQueue& queue, const ReliabilityConfig& cfg, std::string name,
-    const State& state, RawSend raw_send, Deliver deliver) {
-  auto link = make(queue, cfg, std::move(name), std::move(raw_send),
-                   std::move(deliver));
-  link->next_seq_ = state.next_seq;
-  link->expected_ = state.expected;
-  for (const auto& [seq, payload] : state.unacked) {
+    RawSend raw_send, Deliver deliver, const State* state) {
+  std::shared_ptr<ReliableLink> link(new ReliableLink(
+      queue, cfg, std::move(name), std::move(raw_send), std::move(deliver)));
+  if (state == nullptr) return link;
+  link->next_seq_ = state->next_seq;
+  link->expected_ = state->expected;
+  for (const auto& [seq, payload] : state->unacked) {
     link->unacked_.push_back(Unacked{.seq = seq, .payload = payload});
   }
-  for (const auto& [seq, payload] : state.out_of_order) {
+  for (const auto& [seq, payload] : state->out_of_order) {
     link->out_of_order_.emplace(seq, payload);
   }
   if (!cfg.enabled) return link;
@@ -200,7 +194,7 @@ std::shared_ptr<ReliableLink> ReliableLink::restore(
     link->transmit_data(e.seq, e.payload);
   }
   if (link->window_used_ > 0) link->arm_rto();
-  if (state.ack_due) {
+  if (state->ack_due) {
     link->ack_due_ = true;
     link->schedule_delayed_ack();
   }
@@ -377,7 +371,6 @@ void ReliableLink::on_frame(const net::Payload& bytes) {
 }
 
 void ReliableLink::apply_sack(const Frame& frame) {
-  if (cfg_.go_back_n) return;  // baseline mode ignores selective acks
   // Rebuild the scoreboard from this report alone (reset semantics —
   // see the plain-ack branch in on_frame).  Entries and ranges are both
   // ascending, so one merge pass covers the window.
@@ -394,7 +387,7 @@ void ReliableLink::apply_sack(const Frame& frame) {
   // went out so recently its first copy may still be in flight.
   const std::uint64_t top = frame.sack.back().second;
   const double guard_ms =
-      0.5 * (estimator_.has_sample() ? estimator_.rto_ms() : cfg_.rto_ms);
+      0.5 * (estimator_.has_sample() ? estimator_.rto_ms() : kInitialRtoMs);
   for (std::size_t i = 0; i < window_used_; ++i) {
     Unacked& e = unacked_[i];
     if (e.seq >= top || e.sacked) continue;
@@ -478,7 +471,7 @@ std::vector<std::pair<std::uint64_t, std::uint64_t>> ReliableLink::sack_ranges()
 void ReliableLink::send_standalone_ack(bool arm_insurance) {
   Frame frame;
   auto ranges = sack_ranges();
-  if (!cfg_.go_back_n && !ranges.empty()) {
+  if (!ranges.empty()) {
     frame.kind = Frame::Kind::kSack;
     frame.sack = std::move(ranges);
     stats_.sacks_sent += 1;
@@ -501,7 +494,7 @@ void ReliableLink::schedule_delayed_ack() {
   if (ack_timer_armed_) return;
   ack_timer_armed_ = true;
   std::weak_ptr<ReliableLink> weak = weak_from_this();
-  queue_.schedule_in(cfg_.ack_delay_ms, [weak] {
+  queue_.schedule_in(kAckDelayMs, [weak] {
     auto self = weak.lock();
     if (!self) return;  // endpoint crashed; the timer evaporates
     self->ack_timer_armed_ = false;
@@ -558,13 +551,13 @@ void ReliableLink::on_rto_fire() {
   }
 
   // Timeout: back off exponentially (a long partition must not flood
-  // the queue) and retransmit the in-flight window — all of it under
-  // go-back-N, only the non-selectively-acked frames under SACK.
+  // the queue) and retransmit the in-flight frames the peer has not
+  // selectively acknowledged.
   estimator_.on_timeout();
   CCVC_METRIC_GAUGE_SET("link.rto_us", util::metrics::to_us(rto_ms()));
   bool any = false;
   for (std::size_t i = 0; i < window_used_; ++i) {
-    if (!cfg_.go_back_n && unacked_[i].sacked) continue;
+    if (unacked_[i].sacked) continue;
     retransmit_entry(i, /*fast=*/false);
     any = true;
   }

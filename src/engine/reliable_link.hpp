@@ -21,9 +21,8 @@
 //   * the retransmission timeout adapts: Jacobson/Karels srtt + 4*rttvar
 //     estimation (engine/rtt.hpp) with Karn's algorithm (retransmitted
 //     frames never produce RTT samples) and exponential backoff to a
-//     ceiling.  A timeout retransmits the in-flight window — all of it
-//     in go-back-N mode, only the frames the peer has not selectively
-//     acknowledged in SACK mode (the default);
+//     ceiling.  A timeout retransmits the in-flight frames the peer has
+//     not selectively acknowledged;
 //   * every data frame piggybacks the receive cursor as a cumulative
 //     ack; a delayed standalone ack covers one-directional traffic.
 //     When the receiver holds out-of-order frames it answers with a
@@ -73,18 +72,11 @@
 
 namespace ccvc::engine {
 
+/// The timer constants live in engine/rtt.hpp (RTO) and
+/// reliable_link.cpp (delayed-ack window).
 struct ReliabilityConfig {
-  bool enabled = false;        ///< passthrough (raw channel) when off
-  double rto_ms = 80.0;        ///< initial RTO before any RTT sample
-  double min_rto_ms = 20.0;    ///< floor of the adaptive estimate
-  double rto_backoff = 2.0;    ///< multiplier per successive timeout
-  double max_rto_ms = 1500.0;  ///< backoff ceiling (partition survival)
-  double ack_delay_ms = 5.0;   ///< delayed standalone-ack window
+  bool enabled = false;            ///< passthrough (raw channel) when off
   std::size_t max_unacked = 4096;  ///< send window (frames in flight)
-  /// Timeout retransmits the whole in-flight window and SACK frames are
-  /// neither sent nor honored — the classic go-back-N baseline the
-  /// bench compares selective repeat against.
-  bool go_back_n = false;
 };
 
 /// Wire frame of the reliability sublayer.  Layout:
@@ -133,10 +125,26 @@ class ReliableLink : public std::enable_shared_from_this<ReliableLink> {
   /// Hands an in-order, exactly-once application payload up the stack.
   using Deliver = std::function<void(const net::Payload&)>;
 
+  // --- checkpoint/restore --------------------------------------------
+  /// Complete protocol state of the link (statistics excluded).
+  struct State {
+    std::uint64_t next_seq = 1;
+    std::uint64_t expected = 1;
+    bool ack_due = false;
+    std::vector<std::pair<std::uint64_t, net::Payload>> unacked;
+    std::vector<std::pair<std::uint64_t, net::Payload>> out_of_order;
+
+    friend bool operator==(const State&, const State&) = default;
+  };
+
+  /// Builds a link on a fresh connection, or with `state` rebuilds one
+  /// mid-conversation: the restored window retransmits immediately (the
+  /// peer dedups) and queued frames follow as acks open the window.
   static std::shared_ptr<ReliableLink> make(net::EventQueue& queue,
                                             const ReliabilityConfig& cfg,
                                             std::string name, RawSend raw_send,
-                                            Deliver deliver);
+                                            Deliver deliver,
+                                            const State* state = nullptr);
 
   /// Frames, buffers, and transmits one application payload.  When the
   /// send window is full the payload queues locally (backpressure) and
@@ -164,32 +172,10 @@ class ReliableLink : public std::enable_shared_from_this<ReliableLink> {
   double rto_ms() const { return estimator_.rto_ms(); }
   const RttEstimator& estimator() const { return estimator_; }
 
-  // --- checkpoint/restore --------------------------------------------
-  /// Complete protocol state of the link (statistics excluded).
-  struct State {
-    std::uint64_t next_seq = 1;
-    std::uint64_t expected = 1;
-    bool ack_due = false;
-    std::vector<std::pair<std::uint64_t, net::Payload>> unacked;
-    std::vector<std::pair<std::uint64_t, net::Payload>> out_of_order;
-
-    friend bool operator==(const State&, const State&) = default;
-  };
-
   State state() const;
   void encode_state(util::ByteSink& sink) const;
   static void encode_state(const State& state, util::ByteSink& sink);
   static State decode_state(util::ByteSource& src);
-
-  /// Rebuilds a link mid-conversation; the restored window retransmits
-  /// immediately (the peer dedups) and queued frames follow as acks
-  /// open the window.
-  static std::shared_ptr<ReliableLink> restore(net::EventQueue& queue,
-                                               const ReliabilityConfig& cfg,
-                                               std::string name,
-                                               const State& state,
-                                               RawSend raw_send,
-                                               Deliver deliver);
 
   /// Advances the receive cursor past one payload that the application
   /// re-processed from its own durable log (WAL replay after a crash):

@@ -13,10 +13,10 @@
 // ambiguous samples (the ack could answer either transmission), so the
 // link only feeds `sample()` the RTT of frames sent exactly once.  The
 // estimator's contribution is the backoff discipline that goes with it:
-// every timeout doubles (well, multiplies by `backoff`) the effective
-// RTO up to the ceiling, and the multiplier resets only when a *valid*
-// sample arrives — a retransmission storm cannot talk the timer back
-// down on ambiguous evidence.
+// every timeout doubles (kRtoBackoff) the effective RTO up to the
+// ceiling, and the multiplier resets only when a *valid* sample arrives
+// — a retransmission storm cannot talk the timer back down on ambiguous
+// evidence.
 #pragma once
 
 #include <algorithm>
@@ -24,15 +24,14 @@
 
 namespace ccvc::engine {
 
+inline constexpr double kInitialRtoMs = 80.0;  ///< RTO before any sample
+inline constexpr double kMinRtoMs = 20.0;      ///< floor of the estimate
+inline constexpr double kRtoBackoff = 2.0;     ///< multiplier per timeout
+/// Backoff ceiling: a healed partition is probed at least this often.
+inline constexpr double kMaxRtoMs = 1500.0;
+
 class RttEstimator {
  public:
-  RttEstimator(double initial_rto_ms, double min_rto_ms, double max_rto_ms,
-               double backoff)
-      : initial_rto_ms_(initial_rto_ms),
-        min_rto_ms_(min_rto_ms),
-        max_rto_ms_(max_rto_ms),
-        backoff_(backoff) {}
-
   /// Feed one unambiguous RTT measurement (Karn: the frame was sent
   /// exactly once).  Resets the timeout backoff.
   void sample(double rtt_ms) {
@@ -50,17 +49,17 @@ class RttEstimator {
 
   /// A retransmission timeout fired: back the timer off exponentially.
   void on_timeout() {
-    multiplier_ = std::min(multiplier_ * backoff_, max_rto_ms_ / min_rto_ms_);
+    multiplier_ = std::min(multiplier_ * kRtoBackoff, kMaxRtoMs / kMinRtoMs);
   }
 
-  /// Current timeout: the Jacobson/Karels estimate (or the configured
-  /// initial RTO before any sample), backed off and clamped.
+  /// Current timeout: the Jacobson/Karels estimate (or the initial RTO
+  /// before any sample), backed off and clamped.
   double rto_ms() const {
     const double base =
         has_sample_
-            ? std::clamp(srtt_ms_ + 4.0 * rttvar_ms_, min_rto_ms_, max_rto_ms_)
-            : initial_rto_ms_;
-    return std::min(base * multiplier_, max_rto_ms_);
+            ? std::clamp(srtt_ms_ + 4.0 * rttvar_ms_, kMinRtoMs, kMaxRtoMs)
+            : kInitialRtoMs;
+    return std::min(base * multiplier_, kMaxRtoMs);
   }
 
   bool has_sample() const { return has_sample_; }
@@ -71,15 +70,10 @@ class RttEstimator {
   /// known (an ack normally crosses the wire in srtt/2), else half the
   /// initial RTO — always early enough to beat the peer's first backoff.
   double idle_ack_ms() const {
-    return 0.5 * (has_sample_ ? std::max(srtt_ms_, min_rto_ms_)
-                              : initial_rto_ms_);
+    return 0.5 * (has_sample_ ? std::max(srtt_ms_, kMinRtoMs) : kInitialRtoMs);
   }
 
  private:
-  double initial_rto_ms_;
-  double min_rto_ms_;
-  double max_rto_ms_;
-  double backoff_;
   bool has_sample_ = false;
   double srtt_ms_ = 0.0;
   double rttvar_ms_ = 0.0;

@@ -50,7 +50,28 @@ NotifierSite::SendFn StarSession::center_send_fn() {
   };
 }
 
-void StarSession::make_client_link(SiteId i) {
+void StarSession::connect_client(SiteId i,
+                                 std::unique_ptr<ClientSite> client) {
+  net_.add_channel(i, kNotifierSite, cfg_.uplink, cfg_.channel_ordering)
+      .set_fault_plan(cfg_.uplink_faults);
+  net_.add_channel(kNotifierSite, i, cfg_.downlink, cfg_.channel_ordering)
+      .set_fault_plan(cfg_.downlink_faults);
+  clients_.resize(i + 1);
+  client_links_.resize(i + 1);
+  notifier_links_.resize(i + 1);
+  clients_[i] = std::move(client);
+  open_links(i);
+  net_.channel(i, kNotifierSite)
+      .set_receiver([this, i](const net::Payload& bytes) {
+        notifier_links_[i]->on_frame(bytes);
+      });
+  net_.channel(kNotifierSite, i)
+      .set_receiver([this, i](const net::Payload& bytes) {
+        client_links_[i]->on_frame(bytes);
+      });
+}
+
+void StarSession::open_links(SiteId i) {
   client_links_[i] = ReliableLink::make(
       queue_, cfg_.reliability, "link-c" + std::to_string(i),
       [this, i](net::Payload frame) {
@@ -59,6 +80,19 @@ void StarSession::make_client_link(SiteId i) {
       [this, i](const net::Payload& payload) {
         clients_[i]->on_center_message(payload);
       });
+  make_notifier_link(i, nullptr);
+}
+
+void StarSession::set_channels(SiteId a, SiteId b, bool reset,
+                               std::optional<bool> down) {
+  if (reset) {
+    net_.channel(a, b).drop_in_flight();
+    net_.channel(b, a).drop_in_flight();
+  }
+  if (down) {
+    net_.channel(a, b).set_down(*down);
+    net_.channel(b, a).set_down(*down);
+  }
 }
 
 void StarSession::make_notifier_link(SiteId i,
@@ -80,49 +114,25 @@ void StarSession::make_notifier_link(SiteId i,
     }
     notifier_->on_client_message(i, payload);
   };
-  const std::string name = "link-n" + std::to_string(i);
-  if (state == nullptr) {
-    notifier_links_[i] = ReliableLink::make(
-        queue_, cfg_.reliability, name,
-        [this, i](net::Payload frame) {
-          net_.channel(kNotifierSite, i).send(std::move(frame));
-        },
-        std::move(deliver));
-  } else {
-    notifier_links_[i] = ReliableLink::restore(
-        queue_, cfg_.reliability, name, *state,
-        [this, i](net::Payload frame) {
-          net_.channel(kNotifierSite, i).send(std::move(frame));
-        },
-        std::move(deliver));
-  }
-}
-
-void StarSession::wire_channels(SiteId i) {
-  net_.channel(i, kNotifierSite)
-      .set_receiver([this, i](const net::Payload& bytes) {
-        notifier_links_[i]->on_frame(bytes);
-      });
-  net_.channel(kNotifierSite, i)
-      .set_receiver([this, i](const net::Payload& bytes) {
-        client_links_[i]->on_frame(bytes);
-      });
+  notifier_links_[i] = ReliableLink::make(
+      queue_, cfg_.reliability, "link-n" + std::to_string(i),
+      [this, i](net::Payload frame) {
+        net_.channel(kNotifierSite, i).send(std::move(frame));
+      },
+      std::move(deliver), state);
 }
 
 void StarSession::wire_standby() {
   if (!cfg_.standby) return;
   const net::LatencyModel repl_latency =
-      net::LatencyModel::fixed(cfg_.standby_latency_ms);
+      net::LatencyModel::fixed(kStandbyLatencyMs);
   if (!net_.has_channel(kNotifierSite, kStandbySite)) {
     net_.add_channel(kNotifierSite, kStandbySite, repl_latency);
     net_.add_channel(kStandbySite, kNotifierSite, repl_latency);
   }
   // Re-wiring after a promotion: both machines are fresh, so stale
   // frames die and the channels come back up.
-  net_.channel(kNotifierSite, kStandbySite).drop_in_flight();
-  net_.channel(kStandbySite, kNotifierSite).drop_in_flight();
-  net_.channel(kNotifierSite, kStandbySite).set_down(false);
-  net_.channel(kStandbySite, kNotifierSite).set_down(false);
+  set_channels(kNotifierSite, kStandbySite, /*reset=*/true, /*down=*/false);
   repl_send_link_ = ReliableLink::make(
       queue_, cfg_.reliability, "link-repl-tx",
       [this](net::Payload frame) {
@@ -191,31 +201,14 @@ StarSession::StarSession(const StarSessionConfig& cfg,
                  "a hot standby replicates the durable checkpoint + WAL, "
                  "which only exist with cfg.reliability enabled");
 
-  // Channels first: client i <-> notifier, both directions.
-  for (SiteId i = 1; i <= cfg_.num_sites; ++i) {
-    net_.add_channel(i, kNotifierSite, cfg_.uplink, cfg_.channel_ordering)
-        .set_fault_plan(cfg_.uplink_faults);
-    net_.add_channel(kNotifierSite, i, cfg_.downlink, cfg_.channel_ordering)
-        .set_fault_plan(cfg_.downlink_faults);
-  }
-
   notifier_ = std::make_unique<NotifierSite>(
       cfg_.num_sites, cfg_.initial_doc, cfg_.engine, center_send_fn(),
       observer);
-
-  clients_.resize(cfg_.num_sites + 1);
-  client_links_.resize(cfg_.num_sites + 1);
-  notifier_links_.resize(cfg_.num_sites + 1);
   for (SiteId i = 1; i <= cfg_.num_sites; ++i) {
-    clients_[i] = std::make_unique<ClientSite>(i, cfg_.num_sites,
-                                               cfg_.initial_doc, cfg_.engine,
-                                               client_send_fn(i), observer);
-    make_client_link(i);
-    make_notifier_link(i, nullptr);
+    connect_client(i, std::make_unique<ClientSite>(
+                          i, cfg_.num_sites, cfg_.initial_doc, cfg_.engine,
+                          client_send_fn(i), observer));
   }
-
-  // Receivers last, once every site exists.
-  for (SiteId i = 1; i <= cfg_.num_sites; ++i) wire_channels(i);
 
   wire_standby();
   if (cfg_.reliability.enabled) checkpoint_notifier();
@@ -255,13 +248,6 @@ StarSession::StarSession(const StarSessionConfig& cfg,
   wire::Reader r(src);
   cfg_.num_sites = static_cast<std::size_t>(r.uv(wire::f::kSessionNumSites));
 
-  for (SiteId i = 1; i <= cfg_.num_sites; ++i) {
-    net_.add_channel(i, kNotifierSite, cfg_.uplink, cfg_.channel_ordering)
-        .set_fault_plan(cfg_.uplink_faults);
-    net_.add_channel(kNotifierSite, i, cfg_.downlink, cfg_.channel_ordering)
-        .set_fault_plan(cfg_.downlink_faults);
-  }
-
   notifier_ = std::make_unique<NotifierSite>(
       load_notifier_checkpoint(r.blob(wire::f::kSessionNotifierBlob)),
       cfg_.engine, center_send_fn(), observer);
@@ -269,24 +255,17 @@ StarSession::StarSession(const StarSessionConfig& cfg,
     throw util::DecodeError("checkpoint membership mismatch");
   }
 
-  clients_.resize(cfg_.num_sites + 1);
-  client_links_.resize(cfg_.num_sites + 1);
-  notifier_links_.resize(cfg_.num_sites + 1);
   r.count_external(wire::f::kSessionClients, cfg_.num_sites);
   for (SiteId i = 1; i <= cfg_.num_sites; ++i) {
-    clients_[i] = std::make_unique<ClientSite>(
-        load_client_checkpoint(r.blob(wire::f::kBlobBytes)), cfg_.engine,
-        client_send_fn(i), observer);
     // A session checkpoint is taken at quiescence, so the restored
     // links start fresh connections (nothing unacked, nothing queued).
-    make_client_link(i);
-    make_notifier_link(i, nullptr);
+    connect_client(i, std::make_unique<ClientSite>(
+                          load_client_checkpoint(r.blob(wire::f::kBlobBytes)),
+                          cfg_.engine, client_send_fn(i), observer));
   }
   if (!src.exhausted()) {
     throw util::DecodeError("trailing bytes in session checkpoint");
   }
-
-  for (SiteId i = 1; i <= cfg_.num_sites; ++i) wire_channels(i);
 
   wire_standby();
   if (cfg_.reliability.enabled) checkpoint_notifier();
@@ -296,22 +275,10 @@ SiteId StarSession::add_client() {
   const NotifierSite::JoinTicket ticket = notifier_->add_site();
   const SiteId i = ticket.site;
   cfg_.num_sites = notifier_->num_sites();
-
-  net_.add_channel(i, kNotifierSite, cfg_.uplink, cfg_.channel_ordering)
-      .set_fault_plan(cfg_.uplink_faults);
-  net_.add_channel(kNotifierSite, i, cfg_.downlink, cfg_.channel_ordering)
-      .set_fault_plan(cfg_.downlink_faults);
-
-  clients_.resize(cfg_.num_sites + 1);
-  client_links_.resize(cfg_.num_sites + 1);
-  notifier_links_.resize(cfg_.num_sites + 1);
-  clients_[i] = std::make_unique<ClientSite>(
-      i, cfg_.num_sites, ticket.document, ticket.ops_embodied, cfg_.engine,
-      client_send_fn(i), observer_);
-  make_client_link(i);
-  make_notifier_link(i, nullptr);
-
-  wire_channels(i);
+  connect_client(i, std::make_unique<ClientSite>(
+                        i, cfg_.num_sites, ticket.document,
+                        ticket.ops_embodied, cfg_.engine, client_send_fn(i),
+                        observer_));
 
   // Membership changed the notifier's state outside message processing,
   // so the last checkpoint + WAL no longer reproduces it: cut a new one.
@@ -357,8 +324,9 @@ void StarSession::checkpoint_notifier() {
   replicate_checkpoint();
 }
 
-void StarSession::restore_notifier_bundle(const net::Payload& bytes) {
-  const NotifierBundle bundle = decode_notifier_bundle(bytes);
+void StarSession::restart_notifier() {
+  // The atomic checkpoint first...
+  const NotifierBundle bundle = decode_notifier_bundle(notifier_ckpt_);
   CCVC_CHECK_MSG(bundle.num_sites == cfg_.num_sites,
                  "notifier checkpoint membership mismatch");
   notifier_ = std::make_unique<NotifierSite>(bundle.notifier, cfg_.engine,
@@ -366,29 +334,9 @@ void StarSession::restore_notifier_bundle(const net::Payload& bytes) {
   for (SiteId i = 1; i <= cfg_.num_sites; ++i) {
     make_notifier_link(i, &bundle.links[i - 1]);
   }
-}
 
-void StarSession::crash_notifier() {
-  CCVC_CHECK_MSG(cfg_.reliability.enabled && !notifier_ckpt_.empty(),
-                 "crash_notifier requires the reliability layer (which "
-                 "takes the durable checkpoint)");
-  ++notifier_crashes_;
-  CCVC_METRIC_COUNT("session.notifier_crashes", 1);
-  CCVC_TRACE(util::trace::EventType::kCrash, queue_.now(), kNotifierSite,
-             wal_.size(), 0);
-
-  // The process dies: every TCP connection resets, losing in-flight
-  // traffic in both directions.
-  for (SiteId i = 1; i <= cfg_.num_sites; ++i) {
-    net_.channel(i, kNotifierSite).drop_in_flight();
-    net_.channel(kNotifierSite, i).drop_in_flight();
-  }
-
-  // Restart from durable storage: the atomic checkpoint...
-  restore_notifier_bundle(notifier_ckpt_);
-
-  // ...then replay the write-ahead log in its original order.  The
-  // engine is deterministic, so it regenerates byte-identical broadcasts
+  // ...then the write-ahead log in its original order.  The engine is
+  // deterministic, so it regenerates byte-identical broadcasts
   // (consuming the same link sequence numbers the restored cursors
   // dictate); clients deduplicate the ones they already executed.  The
   // WAL itself is NOT consumed — a second crash before the next
@@ -405,6 +353,23 @@ void StarSession::crash_notifier() {
   }
 }
 
+void StarSession::crash_notifier() {
+  CCVC_CHECK_MSG(cfg_.reliability.enabled && !notifier_ckpt_.empty(),
+                 "crash_notifier requires the reliability layer (which "
+                 "takes the durable checkpoint)");
+  ++notifier_crashes_;
+  CCVC_METRIC_COUNT("session.notifier_crashes", 1);
+  CCVC_TRACE(util::trace::EventType::kCrash, queue_.now(), kNotifierSite,
+             wal_.size(), 0);
+
+  // The process dies: every TCP connection resets, losing in-flight
+  // traffic in both directions.  It restarts from durable storage.
+  for (SiteId i = 1; i <= cfg_.num_sites; ++i) {
+    set_channels(i, kNotifierSite, /*reset=*/true, /*down=*/std::nullopt);
+  }
+  restart_notifier();
+}
+
 void StarSession::fail_primary() {
   CCVC_CHECK_MSG(cfg_.standby, "fail_primary requires cfg.standby");
   CCVC_CHECK_MSG(!primary_failed_, "primary already failed");
@@ -415,10 +380,7 @@ void StarSession::fail_primary() {
   // The machine fail-stops: every client connection resets and stays
   // down (there is no local restart — recovery is the standby's job).
   for (SiteId i = 1; i <= cfg_.num_sites; ++i) {
-    net_.channel(i, kNotifierSite).set_down(true);
-    net_.channel(kNotifierSite, i).set_down(true);
-    net_.channel(i, kNotifierSite).drop_in_flight();
-    net_.channel(kNotifierSite, i).drop_in_flight();
+    set_channels(i, kNotifierSite, /*reset=*/true, /*down=*/true);
   }
   // Replication: nothing further leaves the dead primary, but frames
   // already on the wire to the standby drain — the standby is a
@@ -444,8 +406,7 @@ void StarSession::promote_standby() {
   // Clients reconnect to the standby's address: channels come back up
   // first, so the restored links' immediate retransmissions reach them.
   for (SiteId i = 1; i <= cfg_.num_sites; ++i) {
-    net_.channel(i, kNotifierSite).set_down(false);
-    net_.channel(kNotifierSite, i).set_down(false);
+    set_channels(i, kNotifierSite, /*reset=*/false, /*down=*/false);
   }
   primary_failed_ = false;
 
@@ -454,15 +415,7 @@ void StarSession::promote_standby() {
   // the log, let the deterministic engine regenerate what was lost.
   notifier_ckpt_ = standby_ckpt_;
   wal_ = standby_wal_;
-  restore_notifier_bundle(notifier_ckpt_);
-  CCVC_METRIC_COUNT("session.recovery.wal_replayed", wal_.size());
-  CCVC_METRIC_HIST("session.recovery.replay_len", wal_.size());
-  for (const auto& [from, payload] : wal_) {
-    notifier_links_[from]->note_replayed_delivery();
-    CCVC_TRACE(util::trace::EventType::kRecoveryReplay, queue_.now(), from,
-               payload.size(), 0);
-    notifier_->on_client_message(from, payload);
-  }
+  restart_notifier();
 
   // Provision the next standby (failback / a second failover): fresh
   // replication links, empty replica, then a checkpoint to seed it.
@@ -476,18 +429,14 @@ void StarSession::disconnect_client(SiteId i) {
   CCVC_CHECK(i >= 1 && i <= cfg_.num_sites);
   CCVC_METRIC_COUNT("session.disconnects", 1);
   CCVC_TRACE(util::trace::EventType::kDisconnect, queue_.now(), i, 0, 0);
-  net_.channel(i, kNotifierSite).set_down(true);
-  net_.channel(kNotifierSite, i).set_down(true);
-  net_.channel(i, kNotifierSite).drop_in_flight();
-  net_.channel(kNotifierSite, i).drop_in_flight();
+  set_channels(i, kNotifierSite, /*reset=*/true, /*down=*/true);
 }
 
 void StarSession::reconnect_client(SiteId i) {
   CCVC_CHECK(i >= 1 && i <= cfg_.num_sites);
   CCVC_METRIC_COUNT("session.reconnects", 1);
   CCVC_TRACE(util::trace::EventType::kReconnect, queue_.now(), i, 0, 0);
-  net_.channel(i, kNotifierSite).set_down(false);
-  net_.channel(kNotifierSite, i).set_down(false);
+  set_channels(i, kNotifierSite, /*reset=*/false, /*down=*/false);
 }
 
 void StarSession::restart_client(SiteId i) {
@@ -497,10 +446,7 @@ void StarSession::restart_client(SiteId i) {
   CCVC_TRACE(util::trace::EventType::kClientRestart, queue_.now(), i, 0, 0);
 
   // The client process dies: both connections reset.
-  net_.channel(i, kNotifierSite).drop_in_flight();
-  net_.channel(kNotifierSite, i).drop_in_flight();
-  net_.channel(i, kNotifierSite).set_down(false);
-  net_.channel(kNotifierSite, i).set_down(false);
+  set_channels(i, kNotifierSite, /*reset=*/true, /*down=*/false);
 
   // Snapshot resync, like a late joiner that keeps its site id.  Local
   // operations the notifier never saw are lost with the process.
@@ -516,8 +462,7 @@ void StarSession::restart_client(SiteId i) {
                                    observer_);
 
   // Fresh connections: sequence numbers restart on both sides.
-  make_client_link(i);
-  make_notifier_link(i, nullptr);
+  open_links(i);
   // The notifier-side reconfiguration (bridge reset + fresh link)
   // happened outside message processing: cut a new durable checkpoint.
   if (cfg_.reliability.enabled) checkpoint_notifier();

@@ -25,6 +25,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -45,6 +46,11 @@ namespace ccvc::engine {
 /// Never a collaborating site — it only names the primary <-> standby
 /// channels in the Network and in traces.
 inline constexpr SiteId kStandbySite = 0xFFFFFFFFu;
+
+/// One-way latency of the primary <-> standby replication channels
+/// (clean fixed-latency links — replication rides its own provisioned
+/// connection, not the faulted client paths).
+inline constexpr double kStandbyLatencyMs = 2.0;
 
 struct StarSessionConfig {
   std::size_t num_sites = 3;
@@ -70,14 +76,10 @@ struct StarSessionConfig {
   net::FaultPlan downlink_faults;
   /// Hot-standby notifier: the primary continuously replicates its
   /// durable state (0xD4 checkpoint + WAL entries, tags 0xE0/0xE1) to a
-  /// standby over a dedicated reliable link, and fail_primary() /
-  /// promote_standby() model a fail-stop of the primary followed by the
-  /// standby taking over.  Requires reliability.enabled.
+  /// standby over a dedicated reliable link (kStandbyLatencyMs), and
+  /// fail_primary() / promote_standby() model a fail-stop of the primary
+  /// followed by the standby taking over.  Requires reliability.enabled.
   bool standby = false;
-  /// One-way latency of the primary <-> standby replication channels
-  /// (clean fixed-latency links — replication rides its own provisioned
-  /// connection, not the faulted client paths).
-  double standby_latency_ms = 2.0;
   std::uint64_t seed = 0x5eed;
 };
 
@@ -193,9 +195,7 @@ class StarSession {
 
   /// Minimum fail->promote gap that guarantees the replication channel
   /// has drained into the standby's replica.
-  double standby_promote_delay_ms() const {
-    return cfg_.standby_latency_ms + 1.0;
-  }
+  double standby_promote_delay_ms() const { return kStandbyLatencyMs + 1.0; }
 
   bool has_standby() const { return cfg_.standby; }
   bool primary_failed() const { return primary_failed_; }
@@ -217,10 +217,20 @@ class StarSession {
  private:
   ClientSite::SendFn client_send_fn(SiteId i);
   NotifierSite::SendFn center_send_fn();
-  void make_client_link(SiteId i);
+  /// Adds client i's channel pair with its fault plans, takes `client`
+  /// as site i, opens both links and installs the channel receivers.
+  void connect_client(SiteId i, std::unique_ptr<ClientSite> client);
+  /// Both of client i's links on fresh connections.
+  void open_links(SiteId i);
+  /// The notifier's end of client i's link; restored from `state`, or
+  /// fresh when it is null.
   void make_notifier_link(SiteId i, const ReliableLink::State* state);
-  void wire_channels(SiteId i);
-  void restore_notifier_bundle(const net::Payload& bundle);
+  /// Both channels between `a` and `b`: `reset` drops what is in flight
+  /// (a connection reset), then `down`, if set, takes them down or up.
+  void set_channels(SiteId a, SiteId b, bool reset, std::optional<bool> down);
+  /// Restarts the notifier from its durable store: the checkpoint
+  /// bundle, then a replay of the write-ahead log.
+  void restart_notifier();
   void wire_standby();
   void replicate_checkpoint();
   void replicate_wal_entry(SiteId from, const net::Payload& payload);

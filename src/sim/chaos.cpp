@@ -15,7 +15,6 @@ ChaosReport run_chaos(const ChaosConfig& cfg) {
   scfg.engine = cfg.engine;
   scfg.uplink = cfg.uplink;
   scfg.downlink = cfg.downlink;
-  scfg.channel_ordering = cfg.channel_ordering;
   scfg.reliability = cfg.reliability;
   scfg.uplink_faults = cfg.uplink_faults;
   scfg.downlink_faults = cfg.downlink_faults;

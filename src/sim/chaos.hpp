@@ -23,7 +23,6 @@ struct ChaosConfig {
   std::size_t num_sites = 4;
   std::string initial_doc = "the quick brown fox jumps over the lazy dog";
   engine::EngineConfig engine;
-  net::Ordering channel_ordering = net::Ordering::kFifo;
   net::LatencyModel uplink = net::LatencyModel::uniform(5.0, 60.0);
   net::LatencyModel downlink = net::LatencyModel::uniform(5.0, 60.0);
   /// Fault plans applied to every uplink / downlink channel.

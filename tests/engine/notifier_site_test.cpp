@@ -1,6 +1,7 @@
 // NotifierSite driven directly with hand-built uplinks: admission of an
 // uplink's acknowledgement, OpId and positions, and of anything after a
-// leave, before any state changes; bridges that keep their own copy of
+// leave, before any state changes; full-vector broadcast stamps a skewed
+// uplink stamp cannot change; bridges that keep their own copy of
 // a form their client's op transformed; and checkpoint shapes a restore
 // must refuse.
 #include <gtest/gtest.h>
@@ -8,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "engine/client_site.hpp"
 #include "engine/notifier_site.hpp"
 #include "engine/snapshot.hpp"
 #include "util/check.hpp"
@@ -77,6 +79,46 @@ TEST(NotifierAdmission, FullVectorAckBeyondSentAndWrongSizeThrow) {
   send({0, 1, 0});
   EXPECT_EQ(sent.size(), 1u);
   EXPECT_EQ(n.text(), "xabc");
+}
+
+// Admission checks a full-vector uplink only through its sum over the
+// other clients' components, so a stamp with the right sum and skewed
+// components is admitted.  It must not leak into later broadcasts: the
+// notifier's stamp is SV_0's, whatever the uplink claimed.
+TEST(NotifierAdmission, SkewedFullVectorUplinkLeavesBroadcastStampsHonest) {
+  EngineConfig cfg;
+  cfg.stamp_mode = StampMode::kFullVector;
+  cfg.log_verdicts = false;
+  Sent sent;
+  NotifierSite n(3, "abc", cfg, collect(sent));
+  std::vector<net::Payload> up;
+  ClientSite c2(2, 3, "abc", cfg,
+                [&up](net::Payload bytes) { up.push_back(std::move(bytes)); });
+  ClientSite c3(3, 3, "abc", cfg, [](net::Payload) {});
+  const auto deliver = [&] {
+    for (const auto& [dest, bytes] : sent) {
+      if (dest == 2) c2.on_center_message(bytes);
+      if (dest == 3) c3.on_center_message(bytes);
+    }
+    sent.clear();
+  };
+
+  c2.insert(0, "y");
+  n.on_client_message(2, up.at(0));
+  deliver();
+
+  // Client 1 saw site 2's op, so its honest stamp is [1, 1, 1, 0]; this
+  // one moves the count into site 3's component, keeping the sum.
+  ClientMsg m;
+  m.id = OpId{1, 1};
+  m.ops = ot::make_insert(0, "x", 1);
+  m.stamp.full = clocks::VersionVector({0, 1, 0, 1});
+  n.on_client_message(1, encode(m, StampMode::kFullVector));
+  EXPECT_EQ(n.state().vc, clocks::VersionVector({2, 1, 1, 0}));
+  ASSERT_EQ(sent.size(), 2u);
+  EXPECT_NO_THROW(deliver());
+  EXPECT_EQ(c2.text(), n.text());
+  EXPECT_EQ(c3.text(), n.text());
 }
 
 // A second in-band leave from a departed site is hostile input, not a
@@ -360,6 +402,29 @@ TEST(NotifierRestore, AckBeyondSentIsRefused) {
   NotifierSite::State s = restorable_state();
   s.acked[3] = s.enqueued[3] + 1;  // the departed site
   expect_refused(s);
+}
+
+TEST(NotifierRestore, FullVectorStampOtherThanSv0sIsRefused) {
+  EngineConfig cfg;
+  cfg.stamp_mode = StampMode::kFullVector;
+  NotifierSite n(2, "abc", cfg, [](SiteId, net::Payload) {});
+  ClientMsg m;
+  m.id = OpId{1, 1};
+  m.ops = ot::make_insert(0, "x", 1);
+  m.stamp.full = clocks::VersionVector({0, 1, 0});
+  n.on_client_message(1, encode(m, StampMode::kFullVector));
+  NotifierSite::State s = n.state();
+  ASSERT_EQ(s.vc, clocks::VersionVector({1, 1, 0}));
+  const NotifierSite restored(s, cfg, [](SiteId, net::Payload) {});
+  EXPECT_EQ(restored.state(), s);
+
+  s.vc = clocks::VersionVector({1, 1, 1});  // more than SV_0 holds
+  EXPECT_THROW(NotifierSite(s, cfg, [](SiteId, net::Payload) {}),
+               ContractViolation);
+  // A compressed-mode checkpoint carries no full-vector stamp at all.
+  s.vc = clocks::VersionVector{};
+  EXPECT_THROW(NotifierSite(s, cfg, [](SiteId, net::Payload) {}),
+               ContractViolation);
 }
 
 TEST(NotifierRestore, ActiveSendCountOtherThanEq1IsRefused) {

@@ -306,36 +306,22 @@ TEST(ReliableLink, AdaptiveRtoConvergesOnCleanChannel) {
   EXPECT_GE(pair.a->rto_ms(), 20.0);  // min_rto floor
 }
 
-TEST(ReliableLink, SelectiveRepeatHealsAHoleCheaperThanGoBackN) {
-  // One lost frame at the head of a 10-frame burst.  With SACK the
-  // receiver reports the 9 buffered frames and the sender repairs just
-  // the hole (a fast retransmit); in go-back-N mode the RTO resends the
-  // whole window.
-  struct ModeStats {
-    LinkStats a;
-    LinkStats b;
-  };
-  auto run_mode = [](bool go_back_n) {
-    ReliabilityConfig cfg;
-    cfg.go_back_n = go_back_n;
-    LinkPair pair(9, cfg);
-    pair.ab.set_down(true);
-    pair.a->send(text("hole"));  // dropped
-    pair.ab.set_down(false);
-    for (int i = 1; i < 10; ++i) pair.a->send(text("m" + std::to_string(i)));
-    pair.queue.run();
-    EXPECT_EQ(pair.at_b.size(), 10u);
-    EXPECT_EQ(pair.at_b.front(), "hole");
-    return ModeStats{pair.a->stats(), pair.b->stats()};
-  };
-  const ModeStats sack = run_mode(false);
-  const ModeStats gbn = run_mode(true);
-  EXPECT_GE(sack.b.sacks_sent, 1u);
-  EXPECT_EQ(sack.a.fast_retransmits, 1u);  // only the hole was resent
-  EXPECT_EQ(sack.a.retransmits, 0u);       // the RTO never fired
-  EXPECT_EQ(gbn.b.sacks_sent, 0u);
-  EXPECT_GE(gbn.a.retransmits, 10u);  // the whole window went again
-  EXPECT_LT(sack.a.bytes_retransmitted, gbn.a.bytes_retransmitted);
+TEST(ReliableLink, SelectiveRepeatResendsOnlyTheHole) {
+  // One lost frame at the head of a 10-frame burst: the receiver reports
+  // the 9 buffered frames in a SACK and the sender repairs just the hole
+  // (a fast retransmit), not the window.
+  LinkPair pair(9);
+  pair.ab.set_down(true);
+  pair.a->send(text("hole"));  // dropped
+  pair.ab.set_down(false);
+  for (int i = 1; i < 10; ++i) pair.a->send(text("m" + std::to_string(i)));
+  pair.queue.run();
+  EXPECT_EQ(pair.at_b.size(), 10u);
+  EXPECT_EQ(pair.at_b.front(), "hole");
+  EXPECT_GE(pair.b->stats().sacks_sent, 1u);
+  EXPECT_EQ(pair.a->stats().fast_retransmits, 1u);  // only the hole
+  EXPECT_EQ(pair.a->stats().retransmits, 0u);       // the RTO never fired
+  EXPECT_EQ(pair.a->stats().bytes_retransmitted, text("hole").size());
 }
 
 TEST(ReliableLink, IdleReackRepairsALostAck) {
@@ -478,9 +464,9 @@ TEST(ReliableLinkState, CodecRoundTrip) {
   // ...and a hand-built state round-trips through a restored link.
   {
     net::EventQueue queue;
-    auto link = ReliableLink::restore(
-        queue, on(), "r", s, [](net::Payload) {},
-        [](const net::Payload&) {});
+    auto link = ReliableLink::make(
+        queue, on(), "r", [](net::Payload) {}, [](const net::Payload&) {},
+        &s);
     util::ByteSink out;
     link->encode_state(out);
     util::ByteSource src(out.bytes());
@@ -520,10 +506,10 @@ TEST(ReliableLink, RestoredSenderFinishesTheConversation) {
   a.reset();
   ab.set_down(false);
   ab.drop_in_flight();
-  a = ReliableLink::restore(
-      queue, on(), "a", ckpt,
+  a = ReliableLink::make(
+      queue, on(), "a",
       [&ab](net::Payload p) { ab.send(std::move(p)); },
-      [](const net::Payload&) {});
+      [](const net::Payload&) {}, &ckpt);
   ba.set_receiver([&a](const net::Payload& p) { a->on_frame(p); });
 
   queue.run();
@@ -549,10 +535,11 @@ TEST(ReliableLink, NoteReplayedDeliveryDedupsTheRetransmission) {
   pair.b.reset();
   const ReliableLink::State fresh;  // pre-conversation state
   pair.at_b.clear();
-  auto b2 = ReliableLink::restore(
-      pair.queue, on(), "b", fresh,
+  auto b2 = ReliableLink::make(
+      pair.queue, on(), "b",
       [&pair](net::Payload p) { pair.ba.send(std::move(p)); },
-      [&pair](const net::Payload& p) { pair.at_b.push_back(str(p)); });
+      [&pair](const net::Payload& p) { pair.at_b.push_back(str(p)); },
+      &fresh);
   b2->note_replayed_delivery();
   EXPECT_EQ(b2->expected_seq(), 2u);
   pair.ab.set_receiver([&b2](const net::Payload& p) { b2->on_frame(p); });

@@ -10,22 +10,21 @@
 namespace ccvc::engine {
 namespace {
 
+// The timer constants of engine/rtt.hpp, pinned here so a change to
+// them shows up as a test edit.
 constexpr double kInit = 80.0;
 constexpr double kMin = 20.0;
 constexpr double kMax = 1500.0;
-constexpr double kBackoff = 2.0;
-
-RttEstimator est() { return RttEstimator(kInit, kMin, kMax, kBackoff); }
 
 TEST(RttEstimator, InitialRtoBeforeAnySample) {
-  auto e = est();
+  RttEstimator e;
   EXPECT_FALSE(e.has_sample());
   EXPECT_DOUBLE_EQ(e.rto_ms(), kInit);
   EXPECT_DOUBLE_EQ(e.idle_ack_ms(), kInit / 2.0);
 }
 
 TEST(RttEstimator, FirstSampleSeedsSrttAndVar) {
-  auto e = est();
+  RttEstimator e;
   e.sample(100.0);
   EXPECT_TRUE(e.has_sample());
   EXPECT_DOUBLE_EQ(e.srtt_ms(), 100.0);
@@ -34,7 +33,7 @@ TEST(RttEstimator, FirstSampleSeedsSrttAndVar) {
 }
 
 TEST(RttEstimator, EwmaUpdateMatchesJacobsonKarels) {
-  auto e = est();
+  RttEstimator e;
   e.sample(100.0);
   e.sample(60.0);
   // rttvar <- 0.75·50    + 0.25·|100 − 60| = 47.5  (var updates first,
@@ -45,7 +44,7 @@ TEST(RttEstimator, EwmaUpdateMatchesJacobsonKarels) {
 }
 
 TEST(RttEstimator, RttvarConvergesOnASteadyLink) {
-  auto e = est();
+  RttEstimator e;
   for (int i = 0; i < 100; ++i) e.sample(30.0);
   EXPECT_DOUBLE_EQ(e.srtt_ms(), 30.0);
   EXPECT_LT(e.rttvar_ms(), 0.01);
@@ -53,16 +52,16 @@ TEST(RttEstimator, RttvarConvergesOnASteadyLink) {
 }
 
 TEST(RttEstimator, MinAndMaxClampTheEstimate) {
-  auto lo = est();
+  RttEstimator lo;
   for (int i = 0; i < 100; ++i) lo.sample(1.0);
   EXPECT_DOUBLE_EQ(lo.rto_ms(), kMin);  // 1 + 4·ε rises to the floor
-  auto hi = est();
+  RttEstimator hi;
   hi.sample(10000.0);
   EXPECT_DOUBLE_EQ(hi.rto_ms(), kMax);
 }
 
 TEST(RttEstimator, TimeoutBackoffDoublesUpToTheCeiling) {
-  auto e = est();
+  RttEstimator e;
   e.sample(30.0);
   const double base = e.rto_ms();  // 90
   e.on_timeout();
@@ -74,7 +73,7 @@ TEST(RttEstimator, TimeoutBackoffDoublesUpToTheCeiling) {
 }
 
 TEST(RttEstimator, ValidSampleResetsTheBackoff) {
-  auto e = est();
+  RttEstimator e;
   e.sample(30.0);
   e.on_timeout();
   e.on_timeout();
@@ -84,17 +83,17 @@ TEST(RttEstimator, ValidSampleResetsTheBackoff) {
 }
 
 TEST(RttEstimator, NegativeSamplesClampToZero) {
-  auto e = est();
+  RttEstimator e;
   e.sample(-5.0);  // clock skew artifact: treat as instantaneous
   EXPECT_DOUBLE_EQ(e.srtt_ms(), 0.0);
   EXPECT_DOUBLE_EQ(e.rto_ms(), kMin);
 }
 
 TEST(RttEstimator, IdleAckDelayTracksHalfSrtt) {
-  auto e = est();
+  RttEstimator e;
   e.sample(100.0);
   EXPECT_DOUBLE_EQ(e.idle_ack_ms(), 50.0);
-  auto fast = est();
+  RttEstimator fast;
   fast.sample(1.0);  // floored at half the min RTO: no sub-ms ack spam
   EXPECT_DOUBLE_EQ(fast.idle_ack_ms(), kMin / 2.0);
 }

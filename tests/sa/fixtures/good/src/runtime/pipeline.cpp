@@ -8,6 +8,9 @@
 //                     runtime, written only from the transform closure;
 //   * last_dest_      written from TWO closures, but mutex-guarded;
 //   * cold_/cold_path allocation + loop, but unreachable from the roots;
+//   * sites_[dest]    a hot-path loop over ONE site's row: the for header
+//                     subscripts a site-sized name (hot-path-budget must
+//                     not count it as a loop over the sites);
 //   * log_.push_back  real budget hit carrying a live allow() pragma;
 //   * every atomic op, wait included, spells out its memory order;
 //   * the submit and transform_loop waits park on eventcount words
@@ -61,6 +64,7 @@ class NotifierPipeline {
   int last_dest_ = 0;
   int got_state_ = 0;
   std::vector<int> cold_;
+  std::vector<std::vector<int>> sites_;
   std::vector<int> log_;
 };
 
@@ -93,7 +97,11 @@ void NotifierPipeline::transform_loop() {
   on_broadcast(got_state_);
 }
 
-void NotifierPipeline::on_broadcast(int dest) { flush_dest(dest); }
+void NotifierPipeline::on_broadcast(int dest) {
+  int pending = 0;
+  for (const int op : sites_[dest]) pending += op;
+  flush_dest(dest + pending);
+}
 
 void NotifierPipeline::flush_dest(int dest) {
   note_dest(dest);

@@ -12,7 +12,8 @@ match — and run through `ccvc_sa --check`:
   good/  near-miss patterns the checkers must NOT flag: a transform-
          confined plain write (a member, and a global outside the
          runtime), a mutex-guarded two-closure write, an
-         allocation outside the hot-path closure, a live allow() pragma
+         allocation outside the hot-path closure, a hot-path loop
+         over one subscripted site's row, a live allow() pragma
          on a deliberate budget hit, explicit-order atomics.  Must run
          clean (exit 0).
 

@@ -35,9 +35,9 @@ Enforces invariants generic tools cannot express:
                      fault injection is on.  Route through a
                      ReliableLink.  Recognized structurally: the one
                      sanctioned place for a raw send is the RawSend
-                     lambda handed to ReliableLink::make()/restore(),
-                     so sends inside those call extents (paren-matched)
-                     are allowed — the link owns the channel boundary,
+                     lambda handed to ReliableLink::make(), so sends
+                     inside its call extent (paren-matched) are
+                     allowed — the link owns the channel boundary,
                      and with reliability disabled it degrades to a
                      passthrough rather than bypassing the sublayer.
 
@@ -152,14 +152,14 @@ ALLOW_RE = re.compile(r"ccvc-lint:\s*allow\(([a-z\-]+)\)")
 RAW_CHANNEL_SEND_RE = re.compile(
     r"\bchannel\w*\s*(?:\([^()]*\))?\s*(?:\.|->)\s*send\s*\("
 )
-# The reliability-sublayer factories.  Their argument list (including
-# the RawSend lambda) is the sanctioned raw-channel boundary.
-LINK_FACTORY_RE = re.compile(r"\bReliableLink::(?:make|restore)\s*\(")
+# The reliability-sublayer factory.  Its argument list (including the
+# RawSend lambda) is the sanctioned raw-channel boundary.
+LINK_FACTORY_RE = re.compile(r"\bReliableLink::make\s*\(")
 
 
 def link_factory_extents(clean: str) -> set[int]:
-    """Line numbers covered by a ReliableLink::make(...)/restore(...)
-    call in comment/string-stripped text, opening paren to its match.
+    """Line numbers covered by a ReliableLink::make(...) call in
+    comment/string-stripped text, opening paren to its match.
 
     A raw Channel::send inside such an extent is the RawSend lambda the
     factory owns — the reliability boundary itself, not a bypass."""
