@@ -18,15 +18,10 @@ void CompressedSv::encode(util::ByteSink& sink) const {
   w.uv(wire::f::kCsvFromSite, from_site);
 }
 
-// Both fields are declared unbounded, so encode_to skips the Writer's
-// bound checks without dropping any.
+// Both fields are declared unbounded, so encode_to (inline in the
+// header) skips the Writer's bound checks without dropping any.
 static_assert(wire::f::kCsvFromCenter.bound == wire::kU64Max &&
               wire::f::kCsvFromSite.bound == wire::kU64Max);
-
-std::size_t CompressedSv::encode_to(std::uint8_t* out) const {
-  const std::size_t n = util::encode_uvarint(from_center, out);
-  return n + util::encode_uvarint(from_site, out + n);
-}
 
 CompressedSv CompressedSv::decode(util::ByteSource& src) {
   wire::Reader r(src);
@@ -67,17 +62,6 @@ void NotifierClock::on_op_from(SiteId site) {
                  "notifier counts ops from collaborating sites 1..N only");
   sv0_.tick(site);
   ++total_;
-}
-
-CompressedSv NotifierClock::stamp_for(SiteId dest) const {
-  CCVC_CHECK(dest >= 1 && dest <= num_sites());
-  // Eq. (1): T[1] = Σ_{j≠dest} SV_0[j];  eq. (2): T[2] = SV_0[dest].
-  return CompressedSv{total_ - sv0_[dest], sv0_[dest]};
-}
-
-std::uint64_t NotifierClock::from(SiteId site) const {
-  CCVC_CHECK(site >= 1 && site <= num_sites());
-  return sv0_[site];
 }
 
 namespace {

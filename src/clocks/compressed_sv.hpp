@@ -24,6 +24,7 @@
 #include <string_view>
 
 #include "clocks/version_vector.hpp"
+#include "util/check.hpp"
 #include "util/types.hpp"
 #include "util/varint.hpp"
 
@@ -54,7 +55,10 @@ struct CompressedSv {
   /// The same bytes as encode(), written to `out` (room for
   /// kMaxEncodedSize); returns the count.  The notifier's broadcast
   /// splices these per destination from a stack buffer.
-  std::size_t encode_to(std::uint8_t* out) const;
+  std::size_t encode_to(std::uint8_t* out) const {
+    const std::size_t n = util::encode_uvarint(from_center, out);
+    return n + util::encode_uvarint(from_site, out + n);
+  }
 
   /// "[a,b]" rendering matching Fig. 3 annotations.
   std::string str() const;
@@ -119,14 +123,21 @@ class NotifierClock {
 
   /// Eq. (1)-(2): the 2-element stamp for a message propagated to
   /// destination site `dest`.  O(1).
-  CompressedSv stamp_for(SiteId dest) const;
+  CompressedSv stamp_for(SiteId dest) const {
+    CCVC_CHECK(dest >= 1 && dest <= num_sites());
+    // Eq. (1): T[1] = Σ_{j≠dest} SV_0[j];  eq. (2): T[2] = SV_0[dest].
+    return CompressedSv{total_ - sv0_[dest], sv0_[dest]};
+  }
 
   /// Current full SV_0 — used to timestamp operations buffered in HB_0
   /// (§3.3 "timestamping buffered operations").
   const VersionVector& full() const { return sv0_; }
 
   std::uint64_t total() const { return total_; }
-  std::uint64_t from(SiteId site) const;
+  std::uint64_t from(SiteId site) const {
+    CCVC_CHECK(site >= 1 && site <= num_sites());
+    return sv0_[site];
+  }
 
  private:
   VersionVector sv0_;        // index = site id; [0] unused

@@ -1,7 +1,6 @@
 #include "engine/message.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <utility>
 
 #include "util/check.hpp"
@@ -117,15 +116,6 @@ CenterMsgSplicer::CenterMsgSplicer(const OpId& id, const ot::OpList& ops) {
   head_size_ = sink.size();
   ot::encode(ot::coalesce(ops), sink);
   body_ = std::move(sink).take();
-}
-
-void Downlink::write_to(std::uint8_t* out) const {
-  const std::uint8_t* body = wire_.body_.data();
-  const std::size_t head = wire_.head_size_;
-  std::memcpy(out, body, head);
-  std::memcpy(out + head, stamp_, stamp_size_);
-  std::memcpy(out + head + stamp_size_, body + head,
-              wire_.body_.size() - head);
 }
 
 Downlink::operator net::Payload() const {

@@ -15,6 +15,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "clocks/compressed_sv.hpp"
@@ -101,7 +102,14 @@ class Downlink {
   std::size_t stamp_size() const { return stamp_size_; }
 
   /// Writes the size() message bytes to `out`.
-  void write_to(std::uint8_t* out) const;
+  void write_to(std::uint8_t* out) const {
+    const std::uint8_t* body = wire_.body_.data();
+    const std::size_t head = wire_.head_size_;
+    std::memcpy(out, body, head);
+    std::memcpy(out + head, stamp_, stamp_size_);
+    std::memcpy(out + head + stamp_size_, body + head,
+                wire_.body_.size() - head);
+  }
 
   /// Implicit on purpose: a SendFn taking net::Payload gets the bytes.
   operator net::Payload() const;

@@ -23,16 +23,56 @@ std::uint64_t bridge_index(const NotifierHbEntry& e, SiteId x) {
   return e.stamp_sum - e.stamp.at_or_zero(x);
 }
 
+// True when `next` is `prev`, zero-extended to its width, plus one at
+// `origin` (kNotifierSite: plus nothing, as no op comes from slot 0).
+bool follows(const clocks::VersionVector& prev,
+             const clocks::VersionVector& next, SiteId origin) {
+  if (next.size() < prev.size()) return false;
+  for (std::size_t j = 0; j < next.size(); ++j) {
+    const std::uint64_t want = prev.at_or_zero(j);
+    const bool ok = (origin != kNotifierSite && j == origin)
+                        ? next[j] >= 1 && next[j] - 1 == want
+                        : next[j] == want;
+    if (!ok) return false;
+  }
+  return true;
+}
+
+// Σ v without wrapping, or false.
+bool sum_fits(const clocks::VersionVector& v) {
+  std::uint64_t total = 0;
+  for (std::size_t j = 0; j < v.size(); ++j) {
+    if (__builtin_add_overflow(total, v[j], &total)) return false;
+  }
+  return true;
+}
+
 const NotifierSite::State& validated(const NotifierSite::State& s) {
   const std::size_t slots = s.num_sites + 1;
   CCVC_CHECK_MSG(s.sv0.size() == slots && s.outgoing.size() == slots &&
                      s.enqueued.size() == slots && s.acked.size() == slots &&
                      s.active.size() == slots,
                  "notifier checkpoint needs num_sites + 1 slots per site");
+  // HB is a run of SV_0 values, one op apart: each stamp is the one
+  // before it (zero-extended past a join) plus one at its origin, and
+  // the last is SV_0.  The bridge views and GC index HB by that shape.
+  CCVC_CHECK_MSG(sum_fits(s.sv0) &&
+                     s.hb_collected <= ~std::uint64_t{0} - s.hb.size() &&
+                     s.sv0.sum() == s.hb_collected + s.hb.size(),
+                 "notifier checkpoint HB does not end at SV_0's count");
+  const clocks::VersionVector* prev = nullptr;
   for (const auto& e : s.hb) {
     CCVC_CHECK_MSG(e.origin >= 1 && e.origin <= s.num_sites,
                    "notifier checkpoint HB origin is not a site");
+    CCVC_CHECK_MSG(e.origin < e.stamp.size() && e.stamp[e.origin] >= 1 &&
+                       e.stamp_sum == e.stamp.sum(),
+                   "notifier checkpoint HB stamp does not count its op");
+    CCVC_CHECK_MSG(prev == nullptr || follows(*prev, e.stamp, e.origin),
+                   "notifier checkpoint HB stamps are not one op apart");
+    prev = &e.stamp;
   }
+  CCVC_CHECK_MSG(prev == nullptr || follows(*prev, s.sv0, kNotifierSite),
+                 "notifier checkpoint HB does not end at SV_0");
   for (SiteId x = 0; x < slots; ++x) {
     CCVC_CHECK_MSG(s.acked[x] <= s.enqueued[x],
                    "notifier checkpoint acknowledges ops never sent");
@@ -76,7 +116,7 @@ NotifierSite::State NotifierSite::state() const {
       out.push_back(BridgeEntry{e.id, bridge_index(e, x), e.executed});
     }
     s.enqueued.push_back(x == kNotifierSite || !active_[x]
-                             ? bridges_[x].left_with
+                             ? bridges_[x].base
                              : clock_.stamp_for(x).from_center);
   }
   s.acked = acked_;
@@ -103,7 +143,8 @@ NotifierSite::NotifierSite(const State& state, const EngineConfig& cfg,
   CCVC_CHECK_MSG(state.vc == full_stamp(),
                  "notifier checkpoint full-vector stamp is not SV_0's");
   // Each checkpointed bridge becomes its site's private prefix, with an
-  // empty view: the mark sits at the end of HB.
+  // empty view: the mark sits at the end of HB, where an active site's
+  // count is its checkpointed (eq. (1)) one.  GC starts with no blocker.
   for (SiteId x = 0; x <= num_sites_; ++x) {
     const auto& q = state.outgoing[x];
     bridges_.push_back(
@@ -122,8 +163,10 @@ NotifierSite::JoinTicket NotifierSite::add_site() {
   num_sites_ = clock_.num_sites();
   // The snapshot hands over every operation executed so far, so the
   // bridge starts empty at the end of HB, and GC may treat everything up
-  // to the snapshot as acknowledged (eq. (1)'s Σ_{j≠id} SV_0[j]).
-  bridges_.push_back(Bridge{{}, log_end(), 0});
+  // to the snapshot as acknowledged (eq. (1)'s Σ_{j≠id} SV_0[j]), so the
+  // new site blocks no HB entry.
+  bridges_.emplace_back();
+  mark_at_end(id);
   acked_.push_back(clock_.total());
   active_.push_back(true);
   if (observer_) observer_->on_client_join(id);
@@ -138,9 +181,11 @@ NotifierSite::ResyncTicket NotifierSite::resync_site(SiteId site) {
   // The snapshot embodies everything executed at site 0 *except* the
   // site's own operations (eq. (1) excludes them from its stamp): the
   // bridge restarts empty at the end of HB, everything sent acknowledged.
-  bridges_[site] = Bridge{{}, log_end(), 0};
+  bridges_[site].own.clear();
+  mark_at_end(site);
   const std::uint64_t embodied = clock_.total() - clock_.from(site);
   acked_[site] = embodied;
+  if (site == gc_blocker_) gc_blocker_ = kNotifierSite;
   if (observer_) observer_->on_client_resync(site);
   return ResyncTicket{doc_.text(), embodied, clock_.from(site)};
 }
@@ -152,8 +197,9 @@ void NotifierSite::remove_site(SiteId site) {
   // never read again; it is frozen into the private prefix (GC may then
   // drop the HB entries under it) only so checkpoints keep their bytes.
   take_view(site, acked_[site]);
-  bridges_[site].left_with = clock_.stamp_for(site).from_center;
+  mark_at_end(site);  // base is now the count it left with
   active_[site] = false;
+  if (site == gc_blocker_) gc_blocker_ = kNotifierSite;
   if (cfg_.gc_history) gc_history();  // its acks no longer gate GC
 }
 
@@ -168,11 +214,29 @@ std::span<const NotifierHbEntry> NotifierSite::view(SiteId x) const {
   return std::span(hb_).subspan(bridges_[x].mark - hb_collected_);
 }
 
+std::span<const NotifierHbEntry> NotifierSite::view_past(
+    SiteId x, std::uint64_t ack) const {
+  // view(x)[k] has index base + k + 1: the view holds no entry from x.
+  const std::span<const NotifierHbEntry> v = view(x);
+  const std::uint64_t base = bridges_[x].base;
+  const std::uint64_t skip = ack > base ? ack - base : 0;
+  CCVC_DCHECK(skip <= v.size());
+  CCVC_DCHECK(v.empty() || bridge_index(v.back(), x) == base + v.size());
+  return v.subspan(std::min<std::uint64_t>(skip, v.size()));
+}
+
 void NotifierSite::take_view(SiteId x, std::uint64_t ack) {
-  for (const auto& e : view(x)) {
-    const std::uint64_t index = bridge_index(e, x);
-    if (index > ack) bridges_[x].own.push_back({e.id, index, e.executed});
+  std::uint64_t index = std::max(ack, bridges_[x].base);
+  for (const auto& e : view_past(x, ack)) {
+    ++index;
+    CCVC_DCHECK(index == bridge_index(e, x));
+    bridges_[x].own.push_back({e.id, index, e.executed});
   }
+}
+
+void NotifierSite::mark_at_end(SiteId x) {
+  bridges_[x].mark = log_end();
+  bridges_[x].base = clock_.stamp_for(x).from_center;
 }
 
 std::size_t NotifierSite::outgoing_count(SiteId client) const {
@@ -287,6 +351,9 @@ void NotifierSite::apply_uplink(ParsedUplink parsed) {
     }
   }
 
+  // The site blocking GC's front entry (see gc_history) unblocks it only
+  // by acknowledging more.
+  if (from == gc_blocker_ && ack != acked_[from]) gc_blocker_ = kNotifierSite;
   acked_[from] = ack;
 
   ot::OpList incoming = std::move(msg.ops);
@@ -326,7 +393,7 @@ void NotifierSite::apply_uplink(ParsedUplink parsed) {
   // bridge reads it from there; the sender's view starts past it.
   hb_.push_back(NotifierHbEntry{msg.id, from, clock_.full(), clock_.total(),
                                 std::move(incoming)});
-  bridges_[from].mark = log_end();
+  mark_at_end(from);
   if (observer_) observer_->on_center_execute(msg.id, hb_.back().executed);
 
   // The full-vector stamp is the same for every destination.
@@ -368,9 +435,7 @@ void NotifierSite::check_uplink_bounds(const ot::OpList& ops, SiteId from,
   for (const auto& b : bridges_[from].own) {
     if (b.index > ack) len -= ot::size_delta(b.ops);
   }
-  for (const auto& e : view(from)) {
-    if (bridge_index(e, from) > ack) len -= ot::size_delta(e.executed);
-  }
+  for (const auto& e : view_past(from, ack)) len -= ot::size_delta(e.executed);
   CCVC_DCHECK(len >= 0);
   for (const auto& op : ops) {
     const auto room = static_cast<std::size_t>(len);
@@ -391,6 +456,23 @@ clocks::VersionVector NotifierSite::full_stamp() const {
   return vc;
 }
 
+std::size_t NotifierSite::first_unacked(SiteId x) const {
+  // bridge_index(·, x) climbs by one at each entry from another origin
+  // and stays put at x's own, so the first entry past a threshold is
+  // never x's own unless it is the front.  A live session never leaves
+  // x's own entry at the front past acked_[x], but a restored checkpoint
+  // may: x's own run there is skipped by raising the threshold.
+  std::uint64_t threshold = acked_[x];
+  if (!hb_.empty() && hb_.front().origin == x) {
+    threshold = std::max(threshold, bridge_index(hb_.front(), x));
+  }
+  const auto it = std::partition_point(
+      hb_.begin(), hb_.end(), [x, threshold](const NotifierHbEntry& e) {
+        return bridge_index(e, x) <= threshold;
+      });
+  return static_cast<std::size_t>(it - hb_.begin());
+}
+
 void NotifierSite::gc_history() {
   // A buffered entry Ob can only be flagged concurrent by formula (7)
   // for a future op from site x ≠ origin(Ob) whose T[1] is at least
@@ -398,18 +480,26 @@ void NotifierSite::gc_history() {
   //     Σ_{j≠x} T_Ob[j]  <=  acked_[x]     for every such x,
   // no future check can select Ob, so it is dead.  Both sides of the
   // inequality are monotone along HB order, so dead entries form a
-  // prefix — collect from the front.
-  const auto dead = [this](const NotifierHbEntry& e) {
-    for (SiteId x = 1; x <= num_sites_; ++x) {
-      if (x != e.origin && active_[x] && bridge_index(e, x) > acked_[x]) {
-        return false;
-      }
+  // prefix: the one before the earliest entry some active site still
+  // needs, min_x first_unacked(x).  The site that needs the front entry
+  // (gc_blocker_) keeps it alive until it acknowledges more, leaves or
+  // resyncs; appends, joins and every other site's moves cannot free
+  // it, so only the blocker's move (or an empty HB) triggers a rescan.
+  if (gc_blocker_ != kNotifierSite || hb_.empty()) return;
+  std::size_t live = hb_.size();
+  // O(sites · log HB), paid only when the blocker acknowledges more,
+  // leaves or resyncs (or HB emptied), not per op or per entry: with
+  // sites taking turns, one uplink in N.
+  for (SiteId x = 1; x <= num_sites_; ++x) {  // ccvc-sa: allow(hot-path-budget)
+    if (!active_[x]) continue;
+    const std::size_t first = first_unacked(x);
+    if (first < live) {
+      live = first;
+      gc_blocker_ = x;
     }
-    return true;
-  };
-  const auto live = std::find_if_not(hb_.begin(), hb_.end(), dead);
-  hb_collected_ += static_cast<std::uint64_t>(live - hb_.begin());
-  hb_.erase(hb_.begin(), live);
+  }
+  hb_collected_ += live;
+  hb_.erase(hb_.begin(), hb_.begin() + static_cast<std::ptrdiff_t>(live));
 }
 
 }  // namespace ccvc::engine

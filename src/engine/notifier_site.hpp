@@ -24,9 +24,19 @@
 // HB entry (or its join or resync point).  x's bridge is that prefix
 // followed by every HB entry from the mark on, and the index of an entry
 // e in it is Σ_{j≠x} T_e[j], so the send counter for x *is* eq. (1)'s
-// Σ_{j≠x} SV_0[j].  After acknowledgement-dropping, x's bridge holds
-// exactly the operations formula (7) classifies as concurrent with x's
-// arriving op.
+// Σ_{j≠x} SV_0[j].  No entry past the mark is x's own, so each raises
+// that count by one: with `base` the count at the mark, the k-th view
+// entry has index base + k + 1, and an uplink acknowledging `ack` reads
+// its view from offset ack − base on, never walking what x has seen.
+// After acknowledgement-dropping, x's bridge holds exactly the
+// operations formula (7) classifies as concurrent with x's arriving op.
+//
+// History GC (gc_history) drops the HB prefix every active site has
+// acknowledged.  Its frontier is the earliest, over active sites x, of
+// x's first unacknowledged entry from another origin (a binary search:
+// x's index is monotone along HB).  The site holding that minimum — the
+// blocker — is remembered; only its ack, leave or resync can free the
+// front entry, so only then is the minimum recomputed over the sites.
 //
 // Broadcast layout.  Of an executed O' sent to N−1 destinations only the
 // eq. (1)-(2) stamp differs, so apply_uplink does the rest once per op:
@@ -192,20 +202,24 @@ class NotifierSite {
 
   /// Restores a checkpointed notifier; `cfg` must match.  Throws
   /// ContractViolation, before building anything, unless every per-site
-  /// vector has num_sites + 1 slots, every HB origin is a site, no site
-  /// has acknowledged more than was sent to it, every active site's
-  /// send count is eq. (1)'s, and `vc` is full_stamp()'s.
+  /// vector has num_sites + 1 slots, every HB origin is a site, the HB
+  /// stamps are SV_0 values one op apart ending at SV_0, whose sum is
+  /// hb_collected + hb.size(), no site has acknowledged more than was
+  /// sent to it, every active site's send count is eq. (1)'s, and `vc`
+  /// is full_stamp()'s.
   NotifierSite(const State& state, const EngineConfig& cfg,
                SendFn send_to_client, EngineObserver* observer = nullptr);
 
  private:
-  // Client x's bridge: `own`, then view(x).  A departed site's bridge is
-  // frozen into `own`, and `left_with` keeps the count sent to it (slot
-  // 0's, too); an active site's count is eq. (1)'s, read off clock_.
+  // Client x's bridge: `own`, then view(x).  `base` is eq. (1)'s count
+  // for x at the mark, so view(x)[k] has index base + k + 1.  A departed
+  // site's bridge is frozen into `own`, and its `base` keeps the count
+  // sent to it (slot 0's, too); an active site's count is eq. (1)'s,
+  // read off clock_.
   struct Bridge {
     std::deque<BridgeEntry> own;  // forms x's uplinks transformed
     std::uint64_t mark = 0;       // log position where the HB view starts
-    std::uint64_t left_with = 0;
+    std::uint64_t base = 0;       // x's send count at the mark
   };
 
   std::size_t num_sites_;
@@ -225,8 +239,16 @@ class NotifierSite {
   /// The HB entries in client x's bridge after its private prefix; empty
   /// for slot 0, a departed site, and with transform off.
   std::span<const NotifierHbEntry> view(SiteId x) const;
-  /// Copies the entries of view(x) past index `ack` into x's prefix.
+  /// The entries of view(x) with index past `ack`, found by arithmetic.
+  std::span<const NotifierHbEntry> view_past(SiteId x,
+                                             std::uint64_t ack) const;
+  /// Copies view_past(x, ack) into x's prefix.
   void take_view(SiteId x, std::uint64_t ack);
+  /// Moves x's mark to the end of HB, where its count is eq. (1)'s.
+  void mark_at_end(SiteId x);
+  /// Offset in hb_ of the first entry from another origin that x has
+  /// not acknowledged (hb_.size() if none).  O(log HB).
+  std::size_t first_unacked(SiteId x) const;
   /// Throws util::DecodeError unless `ops` is in range on the document
   /// its stamp (acknowledging `ack` center operations) names.  Pure.
   void check_uplink_bounds(const ot::OpList& ops, SiteId from,
@@ -237,6 +259,9 @@ class NotifierSite {
   std::vector<std::uint64_t> acked_;  // latest T[1] per client
   std::vector<bool> active_;          // departed sites: false
   std::uint64_t hb_collected_ = 0;    // GC statistics
+  // The active site whose unacknowledged entry is hb_.front(), or
+  // kNotifierSite when GC must rescan (gc_history mode).
+  SiteId gc_blocker_ = kNotifierSite;
 };
 
 }  // namespace ccvc::engine

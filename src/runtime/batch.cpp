@@ -17,28 +17,11 @@ BatchAssembler::BatchAssembler(std::size_t max_batch)
                  "max_batch must be in [1, wire::kMaxBatchMsgs]");
 }
 
-std::uint8_t* BatchAssembler::append_entry(std::size_t n) {
-  CCVC_CHECK_MSG(count_ < max_batch_, "assembler is full — flush before adding");
-  CCVC_CHECK_MSG(n != 0, "batched messages are never empty");
-  CCVC_CHECK(n <= wire::f::kBatchPayload.bound);
-  std::uint8_t len[util::kMaxUvarintBytes] = {};
-  const std::size_t len_size = util::encode_uvarint(n, len);
-  const std::size_t at = (count_ == 0) ? prefix_ : used_;
-  used_ = at + len_size + n;
-  if (used_ > frame_.size()) {
-    // The frame buffer's one growth point: a new frame starts at the
-    // size the last one reached and doubles past it, so a steady
-    // workload allocates once per frame, not per message.
-    frame_.resize(std::max({used_, 2 * frame_.size(), last_size_}));  // ccvc-sa: allow(hot-path-budget)
-  }
-  std::memcpy(frame_.data() + at, len, len_size);
-  ++count_;
-  return frame_.data() + at + len_size;
-}
-
-bool BatchAssembler::add(const engine::Downlink& msg) {
-  msg.write_to(append_entry(msg.size()));
-  return count_ == max_batch_;
+void BatchAssembler::grow() {
+  // The frame buffer's one growth point: a new frame starts at the size
+  // the last one reached and doubles past it, so a steady workload
+  // allocates once per frame, not per message.
+  frame_.resize(std::max({used_, 2 * frame_.size(), last_size_}));  // ccvc-sa: allow(hot-path-budget)
 }
 
 bool BatchAssembler::add(const net::Payload& msg) {

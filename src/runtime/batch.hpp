@@ -18,9 +18,13 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 
 #include "engine/message.hpp"
 #include "net/channel.hpp"
+#include "util/check.hpp"
+#include "util/varint.hpp"
+#include "wire/schema.hpp"
 
 namespace ccvc::runtime {
 
@@ -33,7 +37,10 @@ class BatchAssembler {
   /// reached the max-batch bound (the caller must flush before adding
   /// more).  The Downlink form copies the broadcast's view straight
   /// into the frame; the Payload form takes any encoded message.
-  bool add(const engine::Downlink& msg);
+  bool add(const engine::Downlink& msg) {
+    msg.write_to(append_entry(msg.size()));
+    return count_ == max_batch_;
+  }
   bool add(const net::Payload& msg);
 
   bool empty() const { return count_ == 0; }
@@ -47,7 +54,22 @@ class BatchAssembler {
  private:
   /// Appends the blob length of an n-byte message and returns where its
   /// n bytes go.
-  std::uint8_t* append_entry(std::size_t n);
+  std::uint8_t* append_entry(std::size_t n) {
+    CCVC_CHECK_MSG(count_ < max_batch_,
+                   "assembler is full — flush before adding");
+    CCVC_CHECK_MSG(n != 0, "batched messages are never empty");
+    CCVC_CHECK(n <= wire::f::kBatchPayload.bound);
+    std::uint8_t len[util::kMaxUvarintBytes] = {};
+    const std::size_t len_size = util::encode_uvarint(n, len);
+    const std::size_t at = (count_ == 0) ? prefix_ : used_;
+    used_ = at + len_size + n;
+    if (used_ > frame_.size()) grow();
+    std::memcpy(frame_.data() + at, len, len_size);
+    ++count_;
+    return frame_.data() + at + len_size;
+  }
+  /// Makes frame_ hold used_ bytes: the out-of-line growth path.
+  void grow();
 
   std::size_t max_batch_;
   std::size_t prefix_;        // reserved for the tag and the count

@@ -7,10 +7,14 @@
 // covers the injector's single-byte flips exactly — and catches longer
 // damage with probability 1 - 2^-32.
 //
-// The kernel is slice-by-8: eight bytes per step through eight 256-entry
-// tables, bytewise for the tail.  Same polynomial, same output as the
-// classic one-table loop — not CRC-32C, whose hardware instruction
-// would change every framed byte.
+// Two kernels, one output.  On x86 CPUs with PCLMULQDQ (checked once,
+// at the first call), an input of at least 64 bytes has its 16-byte
+// multiple folded by carry-less multiplication (Gopal et al., Intel,
+// 2009) and Barrett-reduced.  Everything else — the tail, short inputs,
+// other CPUs and architectures — runs slice-by-8: eight bytes per step
+// through eight 256-entry tables, bytewise for the tail.  Same
+// polynomial, same output as the classic one-table loop — not CRC-32C,
+// whose hardware instruction would change every framed byte.
 #pragma once
 
 #include <cstddef>
@@ -27,5 +31,14 @@ inline std::uint32_t crc32(const std::vector<std::uint8_t>& bytes,
                            std::uint32_t seed = 0) {
   return crc32(bytes.data(), bytes.size(), seed);
 }
+
+namespace detail {
+
+/// crc32() through the slice-by-8 kernel alone, whatever the CPU: the
+/// path hosts without PCLMULQDQ take, exposed so tests cover it there.
+std::uint32_t crc32_sliced(const void* data, std::size_t n,
+                           std::uint32_t seed = 0);
+
+}  // namespace detail
 
 }  // namespace ccvc::util

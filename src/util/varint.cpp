@@ -74,23 +74,4 @@ std::string ByteSource::get_string() {
   return s;
 }
 
-std::size_t encode_uvarint(std::uint64_t v, std::uint8_t* out) {
-  std::size_t n = 0;
-  while (v >= 0x80) {
-    out[n++] = static_cast<std::uint8_t>(v) | 0x80u;
-    v >>= 7;
-  }
-  out[n++] = static_cast<std::uint8_t>(v);
-  return n;
-}
-
-std::size_t uvarint_size(std::uint64_t v) {
-  std::size_t n = 1;
-  while (v >= 0x80) {
-    v >>= 7;
-    ++n;
-  }
-  return n;
-}
-
 }  // namespace ccvc::util

@@ -86,14 +86,30 @@ class ByteSource {
 
 /// Number of bytes put_uvarint would emit for v (for overhead analysis
 /// without materializing a buffer).
-std::size_t uvarint_size(std::uint64_t v);
+inline std::size_t uvarint_size(std::uint64_t v) {
+  std::size_t n = 1;
+  while (v >= 0x80) {
+    v >>= 7;
+    ++n;
+  }
+  return n;
+}
 
 /// Longest LEB128 encoding of a 64-bit value.
 inline constexpr std::size_t kMaxUvarintBytes = 10;
 
 /// Writes the put_uvarint bytes of v to `out`, which has room for
 /// kMaxUvarintBytes, and returns how many it wrote — for encoders that
-/// build a few varints on the stack instead of in a ByteSink.
-std::size_t encode_uvarint(std::uint64_t v, std::uint8_t* out);
+/// build a few varints on the stack instead of in a ByteSink.  Inline:
+/// the broadcast loop runs it several times per destination.
+inline std::size_t encode_uvarint(std::uint64_t v, std::uint8_t* out) {
+  std::size_t n = 0;
+  while (v >= 0x80) {
+    out[n++] = static_cast<std::uint8_t>(v) | 0x80u;
+    v >>= 7;
+  }
+  out[n++] = static_cast<std::uint8_t>(v);
+  return n;
+}
 
 }  // namespace ccvc::util

@@ -439,5 +439,37 @@ TEST(NotifierRestore, ActiveSendCountOtherThanEq1IsRefused) {
   EXPECT_EQ(restored.state(), s);
 }
 
+// HB must be a run of SV_0 values one op apart, ending at SV_0: the
+// bridge views index it by arithmetic and GC binary-searches it.
+// restorable_state() holds A = [0,1,0,0] from site 1, B = [0,1,1,0]
+// from site 2, and SV_0 = [0,1,1,0].
+void set_stamp(NotifierHbEntry& e, std::vector<std::uint64_t> values) {
+  e.stamp = clocks::VersionVector(std::move(values));
+  e.stamp_sum = e.stamp.sum();
+}
+
+TEST(NotifierRestore, HbStampsNotOneOpApartAreRefused) {
+  NotifierSite::State s = restorable_state();
+  set_stamp(s.hb[0], {0, 1, 0, 1});  // B would take back site 3's op
+  expect_refused(s);
+  // Width grows only by zero slots: a stamp may not drop one.
+  s = restorable_state();
+  set_stamp(s.hb[1], {0, 1, 1});
+  expect_refused(s);
+}
+
+TEST(NotifierRestore, HbLastStampOtherThanSv0IsRefused) {
+  NotifierSite::State s = restorable_state();
+  s.hb[1].origin = 1;  // one op apart from A, but not SV_0
+  set_stamp(s.hb[1], {0, 2, 0, 0});
+  expect_refused(s);
+}
+
+TEST(NotifierRestore, Sv0CountOtherThanLogLengthIsRefused) {
+  NotifierSite::State s = restorable_state();
+  s.hb_collected = 1;  // SV_0 counts 2 ops, the log 3
+  expect_refused(s);
+}
+
 }  // namespace
 }  // namespace ccvc::engine

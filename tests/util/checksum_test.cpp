@@ -64,26 +64,57 @@ std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
   return b;
 }
 
-TEST(Crc32, SlicedKernelMatchesBytewiseReference) {
-  // Every length through several 8-byte steps plus every tail, at every
-  // start alignment of the 8-byte loads.
-  const auto buf = random_bytes(1100 + 8, 2005);
-  for (std::size_t offset = 0; offset < 8; ++offset) {
-    for (std::size_t n = 0; n <= 1100; ++n) {
-      const std::uint8_t* p = buf.data() + offset;
-      ASSERT_EQ(crc32(p, n), bytewise_crc32(p, n))
+// Both kernels against the reference: every length through many 64-byte
+// blocks, 16-byte folds and tails, at every start offset of a 16-byte
+// lane, and seed chaining split at every 16- and 64-byte boundary.
+void expect_matches_reference(
+    std::uint32_t (*kernel)(const void*, std::size_t, std::uint32_t)) {
+  const auto buf = random_bytes(4096 + 16, 2005);
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    const std::uint8_t* p = buf.data() + offset;
+    std::uint32_t want = 0;  // the reference over p[0, n), one byte at a time
+    for (std::size_t n = 0; n <= 4096; ++n) {
+      ASSERT_EQ(kernel(p, n, 0), want)
           << "offset " << offset << " length " << n;
+      want = bytewise_crc32(p + n, 1, want);
     }
   }
-  // Seed chaining splits the kernel's words at every point.
-  const auto all = random_bytes(300, 9);
-  const std::uint32_t whole = crc32(all);
-  ASSERT_EQ(whole, bytewise_crc32(all.data(), all.size()));
+  const auto all = random_bytes(1000, 9);
+  const std::uint32_t whole = bytewise_crc32(all.data(), all.size());
+  ASSERT_EQ(kernel(all.data(), all.size(), 0), whole);
   for (std::size_t split = 0; split <= all.size(); ++split) {
-    const std::uint32_t head = crc32(all.data(), split);
-    ASSERT_EQ(crc32(all.data() + split, all.size() - split, head), whole)
+    const std::uint32_t head = kernel(all.data(), split, 0);
+    ASSERT_EQ(kernel(all.data() + split, all.size() - split, head), whole)
         << "split " << split;
   }
+  // Three pieces, each cut one byte either side of a 16- or 64-byte
+  // boundary, so every piece starts and ends off a block edge.
+  for (std::size_t a = 15; a <= 200; a += 16) {
+    for (std::size_t b = a + 47; b <= 700; b += 64) {
+      for (const std::size_t da : {std::size_t{0}, std::size_t{1}, std::size_t{2}}) {
+        const std::size_t cut1 = a + da;
+        const std::size_t cut2 = b + da;
+        std::uint32_t c = kernel(all.data(), cut1, 0);
+        c = kernel(all.data() + cut1, cut2 - cut1, c);
+        c = kernel(all.data() + cut2, all.size() - cut2, c);
+        ASSERT_EQ(c, whole) << "cuts " << cut1 << ", " << cut2;
+      }
+    }
+  }
+}
+
+TEST(Crc32, SlicedKernelMatchesBytewiseReference) {
+  // crc32() itself: the folding kernel plus its sliced tail on a CPU
+  // with PCLMULQDQ, the sliced kernel alone elsewhere.
+  expect_matches_reference(
+      [](const void* p, std::size_t n, std::uint32_t seed) {
+        return crc32(p, n, seed);
+      });
+}
+
+TEST(Crc32, TablePathMatchesBytewiseReference) {
+  // The slice-by-8 path every host without PCLMULQDQ runs for all input.
+  expect_matches_reference(&detail::crc32_sliced);
 }
 
 TEST(Crc32, PointerOverloadMatchesVectorOverload) {

@@ -121,6 +121,35 @@ TEST(GoldenBytes, DataFrame) {
   EXPECT_EQ(hex(engine::encode_frame(f)), "f00904686945785d6d");
 }
 
+constexpr const char* kDataFrameLargeBatchHex =
+    "f0ac02ab02c5100bc2020101020100020101620bc2030202040100030201630bc201"
+    "0303060100010301640bc2020404080100020401650bc20305050a0100030501660b"
+    "c20106060c0100010601670bc20207070e0100020701680bc2030808100100030801"
+    "690bc20109091201000109016a0bc2020a0a140100020a016b0bc2030b0b16010003"
+    "0b016c0bc2010c0c180100010c016d0bc2020d0d1a0100020d016e0bc2030e0e1c01"
+    "00030e016f0bc2010f0f1e0100010f01700bc202101020010002100171c4bf6cb0";
+
+// A DataFrame around a 16-message 0xC5 batch: long enough that the
+// frame's CRC-32 runs whole 64-byte blocks, not only a short tail.
+TEST(GoldenBytes, DataFrameLargeBatch) {
+  std::vector<net::Payload> msgs;
+  for (std::uint64_t k = 1; k <= 16; ++k) {
+    CenterMsg m;
+    m.id = OpId{static_cast<SiteId>(1 + k % 3), k};
+    m.ops = ot::make_insert(k, std::string(1, static_cast<char>('a' + k)),
+                            m.id.site);
+    m.stamp.csv = clocks::CompressedSv{k, 2 * k};
+    msgs.push_back(engine::encode(m, StampMode::kCompressed));
+  }
+  engine::Frame f;
+  f.kind = engine::Frame::Kind::kData;
+  f.seq = 300;
+  f.ack = 299;
+  f.payload = engine::encode_batch(msgs);
+  ASSERT_GE(f.payload.size(), 64u);
+  EXPECT_EQ(hex(engine::encode_frame(f)), kDataFrameLargeBatchHex);
+}
+
 TEST(GoldenBytes, AckFrame) {
   engine::Frame f;
   f.kind = engine::Frame::Kind::kAck;
