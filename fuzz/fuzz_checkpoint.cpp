@@ -10,8 +10,13 @@
 //
 // Restore is a fixed point too: a NotifierSite built from the decoded
 // state either refuses it (ContractViolation from the restore checks)
-// or reports exactly that state back from state().
+// or reports exactly that state back from state().  A restored notifier
+// then admits, for each active site, an insert at 0, at |document| and
+// at |document| + 1, and a delete at 0, stamped with the site's ack and
+// next OpId: admission may accept or throw DecodeError, never
+// ContractViolation, and leaves the state as it was.
 #include <cstdint>
+#include <memory>
 
 #include "engine/notifier_site.hpp"
 #include "engine/snapshot.hpp"
@@ -38,13 +43,36 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   CCVC_FUZZ_REQUIRE(again.links.size() == bundle.links.size());
   CCVC_FUZZ_REQUIRE(ccvc::engine::encode_notifier_bundle(again) == pass1);
 
+  std::unique_ptr<ccvc::engine::NotifierSite> site;
   try {
-    const ccvc::engine::NotifierSite site(
+    site = std::make_unique<ccvc::engine::NotifierSite>(
         bundle.notifier, ccvc::engine::EngineConfig{},
         [](ccvc::SiteId, ccvc::net::Payload) {});
-    CCVC_FUZZ_REQUIRE(site.state() == bundle.notifier);
   } catch (const ccvc::ContractViolation&) {
-    // The restore checks refused the decoded shape.
+    return 0;  // the restore checks refused the decoded shape
   }
+  const ccvc::engine::NotifierSite::State& state = bundle.notifier;
+  CCVC_FUZZ_REQUIRE(site->state() == state);
+  const std::size_t doc_size = state.document.size();
+  for (ccvc::SiteId x = 1; x <= state.num_sites; ++x) {
+    if (!state.active[x]) continue;
+    using ccvc::ot::make_insert;
+    for (ccvc::ot::OpList ops :
+         {make_insert(0, "p", x), make_insert(doc_size, "p", x),
+          make_insert(doc_size + 1, "p", x), ccvc::ot::make_delete(0, 1, x)}) {
+      ccvc::engine::NotifierSite::ParsedUplink up;
+      up.from = x;
+      up.msg.id = ccvc::OpId{x, state.sv0[x] + 1};
+      up.msg.stamp.csv =
+          ccvc::clocks::CompressedSv{state.acked[x], state.sv0[x] + 1};
+      up.msg.ops = std::move(ops);
+      try {
+        (void)site->admit(up);
+      } catch (const ccvc::util::DecodeError&) {
+        // Refused as input: out of range on the site's context.
+      }
+    }
+  }
+  CCVC_FUZZ_REQUIRE(site->state() == state);
   return 0;
 }

@@ -38,6 +38,12 @@ bool follows(const clocks::VersionVector& prev,
   return true;
 }
 
+// The length change from `before` to `after`.
+std::ptrdiff_t change(std::size_t before, std::size_t after) {
+  return static_cast<std::ptrdiff_t>(after) -
+         static_cast<std::ptrdiff_t>(before);
+}
+
 // Σ v without wrapping, or false.
 bool sum_fits(const clocks::VersionVector& v) {
   std::uint64_t total = 0;
@@ -45,6 +51,28 @@ bool sum_fits(const clocks::VersionVector& v) {
     if (__builtin_add_overflow(total, v[j], &total)) return false;
   }
   return true;
+}
+
+// True when |document| − Σδ over every suffix of `bridge`, taken down to
+// each primitive, is ≥ 0 and fits: walked backwards from the document,
+// each suffix is the path from an earlier document, so each partial
+// length is a real one.  Admission's running sums rely on it.
+bool suffixes_fit(std::size_t doc_size,
+                  const std::vector<NotifierSite::BridgeEntry>& bridge) {
+  constexpr std::uint64_t kMax = PTRDIFF_MAX;
+  std::uint64_t len = doc_size;
+  for (auto e = bridge.rbegin(); e != bridge.rend(); ++e) {
+    for (auto op = e->ops.rbegin(); op != e->ops.rend(); ++op) {
+      if (op->kind == ot::OpKind::kInsert) {
+        if (op->text.size() > len) return false;
+        len -= op->text.size();
+      } else if (op->kind == ot::OpKind::kDelete) {
+        if (op->count > kMax - len) return false;
+        len += op->count;
+      }
+    }
+  }
+  return len <= kMax;
 }
 
 const NotifierSite::State& validated(const NotifierSite::State& s) {
@@ -81,7 +109,20 @@ const NotifierSite::State& validated(const NotifierSite::State& s) {
     CCVC_CHECK_MSG(x == kNotifierSite || !s.active[x] ||
                        s.enqueued[x] == s.sv0.sum() - s.sv0[x],
                    "notifier checkpoint send count is not eq. (1)'s");
+    // The ack drops a bridge prefix, and admission sums what is left.
+    std::uint64_t index = s.acked[x];
+    for (const auto& e : s.outgoing[x]) {
+      CCVC_CHECK_MSG(e.index > index && e.index <= s.enqueued[x],
+                     "notifier checkpoint bridge indices do not climb "
+                     "within (acked, enqueued]");
+      index = e.index;
+    }
+    CCVC_CHECK_MSG(x == kNotifierSite || !s.active[x] ||
+                       suffixes_fit(s.document.size(), s.outgoing[x]),
+                   "notifier checkpoint bridge undoes more than the document");
   }
+  CCVC_CHECK_MSG(s.outgoing[kNotifierSite].empty(),
+                 "notifier checkpoint gives slot 0 a bridge");
   return s;
 }
 
@@ -147,8 +188,23 @@ NotifierSite::NotifierSite(const State& state, const EngineConfig& cfg,
   // count is its checkpointed (eq. (1)) one.  GC starts with no blocker.
   for (SiteId x = 0; x <= num_sites_; ++x) {
     const auto& q = state.outgoing[x];
+    std::ptrdiff_t own_delta = 0;
+    if (active_[x]) {  // only active bridges were checked against doc_
+      for (const auto& e : q) own_delta += ot::size_delta(e.ops);
+    }
     bridges_.push_back(
-        Bridge{{q.begin(), q.end()}, log_end(), state.enqueued[x]});
+        Bridge{{q.begin(), q.end()}, log_end(), state.enqueued[x], own_delta});
+  }
+  // HB's document lengths, backwards from doc_.  Unsigned arithmetic:
+  // HB forms are not validated, and no view reaches these entries.
+  hb_size_.resize(hb_.size());
+  std::size_t len = doc_.size();
+  for (std::size_t i = hb_.size(); i-- > 0;) {
+    for (const auto& op : hb_[i].executed) {
+      if (op.kind == ot::OpKind::kInsert) len -= op.text.size();
+      if (op.kind == ot::OpKind::kDelete) len += op.count;
+    }
+    hb_size_[i] = len;
   }
 }
 
@@ -182,6 +238,7 @@ NotifierSite::ResyncTicket NotifierSite::resync_site(SiteId site) {
   // site's own operations (eq. (1) excludes them from its stamp): the
   // bridge restarts empty at the end of HB, everything sent acknowledged.
   bridges_[site].own.clear();
+  bridges_[site].own_delta = 0;
   mark_at_end(site);
   const std::uint64_t embodied = clock_.total() - clock_.from(site);
   acked_[site] = embodied;
@@ -226,11 +283,17 @@ std::span<const NotifierHbEntry> NotifierSite::view_past(
 }
 
 void NotifierSite::take_view(SiteId x, std::uint64_t ack) {
-  std::uint64_t index = std::max(ack, bridges_[x].base);
-  for (const auto& e : view_past(x, ack)) {
+  Bridge& b = bridges_[x];
+  const std::span<const NotifierHbEntry> past = view_past(x, ack);
+  if (past.empty()) return;
+  // The view runs to the end of HB, so it changes the length by |doc_|
+  // less the length before its first entry.
+  b.own_delta += change(doc_size_before(past.front()), doc_.size());
+  std::uint64_t index = std::max(ack, b.base);
+  for (const auto& e : past) {
     ++index;
     CCVC_DCHECK(index == bridge_index(e, x));
-    bridges_[x].own.push_back({e.id, index, e.executed});
+    b.own.push_back({e.id, index, e.executed});
   }
 }
 
@@ -278,7 +341,7 @@ NotifierSite::ParsedUplink NotifierSite::parse_uplink(
   return parsed;
 }
 
-void NotifierSite::apply_uplink(ParsedUplink parsed) {
+NotifierSite::Admission NotifierSite::admit(const ParsedUplink& parsed) const {
   const SiteId from = parsed.from;
   CCVC_CHECK(from >= 1 && from <= num_sites_);
   // Nothing may follow a site's in-band leave on its FIFO channel: a
@@ -290,25 +353,22 @@ void NotifierSite::apply_uplink(ParsedUplink parsed) {
                                 ? "leave from a site that already departed"
                                 : "uplink from a site that already departed");
   }
-  if (parsed.leave) {
-    remove_site(from);
-    return;
-  }
-  ClientMsg msg = std::move(parsed.msg);
+  Admission adm;
+  if (parsed.leave) return adm;
+  const ClientMsg& msg = parsed.msg;
 
   // Acknowledgement: T[1] of a client stamp counts the center
   // operations the client had executed when it generated Oa (§3.3).  A
   // client can only acknowledge what was sent to it, so a larger count
-  // is hostile input, rejected here before any state changes.
-  const std::uint64_t ack =
-      from_center(msg.stamp, cfg_.stamp_mode, from, num_sites_);
-  if (ack > clock_.stamp_for(from).from_center) {
+  // is hostile input.
+  adm.ack = from_center(msg.stamp, cfg_.stamp_mode, from, num_sites_);
+  if (adm.ack > clock_.stamp_for(from).from_center) {
     throw util::DecodeError("uplink acknowledges operations never sent");
   }
   // Acks are monotone on a FIFO channel, and the bridge has already
   // dropped the entries up to acked_[from]: a smaller ack would walk a
   // path too short for the client's context.
-  if (ack < acked_[from]) {
+  if (adm.ack < acked_[from]) {
     throw util::DecodeError("uplink acknowledgement went backwards");
   }
   // Paper element [2]: the client's own-op count, so its next op is
@@ -316,7 +376,55 @@ void NotifierSite::apply_uplink(ParsedUplink parsed) {
   if (msg.id.seq != clock_.from(from) + 1) {
     throw util::DecodeError("uplink OpId is out of sequence");
   }
-  if (cfg_.transform) check_uplink_bounds(msg.ops, from, ack);
+  if (!cfg_.transform) return adm;
+  // An op in range on the client's context stays in range after
+  // transformation against the bridge (TP1), so this is the whole
+  // bounds check doc_.apply(kStrict) would otherwise make only after
+  // the bridge forms have been rewritten.
+  adm.size_before = context_size(from, adm.ack);
+  auto len = static_cast<std::ptrdiff_t>(adm.size_before);
+  for (const auto& op : msg.ops) {
+    const auto room = static_cast<std::size_t>(len);
+    const bool in_range = (op.kind == ot::OpKind::kInsert)   ? op.pos <= room
+                          : (op.kind == ot::OpKind::kDelete) ? op.pos < room
+                                                             : true;
+    if (!in_range) {
+      throw util::DecodeError("uplink position out of range");
+    }
+    len += op.size_delta();
+  }
+  adm.size_after = static_cast<std::size_t>(len);
+  return adm;
+}
+
+std::size_t NotifierSite::context_size(SiteId x, std::uint64_t ack) const {
+  // The bridge past `ack` is the path from the client's context to
+  // doc_.  Its view part runs to the end of HB, and its private part
+  // changes the length by own_delta less the prefix the ack drops.
+  const Bridge& b = bridges_[x];
+  const std::span<const NotifierHbEntry> past = view_past(x, ack);
+  auto len = static_cast<std::ptrdiff_t>(past.empty()
+                                             ? doc_.size()
+                                             : doc_size_before(past.front()));
+  std::ptrdiff_t own = b.own_delta;
+  for (const auto& e : b.own) {
+    if (e.index > ack) break;
+    own -= ot::size_delta(e.ops);
+  }
+  len -= own;
+  CCVC_DCHECK(len >= 0);
+  return static_cast<std::size_t>(len);
+}
+
+void NotifierSite::apply_uplink(ParsedUplink parsed) {
+  const Admission adm = admit(parsed);
+  const SiteId from = parsed.from;
+  if (parsed.leave) {
+    remove_site(from);
+    return;
+  }
+  ClientMsg msg = std::move(parsed.msg);
+  const std::uint64_t ack = adm.ack;
 
   // §4.2 — concurrency check of the incoming Oa (2-element stamp)
   // against every buffered operation (full-vector stamp), formula (7).
@@ -357,12 +465,19 @@ void NotifierSite::apply_uplink(ParsedUplink parsed) {
   acked_[from] = ack;
 
   ot::OpList incoming = std::move(msg.ops);
+  const std::size_t executed_on = doc_.size();
   if (cfg_.transform) {
     // Everything this client has seen leaves its bridge; the rest of its
     // HB view becomes private forms for this op to transform.
-    auto& bridge = bridges_[from].own;
-    while (!bridge.empty() && bridge.front().index <= ack) bridge.pop_front();
+    Bridge& b = bridges_[from];
+    auto& bridge = b.own;
+    while (!bridge.empty() && bridge.front().index <= ack) {
+      b.own_delta -= ot::size_delta(bridge.front().ops);
+      bridge.pop_front();
+    }
     take_view(from, ack);
+    // The bridge now runs from the client's context to doc_.
+    CCVC_DCHECK(b.own_delta == change(adm.size_before, executed_on));
 
     CCVC_CHECK_MSG(!cfg_.log_verdicts || !cfg_.check_fidelity ||
                        std::ranges::equal(formula_concurrent, bridge, {}, {},
@@ -374,8 +489,14 @@ void NotifierSite::apply_uplink(ParsedUplink parsed) {
     // for the next message from this client).
     CCVC_METRIC_COUNT("engine.notifier.transforms", bridge.size());
     CCVC_METRIC_HIST("engine.notifier.transform_path_len", bridge.size());
-    for (auto& b : bridge) ot::transform_in_place(incoming, b.ops);
+    for (auto& e : bridge) ot::transform_in_place(incoming, e.ops);
     doc_.apply(incoming, doc::ApplyMode::kStrict);
+    // TP1: the context, then Oa, then the transformed bridge reaches the
+    // document the context, then the bridge, then O' does, so the
+    // bridge's net length change moves by δ(O') − δ(Oa).
+    b.own_delta += change(executed_on, doc_.size()) -
+                   change(adm.size_before, adm.size_after);
+    CCVC_DCHECK(b.own_delta == change(adm.size_after, doc_.size()));
   } else {
     doc_.apply(incoming, doc::ApplyMode::kClamped);
   }
@@ -393,6 +514,7 @@ void NotifierSite::apply_uplink(ParsedUplink parsed) {
   // bridge reads it from there; the sender's view starts past it.
   hb_.push_back(NotifierHbEntry{msg.id, from, clock_.full(), clock_.total(),
                                 std::move(incoming)});
+  hb_size_.push_back(executed_on);
   mark_at_end(from);
   if (observer_) observer_->on_center_execute(msg.id, hb_.back().executed);
 
@@ -421,32 +543,6 @@ void NotifierSite::apply_uplink(ParsedUplink parsed) {
   CCVC_METRIC_COUNT("engine.notifier.broadcasts", sent);
 
   if (cfg_.gc_history) gc_history();
-}
-
-void NotifierSite::check_uplink_bounds(const ot::OpList& ops, SiteId from,
-                                       std::uint64_t ack) const {
-  // The unacknowledged bridge forms are the path from the client's
-  // context to doc_, so undoing their length changes gives the length of
-  // the document the client generated `ops` on.  An op that is in range
-  // there stays in range after transformation against that path (TP1),
-  // so this walk is the whole bounds check doc_.apply(kStrict) would
-  // otherwise make only after the bridge forms have been rewritten.
-  auto len = static_cast<std::ptrdiff_t>(doc_.size());
-  for (const auto& b : bridges_[from].own) {
-    if (b.index > ack) len -= ot::size_delta(b.ops);
-  }
-  for (const auto& e : view_past(from, ack)) len -= ot::size_delta(e.executed);
-  CCVC_DCHECK(len >= 0);
-  for (const auto& op : ops) {
-    const auto room = static_cast<std::size_t>(len);
-    const bool in_range = (op.kind == ot::OpKind::kInsert)   ? op.pos <= room
-                          : (op.kind == ot::OpKind::kDelete) ? op.pos < room
-                                                             : true;
-    if (!in_range) {
-      throw util::DecodeError("uplink position out of range");
-    }
-    len += op.size_delta();
-  }
 }
 
 clocks::VersionVector NotifierSite::full_stamp() const {
@@ -500,6 +596,8 @@ void NotifierSite::gc_history() {
   }
   hb_collected_ += live;
   hb_.erase(hb_.begin(), hb_.begin() + static_cast<std::ptrdiff_t>(live));
+  hb_size_.erase(hb_size_.begin(),
+                 hb_size_.begin() + static_cast<std::ptrdiff_t>(live));
 }
 
 }  // namespace ccvc::engine

@@ -31,6 +31,18 @@
 // After acknowledgement-dropping, x's bridge holds exactly the
 // operations formula (7) classifies as concurrent with x's arriving op.
 //
+// Admission (admit) is pure and runs before anything mutates.  Its
+// bounds check needs the length of the document x generated the uplink
+// on: doc_ less the net length change along x's bridge past the ack.
+// That comes from two running sums, not a walk of the bridge.  HB keeps
+// |doc_| before each entry executed, so a view suffix changes the
+// length by |doc_| minus the length before its first entry; and each
+// bridge keeps own_delta, the net length change of its private prefix,
+// so only the prefix entries the ack is about to drop are walked.  After
+// x's op is transformed, TP1 moves own_delta by δ(O') − δ(Oa) in O(1):
+// the context, then Oa, then the transformed bridge reaches the same
+// document as the context, then the bridge, then O'.
+//
 // History GC (gc_history) drops the HB prefix every active site has
 // acknowledged.  Its frontier is the earliest, over active sites x, of
 // x's first unacknowledged entry from another origin (a binary search:
@@ -108,16 +120,29 @@ class NotifierSite {
   static ParsedUplink parse_uplink(SiteId from, const net::Payload& bytes,
                                    const EngineConfig& cfg);
 
-  /// The stateful remainder of on_client_message: formula-(7)
-  /// concurrency check, bridge ack-drop, transformation, eq. (1)-(2)
-  /// stamping, and broadcast.  Single-writer — never called from two
-  /// threads concurrently.  Throws util::DecodeError, with no state
-  /// changed, on anything from a site that already departed, on an
-  /// uplink acknowledging more center operations than were sent to its
-  /// site or fewer than it acknowledged before (or, in full-vector mode,
-  /// whose stamp is not an (N+1)-vector), on one whose OpId is not
-  /// SV_0[from] + 1, and on one whose positions fall outside the
-  /// document its stamp names.
+  /// What apply_uplink needs from an admitted uplink: all zero for a
+  /// leave, and the sizes are zero with transform off.
+  struct Admission {
+    std::uint64_t ack = 0;        // T[1]: center ops the client executed
+    std::size_t size_before = 0;  // |client document| when Oa was made
+    std::size_t size_after = 0;   // |client document| after Oa
+  };
+
+  /// Admission of one uplink, with no state changed.  Throws
+  /// util::DecodeError on anything from a site that already departed,
+  /// on an uplink acknowledging more center operations than were sent
+  /// to its site or fewer than it acknowledged before (or, in
+  /// full-vector mode, whose stamp is not an (N+1)-vector), on one
+  /// whose OpId is not SV_0[from] + 1, and on one whose positions fall
+  /// outside the document its stamp names.  O(|ops| + the bridge
+  /// entries the ack drops).
+  Admission admit(const ParsedUplink& parsed) const;
+
+  /// The stateful remainder of on_client_message: admit(), then the
+  /// formula-(7) concurrency check, bridge ack-drop, transformation,
+  /// eq. (1)-(2) stamping, and broadcast.  Single-writer — never called
+  /// from two threads concurrently.  Throws what admit() throws, before
+  /// any state changes.
   void apply_uplink(ParsedUplink parsed);
 
   /// Everything a late joiner needs to enter the session consistently:
@@ -205,8 +230,11 @@ class NotifierSite {
   /// vector has num_sites + 1 slots, every HB origin is a site, the HB
   /// stamps are SV_0 values one op apart ending at SV_0, whose sum is
   /// hb_collected + hb.size(), no site has acknowledged more than was
-  /// sent to it, every active site's send count is eq. (1)'s, and `vc`
-  /// is full_stamp()'s.
+  /// sent to it, every active site's send count is eq. (1)'s, slot 0's
+  /// bridge is empty, each bridge's indices climb strictly within
+  /// (acked, enqueued], no suffix of an active site's bridge (down to
+  /// each primitive) changes the length by more than the document
+  /// holds, and `vc` is full_stamp()'s.
   NotifierSite(const State& state, const EngineConfig& cfg,
                SendFn send_to_client, EngineObserver* observer = nullptr);
 
@@ -215,11 +243,13 @@ class NotifierSite {
   // for x at the mark, so view(x)[k] has index base + k + 1.  A departed
   // site's bridge is frozen into `own`, and its `base` keeps the count
   // sent to it (slot 0's, too); an active site's count is eq. (1)'s,
-  // read off clock_.
+  // read off clock_.  `own_delta` is Σ size_delta over `own` (kept for
+  // active sites only: admission never reads a departed one's).
   struct Bridge {
     std::deque<BridgeEntry> own;  // forms x's uplinks transformed
     std::uint64_t mark = 0;       // log position where the HB view starts
     std::uint64_t base = 0;       // x's send count at the mark
+    std::ptrdiff_t own_delta = 0;  // net length change along `own`
   };
 
   std::size_t num_sites_;
@@ -249,12 +279,19 @@ class NotifierSite {
   /// Offset in hb_ of the first entry from another origin that x has
   /// not acknowledged (hb_.size() if none).  O(log HB).
   std::size_t first_unacked(SiteId x) const;
-  /// Throws util::DecodeError unless `ops` is in range on the document
-  /// its stamp (acknowledging `ack` center operations) names.  Pure.
-  void check_uplink_bounds(const ot::OpList& ops, SiteId from,
-                           std::uint64_t ack) const;
+  /// |doc_| before the HB entry at `e` executed.
+  std::size_t doc_size_before(const NotifierHbEntry& e) const {
+    return hb_size_[static_cast<std::size_t>(&e - hb_.data())];
+  }
+  /// |document| at the client when it generated an uplink acknowledging
+  /// `ack`: doc_ less x's bridge past `ack`.  O(own entries ≤ ack).
+  std::size_t context_size(SiteId x, std::uint64_t ack) const;
 
   std::vector<NotifierHbEntry> hb_;   // the one log of executed ops
+  // |doc_| before each hb_ entry executed (rebuilt backwards from doc_
+  // on restore; no view starts before the restore point, so a hostile
+  // checkpoint's entries there are never read).
+  std::vector<std::size_t> hb_size_;
   std::vector<Bridge> bridges_;       // [client id]
   std::vector<std::uint64_t> acked_;  // latest T[1] per client
   std::vector<bool> active_;          // departed sites: false

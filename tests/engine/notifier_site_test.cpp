@@ -2,10 +2,13 @@
 // uplink's acknowledgement, OpId and positions, and of anything after a
 // leave, before any state changes; full-vector broadcast stamps a skewed
 // uplink stamp cannot change; bridges that keep their own copy of
-// a form their client's op transformed; and checkpoint shapes a restore
-// must refuse.
+// a form their client's op transformed; the admission range edge in
+// random sessions, against a walk of the bridge; and checkpoint shapes
+// a restore must refuse.
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -13,6 +16,7 @@
 #include "engine/notifier_site.hpp"
 #include "engine/snapshot.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
 #include "util/varint.hpp"
 
 namespace ccvc::engine {
@@ -213,6 +217,219 @@ TEST(NotifierAdmission, OutOfSequenceOpIdThrowsBeforeAnyStateChange) {
   EXPECT_EQ(sent.size(), 2u);
   EXPECT_EQ(n.text(), "yxabc");
   EXPECT_EQ(n.state_vector().from(1), 2u);
+}
+
+// A star driven message by message with random edits, joins, leaves
+// and resyncs, and a checkpoint restore halfway.  Before each honest
+// uplink, the length of the client's context is worked out the long way
+// from state(): |document| less the net length change of every bridge
+// entry the uplink has not acknowledged.  admit() must put the range
+// edge exactly there, and change nothing.
+class AdmissionEdgeHarness {
+ public:
+  AdmissionEdgeHarness(std::size_t n, std::uint64_t seed, bool gc)
+      : rng_(seed) {
+    cfg_.gc_history = gc;
+    notifier_ = std::make_unique<NotifierSite>(n, "range edge", cfg_, down());
+    clients_.resize(n + 1);
+    up_.resize(n + 1);
+    down_.resize(n + 1);
+    for (SiteId i = 1; i <= n; ++i) {
+      clients_[i] = std::make_unique<ClientSite>(i, n, "range edge", cfg_,
+                                                 up_to(i));
+    }
+  }
+
+  void step() {
+    const std::uint64_t roll = rng_.below(100);
+    if (roll < 40) {
+      edit();
+    } else if (roll < 65) {
+      deliver_uplink();
+    } else if (roll < 94) {
+      deliver_downlink();
+    } else if (roll < 96) {
+      join();
+    } else if (roll < 98) {
+      leave();
+    } else {
+      resync();
+    }
+  }
+
+  // Replaces the notifier with one restored from its checkpoint bytes.
+  void restore() {
+    notifier_ = std::make_unique<NotifierSite>(
+        load_notifier_checkpoint(save_checkpoint(*notifier_)), cfg_, down());
+  }
+
+  void drain() {
+    while (deliver_uplink() || deliver_downlink()) {
+    }
+    for (const auto& c : clients_) {
+      if (c && !c->departed()) {
+        EXPECT_EQ(c->text(), notifier_->text());
+      }
+    }
+  }
+
+  std::uint64_t probes() const { return probes_; }
+  std::uint64_t moved() const { return moved_; }
+  std::uint64_t resyncs() const { return resyncs_; }
+
+ private:
+  NotifierSite::SendFn down() {
+    return [this](SiteId dest, net::Payload bytes) {
+      down_[dest].push_back(std::move(bytes));
+    };
+  }
+  ClientSite::SendFn up_to(SiteId i) {
+    return [this, i](net::Payload bytes) { up_[i].push_back(std::move(bytes)); };
+  }
+
+  SiteId pick(bool (AdmissionEdgeHarness::*ok)(SiteId) const) {
+    std::vector<SiteId> ids;
+    for (SiteId i = 1; i < clients_.size(); ++i) {
+      if ((this->*ok)(i)) ids.push_back(i);
+    }
+    return ids.empty() ? kNotifierSite : ids[rng_.index(ids.size())];
+  }
+  bool editing(SiteId i) const {
+    return clients_[i] && !clients_[i]->departed();
+  }
+  bool has_up(SiteId i) const { return !up_[i].empty(); }
+  bool has_down(SiteId i) const { return clients_[i] && !down_[i].empty(); }
+
+  void edit() {
+    const SiteId i = pick(&AdmissionEdgeHarness::editing);
+    if (i == kNotifierSite) return;
+    ClientSite& c = *clients_[i];
+    const std::size_t len = c.document().size();
+    if (len > 0 && rng_.chance(0.45)) {
+      const std::size_t pos = rng_.index(len);
+      c.erase(pos, 1 + rng_.index(std::min<std::size_t>(3, len - pos)));
+    } else {
+      c.insert(rng_.index(len + 1), std::string(1 + rng_.index(3), 'a'));
+    }
+  }
+
+  // The range edge is probed before the honest uplink commits.
+  bool deliver_uplink() {
+    const SiteId i = pick(&AdmissionEdgeHarness::has_up);
+    if (i == kNotifierSite) return false;
+    const net::Payload bytes = std::move(up_[i].front());
+    up_[i].pop_front();
+    if (!is_leave_msg(bytes)) probe(i, bytes);
+    notifier_->on_client_message(i, bytes);
+    if (is_leave_msg(bytes)) clients_[i].reset();
+    return true;
+  }
+
+  void probe(SiteId i, const net::Payload& bytes) {
+    const NotifierSite::ParsedUplink honest =
+        NotifierSite::parse_uplink(i, bytes, cfg_);
+    const std::uint64_t ack = honest.msg.stamp.csv.from_center;
+    const NotifierSite::State before = notifier_->state();
+    auto len = static_cast<std::ptrdiff_t>(before.document.size());
+    for (const auto& e : before.outgoing[i]) {
+      if (e.index > ack) len -= ot::size_delta(e.ops);
+    }
+    ASSERT_GE(len, 0);
+    const auto edge = static_cast<std::size_t>(len);
+    const auto with = [&honest](ot::OpList ops) {
+      NotifierSite::ParsedUplink p = honest;
+      p.msg.ops = std::move(ops);
+      return p;
+    };
+    const NotifierSite::Admission adm =
+        notifier_->admit(with(ot::make_insert(edge, "e", i)));
+    EXPECT_EQ(adm.ack, ack);
+    EXPECT_EQ(adm.size_before, edge);
+    EXPECT_EQ(adm.size_after, edge + 1);
+    EXPECT_THROW(notifier_->admit(with(ot::make_insert(edge + 1, "e", i))),
+                 util::DecodeError);
+    EXPECT_THROW(notifier_->admit(with(ot::make_delete(edge, 1, i))),
+                 util::DecodeError);
+    EXPECT_EQ(notifier_->admit(honest).size_before, edge);
+    ASSERT_EQ(notifier_->state(), before);
+    ++probes_;
+    if (edge != before.document.size()) ++moved_;
+  }
+
+  bool deliver_downlink() {
+    const SiteId i = pick(&AdmissionEdgeHarness::has_down);
+    if (i == kNotifierSite) return false;
+    const net::Payload bytes = std::move(down_[i].front());
+    down_[i].pop_front();
+    clients_[i]->on_center_message(bytes);
+    return true;
+  }
+
+  void join() {
+    const NotifierSite::JoinTicket t = notifier_->add_site();
+    clients_.push_back(std::make_unique<ClientSite>(
+        t.site, notifier_->num_sites(), t.document, t.ops_embodied, cfg_,
+        up_to(t.site)));
+    up_.emplace_back();
+    down_.emplace_back();
+  }
+
+  void leave() {
+    std::size_t editors = 0;
+    for (SiteId i = 1; i < clients_.size(); ++i) editors += editing(i) ? 1u : 0u;
+    if (editors > 2) clients_[pick(&AdmissionEdgeHarness::editing)]->leave();
+  }
+
+  // A crashed client loses what it had not sent and what was in flight
+  // to it, and rejoins from the notifier's snapshot.
+  void resync() {
+    const SiteId x = pick(&AdmissionEdgeHarness::editing);
+    if (x == kNotifierSite) return;
+    up_[x].clear();
+    down_[x].clear();
+    const NotifierSite::ResyncTicket t = notifier_->resync_site(x);
+    ClientSite::State cs;
+    cs.id = x;
+    cs.num_sites = notifier_->num_sites();
+    cs.document = t.document;
+    cs.sv = clocks::CompressedSv{t.ops_embodied, t.own_ops};
+    cs.max_ack = t.own_ops;
+    clients_[x] = std::make_unique<ClientSite>(cs, cfg_, up_to(x));
+    ++resyncs_;
+  }
+
+  util::Rng rng_;
+  EngineConfig cfg_;
+  std::unique_ptr<NotifierSite> notifier_;
+  std::vector<std::unique_ptr<ClientSite>> clients_;  // null once gone
+  std::vector<std::deque<net::Payload>> up_;
+  std::vector<std::deque<net::Payload>> down_;
+  std::uint64_t probes_ = 0;
+  std::uint64_t moved_ = 0;  // probes whose context was not doc_
+  std::uint64_t resyncs_ = 0;
+};
+
+TEST(NotifierAdmission, RangeEdgeMatchesBridgeWalk) {
+  std::uint64_t probes = 0;
+  std::uint64_t moved = 0;
+  std::uint64_t resyncs = 0;
+  for (const bool gc : {false, true}) {
+    for (std::size_t n = 2; n <= 8; ++n) {
+      AdmissionEdgeHarness h(n, 2700 + n, gc);
+      for (int k = 0; k < 400; ++k) {
+        if (k == 200) h.restore();
+        ASSERT_NO_FATAL_FAILURE(h.step())
+            << "N " << n << " gc " << gc << " step " << k;
+      }
+      ASSERT_NO_FATAL_FAILURE(h.drain()) << "N " << n << " gc " << gc;
+      probes += h.probes();
+      moved += h.moved();
+      resyncs += h.resyncs();
+    }
+  }
+  // The edge was probed off doc_'s end, through resyncs.
+  EXPECT_GT(moved, probes / 2);
+  EXPECT_GT(resyncs, 0u);
 }
 
 // An uplink is in range on the document its stamp names, not on doc_:
@@ -468,6 +685,44 @@ TEST(NotifierRestore, HbLastStampOtherThanSv0IsRefused) {
 TEST(NotifierRestore, Sv0CountOtherThanLogLengthIsRefused) {
   NotifierSite::State s = restorable_state();
   s.hb_collected = 1;  // SV_0 counts 2 ops, the log 3
+  expect_refused(s);
+}
+
+// The ack pop drops a bridge prefix and admission sums what is left, so
+// a restore refuses a bridge whose indices do not climb from the ack, a
+// bridge for slot 0, and a bridge whose tail undoes more text than the
+// document holds.
+TEST(NotifierRestore, SlotZeroBridgeIsRefused) {
+  NotifierSite::State s = restorable_state();
+  s.enqueued[0] = 1;
+  s.outgoing[0].push_back(s.outgoing[2].at(0));
+  expect_refused(s);
+}
+
+TEST(NotifierRestore, BridgeIndicesNotClimbingFromTheAckAreRefused) {
+  Sent sent;
+  NotifierSite n(3, "abc", EngineConfig{}, collect(sent));
+  n.on_client_message(2, uplink({2, 1}, ot::make_insert(0, "y", 2), {0, 1}));
+  n.on_client_message(2, uplink({2, 2}, ot::make_insert(0, "z", 2), {0, 2}));
+  NotifierSite::State s = n.state();
+  ASSERT_EQ(s.outgoing[1].size(), 2u);
+  std::swap(s.outgoing[1][0], s.outgoing[1][1]);  // unsorted
+  expect_refused(s);
+  s = n.state();
+  s.outgoing[1][1].index = 1;  // repeated
+  expect_refused(s);
+  s = n.state();
+  s.acked[1] = 1;  // the ack pop would have dropped index 1
+  expect_refused(s);
+  s = n.state();
+  s.outgoing[1][1].index = 3;  // past the send count
+  expect_refused(s);
+}
+
+TEST(NotifierRestore, BridgeUndoingMoreThanTheDocumentIsRefused) {
+  NotifierSite::State s = restorable_state();
+  ASSERT_EQ(s.outgoing[2].size(), 1u);
+  s.outgoing[2][0].ops = ot::make_insert(0, "four", 1);  // "xbc" holds 3
   expect_refused(s);
 }
 

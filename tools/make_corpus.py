@@ -252,6 +252,26 @@ RESTORE_SHAPES = {
         2, b"Xab", [0, 0, 1], _HB, vc=[]),
     "restore_sv0_count_not_log_length": notifier_blob(
         2, b"Xab", _SV0, _HB, hb_collected=1, vc=[]),
+    # Bridge shapes admission's running sums cannot trust, each a
+    # variant of "restorable_compressed" that breaks one check: slot 0
+    # holds a bridge (its send count raised so the index fits); client
+    # 2's bridge lists index 2 before index 1; its one entry inserts 4
+    # characters into a 3-character document.
+    "restore_slot0_bridge": notifier_blob(
+        2, b"Xab", _SV0, _HB,
+        outgoing=[[bridge_entry(1, 1, 1, _X)], [],
+                  [bridge_entry(1, 1, 1, _X)]],
+        enqueued=[1, 0, 1], vc=[]),
+    "restore_bridge_indices_not_climbing": notifier_blob(
+        2, b"XXab", [0, 2, 0],
+        [notifier_hb_entry(1, 1, 1, [0, 1, 0], _X),
+         notifier_hb_entry(1, 2, 1, [0, 2, 0], _X)],
+        outgoing=[[], [], [bridge_entry(1, 2, 2, _X),
+                           bridge_entry(1, 1, 1, _X)]], vc=[]),
+    "restore_bridge_past_document": notifier_blob(
+        2, b"Xab", _SV0, _HB,
+        outgoing=[[], [], [bridge_entry(
+            1, 1, 1, ckpt_ops(ckpt_prim(0, 0, 4, 1, b"XXXX")))]], vc=[]),
 }
 
 
