@@ -21,7 +21,6 @@ sim::StarRunReport run_once(std::size_t n, bool transform,
   cfg.num_sites = n;
   cfg.initial_doc = "the operational transformation ablation document";
   cfg.engine.transform = transform;
-  cfg.engine.check_fidelity = transform;
   cfg.uplink = net::LatencyModel::lognormal(60.0, 0.5, 20.0);
   cfg.downlink = net::LatencyModel::lognormal(60.0, 0.5, 20.0);
   cfg.seed = seed;

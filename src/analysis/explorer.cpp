@@ -112,11 +112,6 @@ struct Ctx {
     scfg.num_sites = c.num_sites;
     scfg.initial_doc = c.initial_doc;
     scfg.engine.transform = c.transform;
-    // A mutated formula disagrees with the control by design, and the
-    // ablation has no control at all; the in-engine fidelity cross-check
-    // stays on only for clean configurations (a free extra oracle).
-    scfg.engine.check_fidelity =
-        c.transform && c.mutation == clocks::FormulaMutation::kNone;
     scfg.uplink = net::LatencyModel::fixed(1.0);
     scfg.downlink = net::LatencyModel::fixed(1.0);
     session = std::make_unique<engine::StarSession>(scfg, &mux);

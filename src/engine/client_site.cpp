@@ -1,6 +1,7 @@
 #include "engine/client_site.hpp"
 
 #include <algorithm>
+#include <ranges>
 #include <utility>
 
 #include "ot/transform.hpp"
@@ -196,21 +197,47 @@ void ClientSite::on_center_message(const net::Payload& bytes) {
   }
 
   // §4.1 — concurrency check of the incoming O'a against every buffered
-  // operation.
-  std::vector<OpId> formula_concurrent;
+  // operation, before anything changes: a verdict set the control
+  // disagrees with is refused, and verdicts reach the observer only once
+  // they have passed.
   if (cfg_.log_verdicts) {
-    for (const auto& e : hb_) {
-      const bool conc =
-          (cfg_.stamp_mode == StampMode::kCompressed)
-              ? clocks::concurrent_at_client(msg.stamp.csv, e.stamp, e.source)
-              : msg.stamp.full.concurrent_with(e.full);
-      if (conc) formula_concurrent.push_back(e.id);
-      if (observer_) {
+    std::vector<bool> conc(hb_.size());
+    std::vector<OpId> formula_concurrent;
+    for (std::size_t k = 0; k < hb_.size(); ++k) {
+      const auto& e = hb_[k];
+      conc[k] = compressed
+                    ? clocks::concurrent_at_client(msg.stamp.csv, e.stamp,
+                                                   e.source)
+                    : msg.stamp.full.concurrent_with(e.full);
+      if (conc[k]) formula_concurrent.push_back(e.id);
+    }
+    if (checks_fidelity(cfg_)) {
+      // The paper's checking scheme must select exactly the operations
+      // the control transforms against: the pending ops past the ack.
+      // A compressed stamp holds only the two counters checked above, so
+      // a disagreement is a bug; a full vector's other components are
+      // read by nothing but this check, so it is hostile input.
+      const bool agree = std::ranges::equal(
+          formula_concurrent,
+          std::views::drop_while(
+              pending_,
+              [ack](const Pending& p) { return p.own_index <= ack; }),
+          {}, {}, &Pending::id);
+      CCVC_CHECK_MSG(agree || !compressed,
+                     "formula (5) disagrees with transformation control");
+      if (!agree) {
+        throw util::DecodeError(
+            "full-vector stamp disagrees with transformation control");
+      }
+    }
+    if (observer_) {
+      for (std::size_t k = 0; k < hb_.size(); ++k) {
+        const auto& e = hb_[k];
         Verdict v;
         v.at_site = id_;
         v.incoming = EventKey{msg.id, true};
         v.buffered = EventKey{e.id, e.source == clocks::HbSource::kFromCenter};
-        v.concurrent = conc;
+        v.concurrent = conc[k];
         v.t_incoming = msg.stamp.csv;
         v.origin_incoming = id_;
         v.buffered_source = e.source;
@@ -226,16 +253,6 @@ void ClientSite::on_center_message(const net::Payload& bytes) {
     // prefix: own indices increase monotonically).
     while (!pending_.empty() && pending_.front().own_index <= ack) {
       pending_.pop_front();
-    }
-
-    if (cfg_.log_verdicts && cfg_.check_fidelity) {
-      // The paper's checking scheme must select exactly the operations
-      // the control transforms against.
-      std::vector<OpId> control;
-      control.reserve(pending_.size());
-      for (const auto& p : pending_) control.push_back(p.id);
-      CCVC_CHECK_MSG(formula_concurrent == control,
-                     "formula (5) disagrees with transformation control");
     }
 
     // §2.3: transform the remote operation against concurrent local

@@ -15,8 +15,9 @@
 // incoming center operation is symmetrically transformed against the
 // list.  The pending list is at all times exactly the set of HB
 // operations formula (5) classifies as concurrent with the next incoming
-// center operation, brought up to the current document context; with
-// `check_fidelity` the site asserts that equality on every message.
+// center operation, brought up to the current document context.
+// Wherever verdicts run (checks_fidelity, engine/config.hpp) the site
+// checks that equality on every message before it changes anything.
 #pragma once
 
 #include <deque>
@@ -85,7 +86,10 @@ class ClientSite {
   OpId undo_last();
 
   /// Handles one message from the notifier (install as the receiving
-  /// channel's callback).
+  /// channel's callback).  Throws util::DecodeError, before any state
+  /// changes, on a message out of sequence, one acknowledging ops never
+  /// generated here, and (full-vector mode, where checks_fidelity) one
+  /// whose formula (5) verdicts disagree with the pending list.
   void on_center_message(const net::Payload& bytes);
 
   /// Leaves the session: sends the in-band departure notice (FIFO, so it

@@ -1,6 +1,7 @@
 #include "engine/notifier_site.hpp"
 
 #include <algorithm>
+#include <ranges>
 #include <utility>
 
 #include "ot/transform.hpp"
@@ -416,6 +417,19 @@ std::size_t NotifierSite::context_size(SiteId x, std::uint64_t ack) const {
   return static_cast<std::size_t>(len);
 }
 
+bool NotifierSite::bridge_is(SiteId x, std::uint64_t ack,
+                             std::span<const OpId> ids) const {
+  auto own = std::views::drop_while(
+      bridges_[x].own, [ack](const BridgeEntry& e) { return e.index <= ack; });
+  const auto own_size = static_cast<std::size_t>(std::ranges::distance(own));
+  const std::span<const NotifierHbEntry> view = view_past(x, ack);
+  return ids.size() == own_size + view.size() &&
+         std::ranges::equal(ids.first(own_size), own, {}, {},
+                            &BridgeEntry::id) &&
+         std::ranges::equal(ids.subspan(own_size), view, {}, {},
+                            &NotifierHbEntry::id);
+}
+
 void NotifierSite::apply_uplink(ParsedUplink parsed) {
   const Admission adm = admit(parsed);
   const SiteId from = parsed.from;
@@ -427,29 +441,46 @@ void NotifierSite::apply_uplink(ParsedUplink parsed) {
   const std::uint64_t ack = adm.ack;
 
   // §4.2 — concurrency check of the incoming Oa (2-element stamp)
-  // against every buffered operation (full-vector stamp), formula (7).
-  std::vector<OpId> formula_concurrent;
+  // against every buffered operation (full-vector stamp), formula (7),
+  // before anything changes: a verdict set the control disagrees with is
+  // refused, and verdicts reach the observer only once they have passed.
   if (cfg_.log_verdicts) {
-    for (const auto& e : hb_) {
+    const bool compressed = cfg_.stamp_mode == StampMode::kCompressed;
+    std::vector<bool> conc(hb_.size());
+    std::vector<OpId> formula_concurrent;
+    for (std::size_t k = 0; k < hb_.size(); ++k) {
+      const auto& e = hb_[k];
       // Same-origin entries are causally prior by FIFO in both modes —
       // the client knows its own operations, so their center re-issues
       // O' never need transformation there (the x = y exclusion of
       // formula (7)).
-      const bool conc =
-          (cfg_.stamp_mode == StampMode::kCompressed)
-              ? clocks::concurrent_at_notifier_o1(msg.stamp.csv, from,
-                                                  e.stamp_sum,
-                                                  e.stamp.at_or_zero(from),
-                                                  e.origin)
-              : (e.origin != from &&
-                 msg.stamp.full.concurrent_with(e.stamp));
-      if (conc) formula_concurrent.push_back(e.id);
-      if (observer_) {
+      conc[k] = compressed ? clocks::concurrent_at_notifier_o1(
+                                 msg.stamp.csv, from, e.stamp_sum,
+                                 e.stamp.at_or_zero(from), e.origin)
+                           : (e.origin != from &&
+                              msg.stamp.full.concurrent_with(e.stamp));
+      if (conc[k]) formula_concurrent.push_back(e.id);
+    }
+    if (checks_fidelity(cfg_)) {
+      // Admission has checked everything a compressed stamp holds, so a
+      // disagreement there is a bug; a full vector's other components
+      // are read by nothing but this check, so it is hostile input.
+      const bool agree = bridge_is(from, ack, formula_concurrent);
+      CCVC_CHECK_MSG(agree || !compressed,
+                     "formula (7) disagrees with transformation control");
+      if (!agree) {
+        throw util::DecodeError(
+            "full-vector stamp disagrees with transformation control");
+      }
+    }
+    if (observer_) {
+      for (std::size_t k = 0; k < hb_.size(); ++k) {
+        const auto& e = hb_[k];
         Verdict v;
         v.at_site = kNotifierSite;
         v.incoming = EventKey{msg.id, false};
         v.buffered = EventKey{e.id, true};
-        v.concurrent = conc;
+        v.concurrent = conc[k];
         v.t_incoming = msg.stamp.csv;
         v.origin_incoming = from;
         v.t_buffered_full = e.stamp;
@@ -478,11 +509,6 @@ void NotifierSite::apply_uplink(ParsedUplink parsed) {
     take_view(from, ack);
     // The bridge now runs from the client's context to doc_.
     CCVC_DCHECK(b.own_delta == change(adm.size_before, executed_on));
-
-    CCVC_CHECK_MSG(!cfg_.log_verdicts || !cfg_.check_fidelity ||
-                       std::ranges::equal(formula_concurrent, bridge, {}, {},
-                                          &BridgeEntry::id),
-                   "formula (7) disagrees with transformation control");
 
     // Transform Oa against the concurrent operations, symmetrically
     // updating their bridge forms (they must end in the post-Oa context

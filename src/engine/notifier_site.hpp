@@ -43,6 +43,14 @@
 // the context, then Oa, then the transformed bridge reaches the same
 // document as the context, then the bridge, then O'.
 //
+// Where verdicts run (checks_fidelity, engine/config.hpp), apply_uplink
+// then compares formula (7)'s concurrent set with x's bridge past the
+// ack, read in place, still before anything mutates.  A compressed
+// stamp holds only the counters admission checked, so a disagreement is
+// a bug (ContractViolation); a full vector's other N − 1 components are
+// read by nothing but the verdicts, so a skewed one is refused as input
+// (DecodeError).
+//
 // History GC (gc_history) drops the HB prefix every active site has
 // acknowledged.  Its frontier is the earliest, over active sites x, of
 // x's first unacknowledged entry from another origin (a binary search:
@@ -141,8 +149,9 @@ class NotifierSite {
   /// The stateful remainder of on_client_message: admit(), then the
   /// formula-(7) concurrency check, bridge ack-drop, transformation,
   /// eq. (1)-(2) stamping, and broadcast.  Single-writer — never called
-  /// from two threads concurrently.  Throws what admit() throws, before
-  /// any state changes.
+  /// from two threads concurrently.  Throws what admit() throws, and
+  /// util::DecodeError on a full-vector stamp whose formula-(7) verdicts
+  /// disagree with the sender's bridge, before any state changes.
   void apply_uplink(ParsedUplink parsed);
 
   /// Everything a late joiner needs to enter the session consistently:
@@ -286,6 +295,10 @@ class NotifierSite {
   /// |document| at the client when it generated an uplink acknowledging
   /// `ack`: doc_ less x's bridge past `ack`.  O(own entries ≤ ack).
   std::size_t context_size(SiteId x, std::uint64_t ack) const;
+  /// Whether `ids` are, in order, x's bridge entries past `ack`: its
+  /// private prefix, then view_past(x, ack).  Pops and copies nothing.
+  bool bridge_is(SiteId x, std::uint64_t ack,
+                 std::span<const OpId> ids) const;
 
   std::vector<NotifierHbEntry> hb_;   // the one log of executed ops
   // |doc_| before each hb_ entry executed (rebuilt backwards from doc_

@@ -1,19 +1,21 @@
-// Bounded lock-free MPMC ring (Vyukov's bounded queue), the one queue
-// primitive of the threaded notifier pipeline (docs/THREADING.md).
+// Bounded lock-free MPSC ring (Vyukov's bounded queue with a
+// single-consumer pop), the one queue primitive of the threaded notifier
+// pipeline (docs/THREADING.md).  Its one consumer is the transform
+// thread.
 //
-// Every cell carries a sequence number; producers and consumers claim
-// positions with a CAS on their cursor and then publish via a
-// release-store of the cell sequence, which the matching acquire-load
-// synchronizes with — the value itself is written/read between the two,
-// so the queue is data-race-free under ThreadSanitizer without any
-// locks on the hot path.
+// Every cell carries a sequence number; producers claim positions with
+// a CAS on their cursor, the consumer owns its cursor outright, and each
+// side publishes via a release-store of the cell sequence, which the
+// matching acquire-load synchronizes with — the value itself is
+// written/read between the two, so the queue is data-race-free under
+// ThreadSanitizer without any locks on the hot path.
 //
 // Ordering guarantees the pipeline relies on:
 //  * per-producer FIFO — two pushes by one thread are popped in push
 //    order (positions are claimed monotonically), which is what keeps
 //    each client's uplink FIFO through the central ring, and what makes
 //    a single-threaded replay commit in exactly its submit order;
-//  * a single consumer observes items in position order.
+//  * the consumer observes items in position order.
 //
 // try_push/try_pop never block; a caller that must wait parks on its
 // own eventcount word and re-checks with try_push/try_pop before it
@@ -72,28 +74,16 @@ class BoundedRing {
     return true;
   }
 
-  /// False when the ring is empty.
+  /// False when the ring is empty.  Only one thread may ever pop: the
+  /// cursor is read and advanced without a CAS.
   bool try_pop(T& out) {
-    Cell* cell = nullptr;
-    std::size_t pos = dequeue_.load(std::memory_order_relaxed);
-    for (;;) {
-      cell = &cells_[pos & mask_];
-      const std::size_t seq = cell->seq.load(std::memory_order_acquire);
-      const std::intptr_t dif = static_cast<std::intptr_t>(seq) -
-                                static_cast<std::intptr_t>(pos + 1);
-      if (dif == 0) {
-        if (dequeue_.compare_exchange_weak(pos, pos + 1,
-                                           std::memory_order_relaxed)) {
-          break;
-        }
-      } else if (dif < 0) {
-        return false;  // empty
-      } else {
-        pos = dequeue_.load(std::memory_order_relaxed);
-      }
-    }
-    out = std::move(cell->value);
-    cell->seq.store(pos + mask_ + 1, std::memory_order_release);
+    const std::size_t pos = dequeue_.load(std::memory_order_relaxed);
+    Cell& cell = cells_[pos & mask_];
+    // pos + 1 once the producer that claimed pos has published.
+    if (cell.seq.load(std::memory_order_acquire) != pos + 1) return false;
+    out = std::move(cell.value);
+    cell.seq.store(pos + mask_ + 1, std::memory_order_release);
+    dequeue_.store(pos + 1, std::memory_order_relaxed);
     return true;
   }
 

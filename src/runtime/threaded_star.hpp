@@ -36,7 +36,7 @@ struct ThreadedStarConfig {
   std::size_t ops_per_site = 64;
   std::uint64_t seed = 0x5eedu;
   std::string initial_doc = "ccvc";
-  engine::EngineConfig engine;  // verdicts + fidelity on by default
+  engine::EngineConfig engine;  // verdicts (and so fidelity) on
   PipelineConfig pipeline{.flush = FlushPolicy::kAdaptive};
 };
 

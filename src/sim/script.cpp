@@ -150,7 +150,6 @@ ScriptResult run_script(const std::string& text) {
       cfg.downlink = net::LatencyModel::fixed(ms);
     } else if (w[0] == "no-transform") {
       cfg.engine.transform = false;
-      cfg.engine.check_fidelity = false;
     } else if (w[0] == "reliable") {
       if (w.size() != 1) fail(st.line_no, "reliable");
       cfg.reliability.enabled = true;
@@ -162,10 +161,6 @@ ScriptResult run_script(const std::string& text) {
       if (!clocks::parse_formula_mutation(w[1], mutation)) {
         fail(st.line_no, "unknown formula mutation '" + w[1] + "'");
       }
-      // A mutated formula disagrees with the transformation control by
-      // design; the fidelity cross-check would (correctly) throw before
-      // the invariant observers could report anything.
-      cfg.engine.check_fidelity = false;
     } else if (w[0] == "program") {
       if (w.size() < 5) fail(st.line_no, "program I insert|delete ...");
       const auto site = static_cast<std::size_t>(to_u64(st, w[1]));

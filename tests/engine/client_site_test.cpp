@@ -3,7 +3,8 @@
 // of NotifierAdmission.  T[1] is the notifier's per-destination send
 // counter (eq. (1)), so it must be exactly SV_i[1] + 1; T[2] counts this
 // site's own ops the notifier executed, so it cannot exceed the ops
-// generated here.
+// generated here.  A full-vector stamp whose verdicts disagree with the
+// pending list is refused too.
 #include <gtest/gtest.h>
 
 #include <string_view>
@@ -122,6 +123,37 @@ TEST(ClientAdmission, FullVectorWrongSizeStampThrows) {
       c, center_full({2, 1}, ot::make_insert(0, "y", 2), {1, 0, 1, 0}),
       "(N+1)-vector");
   EXPECT_EQ(c.state(), before);
+}
+
+// In full-vector mode formula (5) reads every component, while the
+// sequence and acknowledgement checks read only the sum and component
+// i.  A stamp that moves a count between the other components passes
+// both, but its verdicts disagree with the pending list: hostile input,
+// refused before the acknowledged pending op is dropped or anything
+// else changes.
+TEST(ClientAdmission, SkewedFullVectorDownlinkThrowsBeforeAnyStateChange) {
+  EngineConfig cfg;
+  cfg.stamp_mode = StampMode::kFullVector;
+  ClientSite c(1, 3, "abc", cfg, discard());
+  c.insert(0, "x");
+  // Site 2's op, executed at the notifier before x: concurrent with it.
+  c.on_center_message(
+      center_full({2, 1}, ot::make_insert(0, "y", 2), {1, 0, 1, 0}));
+  ASSERT_EQ(c.pending_count(), 1u);
+
+  // Site 3's op, executed after x and y: the honest stamp is
+  // [3, 1, 1, 1], acknowledging x.  This one keeps the sum and T[2].
+  const ClientSite::State before = c.state();
+  EXPECT_THROW(c.on_center_message(center_full(
+                   {3, 1}, ot::make_insert(0, "z", 3), {3, 1, 0, 2})),
+               util::DecodeError);
+  EXPECT_EQ(c.state(), before);
+  EXPECT_EQ(c.pending_count(), 1u);
+
+  c.on_center_message(
+      center_full({3, 1}, ot::make_insert(0, "z", 3), {3, 1, 1, 1}));
+  EXPECT_EQ(c.pending_count(), 0u);
+  EXPECT_EQ(c.ops_received(), 2u);
 }
 
 }  // namespace

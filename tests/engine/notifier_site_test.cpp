@@ -1,7 +1,7 @@
 // NotifierSite driven directly with hand-built uplinks: admission of an
 // uplink's acknowledgement, OpId and positions, and of anything after a
 // leave, before any state changes; full-vector broadcast stamps a skewed
-// uplink stamp cannot change; bridges that keep their own copy of
+// uplink stamp cannot change, and its refusal where verdicts run; bridges that keep their own copy of
 // a form their client's op transformed; the admission range edge in
 // random sessions, against a walk of the bridge; and checkpoint shapes
 // a restore must refuse.
@@ -121,6 +121,70 @@ TEST(NotifierAdmission, SkewedFullVectorUplinkLeavesBroadcastStampsHonest) {
   EXPECT_EQ(n.state().vc, clocks::VersionVector({2, 1, 1, 0}));
   ASSERT_EQ(sent.size(), 2u);
   EXPECT_NO_THROW(deliver());
+  EXPECT_EQ(c2.text(), n.text());
+  EXPECT_EQ(c3.text(), n.text());
+}
+
+struct VerdictCount : EngineObserver {
+  std::size_t verdicts = 0;
+  void on_verdict(const Verdict&) override { ++verdicts; }
+};
+
+// The same skewed stamp with verdicts on (the default).  Formula (7)
+// over it flags site 2's op as concurrent, but the ack drops that op
+// from client 1's bridge: the verdicts disagree with the control.  The
+// components beyond the sum are read by nothing but the verdicts, so
+// this is hostile input, refused before any state changes and before
+// any verdict reaches the observer.
+TEST(NotifierAdmission, SkewedFullVectorUplinkIsRefusedWhenVerdictsRun) {
+  EngineConfig cfg;
+  cfg.stamp_mode = StampMode::kFullVector;
+  Sent sent;
+  VerdictCount seen;
+  NotifierSite n(3, "abc", cfg, collect(sent), &seen);
+  std::vector<net::Payload> up1;
+  std::vector<net::Payload> up2;
+  ClientSite c1(1, 3, "abc", cfg,
+                [&up1](net::Payload bytes) { up1.push_back(std::move(bytes)); });
+  ClientSite c2(2, 3, "abc", cfg,
+                [&up2](net::Payload bytes) { up2.push_back(std::move(bytes)); });
+  ClientSite c3(3, 3, "abc", cfg, [](net::Payload) {});
+  const auto deliver = [&] {
+    for (const auto& [dest, bytes] : sent) {
+      if (dest == 1) c1.on_center_message(bytes);
+      if (dest == 2) c2.on_center_message(bytes);
+      if (dest == 3) c3.on_center_message(bytes);
+    }
+    sent.clear();
+  };
+
+  c2.insert(0, "y");
+  n.on_client_message(2, up2.at(0));
+  deliver();
+
+  // Client 1's honest stamp is [1, 1, 1, 0]; this one keeps the sum.
+  ClientMsg m;
+  m.id = OpId{1, 1};
+  m.ops = ot::make_insert(0, "x", 1);
+  m.stamp.full = clocks::VersionVector({0, 1, 0, 1});
+  const NotifierSite::State before = n.state();
+  const std::size_t verdicts = seen.verdicts;
+  EXPECT_THROW(n.on_client_message(1, encode(m, StampMode::kFullVector)),
+               util::DecodeError);
+  EXPECT_EQ(n.state(), before);
+  EXPECT_EQ(seen.verdicts, verdicts);
+  EXPECT_TRUE(sent.empty());
+
+  // The honest clients carry on, client 1 with the same OpId.
+  c1.insert(0, "x");
+  n.on_client_message(1, up1.at(0));
+  deliver();
+  c2.insert(1, "z");
+  n.on_client_message(2, up2.at(1));
+  deliver();
+  EXPECT_EQ(seen.verdicts, verdicts + 3);
+  EXPECT_EQ(n.text(), "xzyabc");
+  EXPECT_EQ(c1.text(), n.text());
   EXPECT_EQ(c2.text(), n.text());
   EXPECT_EQ(c3.text(), n.text());
 }

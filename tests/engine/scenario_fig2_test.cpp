@@ -15,7 +15,6 @@ namespace {
 engine::EngineConfig no_transform_config() {
   engine::EngineConfig eng;
   eng.transform = false;
-  eng.check_fidelity = false;  // no control to compare against
   return eng;
 }
 
@@ -26,7 +25,6 @@ TEST(Fig2, Section22ExampleExactArtifacts) {
   for (const bool transform : {false, true}) {
     engine::EngineConfig eng;
     eng.transform = transform;
-    eng.check_fidelity = transform;
     auto cfg = fig_scenario_config(eng);
     engine::StarSession session(cfg);
     session.queue().schedule_at(0.0,

@@ -24,7 +24,6 @@ AblationOutcome run_once(bool transform, std::uint64_t seed) {
   scfg.num_sites = 4;
   scfg.initial_doc = "collaborative editing needs transformation";
   scfg.engine.transform = transform;
-  scfg.engine.check_fidelity = transform;
   scfg.uplink = net::LatencyModel::lognormal(60.0, 0.5, 20.0);
   scfg.downlink = net::LatencyModel::lognormal(60.0, 0.5, 20.0);
   scfg.seed = seed;
@@ -68,7 +67,6 @@ TEST(Ablation, QuietSequentialSessionSurvivesWithoutTransformation) {
   scfg.num_sites = 3;
   scfg.initial_doc = "x";
   scfg.engine.transform = false;
-  scfg.engine.check_fidelity = false;
   scfg.uplink = net::LatencyModel::fixed(5.0);
   scfg.downlink = net::LatencyModel::fixed(5.0);
 

@@ -1,5 +1,5 @@
 // E7 — randomized end-to-end sessions: convergence, intention capture,
-// and formula/control fidelity (check_fidelity is on, so any
+// and formula/control fidelity (verdicts run, so any
 // disagreement between the paper's checking scheme and the
 // transformation control aborts the run) across N, latency models, and
 // workload shapes.

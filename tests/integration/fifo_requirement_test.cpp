@@ -48,10 +48,9 @@ Outcome run_once(net::Ordering ordering, std::uint64_t seed, bool reliable) {
   cfg.downlink = net::LatencyModel::uniform(1.0, 400.0);
   cfg.seed = seed;
   cfg.reliability.enabled = reliable;
-  // The fidelity cross-check would (correctly) fire first under
-  // reordering; disable it so the verdict stream itself shows the
-  // failure.  Verdict logging stays ON — the oracle needs it.
-  cfg.engine.check_fidelity = false;
+  // Verdict logging stays on (the oracle needs it), and with it the
+  // formula ≡ control cross-check: a reordered message is refused as
+  // out of sequence at either end before any verdict runs.
 
   WorkloadConfig w;
   w.ops_per_site = 30;

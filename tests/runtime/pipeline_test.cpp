@@ -244,6 +244,42 @@ TEST(PipelineAdmission, OutOfRangeUplinkIsRejected) {
   EXPECT_EQ(egressed, (std::vector<SiteId>{1, 3, 2, 3}));
 }
 
+// Well-formed and admitted, but a full-vector stamp whose formula-(7)
+// verdicts disagree with the sender's bridge (site 2's op moved into
+// site 3's component).  The transform thread rejects it with nothing
+// changed, and site 1's honest op commits after it.
+TEST(PipelineAdmission, SkewedFullVectorUplinkIsRejected) {
+  engine::EngineConfig cfg;
+  cfg.stamp_mode = engine::StampMode::kFullVector;
+  const auto uplink = [](SiteId site, std::vector<std::uint64_t> stamp) {
+    engine::ClientMsg m;
+    m.id = OpId{site, 1};
+    m.ops = ot::make_insert(0, std::string(1, static_cast<char>('0' + site)),
+                            site);
+    m.stamp.full = clocks::VersionVector(std::move(stamp));
+    return engine::encode(m, engine::StampMode::kFullVector);
+  };
+  std::vector<SiteId> egressed;
+  runtime::NotifierPipeline pipe(
+      3, "", cfg,
+      [&egressed](SiteId dest, net::Payload) { egressed.push_back(dest); });
+  pipe.submit(2, uplink(2, {0, 0, 1, 0}));
+  pipe.drain();
+  const engine::NotifierSite::State before = pipe.site().state();
+
+  pipe.submit(1, uplink(1, {0, 1, 0, 1}));
+  pipe.drain();
+  EXPECT_EQ(pipe.rejected(), 1u);
+  EXPECT_EQ(pipe.site().state(), before);
+
+  pipe.submit(1, uplink(1, {0, 1, 1, 0}));
+  pipe.drain();
+  EXPECT_EQ(pipe.committed(), 2u);
+  EXPECT_EQ(pipe.rejected(), 1u);
+  EXPECT_EQ(pipe.site().text(), "12");
+  EXPECT_EQ(egressed, (std::vector<SiteId>{1, 3, 2, 3}));
+}
+
 // The EgressFn runs on the transform thread, inside commit()'s broadcast
 // loop when max_batch is 1.  Whatever it throws, even a DecodeError,
 // must terminate the process: commit() must never count a frame it

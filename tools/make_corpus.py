@@ -152,15 +152,15 @@ def notifier_blob(num_sites: int, document: bytes, sv0: list[int],
                   acked: list[int] | None = None,
                   active: list[int] | None = None,
                   hb_collected: int = 0,
-                  vc: list[int] | None = None) -> bytes:
+                  vc: list[int] = []) -> bytes:
     """Tag-0xD2 blob with every per-site list explicit.  The defaults are
     the shapes a restore accepts: num_sites + 1 slots each, empty
     bridges, nothing acknowledged, every site active, each site's send
     count eq. (1)'s sum(sv0) - sv0[x] (slot 0 counts nothing), and
     nothing collected (a restore also needs HB's stamps to run one op
     apart up to sv0, with sum(sv0) = hb_collected + len(hb)).  The
-    default vc, all zeros, is what only a full-vector notifier with
-    nothing executed accepts; a compressed one needs vc=[]."""
+    default vc is empty, the full-vector stamp of a compressed-mode
+    notifier."""
     slots = num_sites + 1
     outgoing = outgoing if outgoing is not None else [[] for _ in range(slots)]
     if enqueued is None:
@@ -168,7 +168,7 @@ def notifier_blob(num_sites: int, document: bytes, sv0: list[int],
     acked = acked if acked is not None else [0] * slots
     active = active if active is not None else [1] * slots
     body = bytes([0xD2]) + uvarint(num_sites) + string(document)
-    body += vv(sv0) + vv(vc if vc is not None else [0] * slots)
+    body += vv(sv0) + vv(vc)
     body += uvarint(len(hb)) + b"".join(hb)
     body += uvarint(len(outgoing))
     for bridge in outgoing:
@@ -235,25 +235,18 @@ RESTORE_SHAPES = {
         2, b"Xab", _SV0, _HB, acked=[0, 0, 2]),
     "restore_send_count_not_eq1": notifier_blob(
         2, b"Xab", _SV0, _HB, enqueued=[0, 0, 2]),
-    # "restorable" predates the derived full-vector stamp: its all-zero
-    # vc is now refused, and its bytes stay as they were.  This is the
-    # compressed-mode checkpoint (empty vc) a restore accepts, and each
-    # seed after it breaks one HB-shape check and nothing else: the
-    # second entry's stamp is not the first's plus one at its origin;
-    # the last stamp is not SV_0; SV_0 counts fewer ops than the log.
-    "restorable_compressed": notifier_blob(
-        2, b"Xab", _SV0, _HB, outgoing=[[], [], [bridge_entry(1, 1, 1, _X)]],
-        vc=[]),
+    # HB shapes, each breaking one check and nothing else: the second
+    # entry's stamp is not the first's plus one at its origin; the last
+    # stamp is not SV_0; SV_0 counts fewer ops than the log.
     "restore_hb_stamps_not_one_op_apart": notifier_blob(
         2, b"Xab", [0, 1, 1],
         [notifier_hb_entry(1, 1, 1, [0, 1, 1], _X),
-         notifier_hb_entry(2, 1, 2, [0, 1, 1], _X)], vc=[]),
-    "restore_hb_last_not_sv0": notifier_blob(
-        2, b"Xab", [0, 0, 1], _HB, vc=[]),
+         notifier_hb_entry(2, 1, 2, [0, 1, 1], _X)]),
+    "restore_hb_last_not_sv0": notifier_blob(2, b"Xab", [0, 0, 1], _HB),
     "restore_sv0_count_not_log_length": notifier_blob(
-        2, b"Xab", _SV0, _HB, hb_collected=1, vc=[]),
+        2, b"Xab", _SV0, _HB, hb_collected=1),
     # Bridge shapes admission's running sums cannot trust, each a
-    # variant of "restorable_compressed" that breaks one check: slot 0
+    # variant of "restorable" that breaks one check: slot 0
     # holds a bridge (its send count raised so the index fits); client
     # 2's bridge lists index 2 before index 1; its one entry inserts 4
     # characters into a 3-character document.
@@ -261,17 +254,17 @@ RESTORE_SHAPES = {
         2, b"Xab", _SV0, _HB,
         outgoing=[[bridge_entry(1, 1, 1, _X)], [],
                   [bridge_entry(1, 1, 1, _X)]],
-        enqueued=[1, 0, 1], vc=[]),
+        enqueued=[1, 0, 1]),
     "restore_bridge_indices_not_climbing": notifier_blob(
         2, b"XXab", [0, 2, 0],
         [notifier_hb_entry(1, 1, 1, [0, 1, 0], _X),
          notifier_hb_entry(1, 2, 1, [0, 2, 0], _X)],
         outgoing=[[], [], [bridge_entry(1, 2, 2, _X),
-                           bridge_entry(1, 1, 1, _X)]], vc=[]),
+                           bridge_entry(1, 1, 1, _X)]]),
     "restore_bridge_past_document": notifier_blob(
         2, b"Xab", _SV0, _HB,
         outgoing=[[], [], [bridge_entry(
-            1, 1, 1, ckpt_ops(ckpt_prim(0, 0, 4, 1, b"XXXX")))]], vc=[]),
+            1, 1, 1, ckpt_ops(ckpt_prim(0, 0, 4, 1, b"XXXX")))]]),
 }
 
 
