@@ -97,7 +97,7 @@ python3 tools/ccvc_lint.py --root "$PWD" --compiler "${CXX:-c++}" ||
   fail "ccvc_lint"
 
 step "6/11 fuzz smoke (sanitized, seed corpus + 20k runs each)"
-ctest --preset asan-ubsan -L fuzz_smoke || fail "fuzz smoke"
+ctest --preset asan-ubsan "$JOBS" -L fuzz_smoke || fail "fuzz smoke"
 
 step "7/11 chaos property suite (sanitized fault injection + recovery)"
 ctest --preset asan-ubsan "$JOBS" -L chaos || fail "chaos suite"

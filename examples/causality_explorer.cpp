@@ -23,20 +23,22 @@ class Narrator : public engine::EngineObserver {
   void on_client_generate(SiteId site, const OpId& id,
                           const ot::OpList& executed) override {
     std::printf("[t=%5.0f] site %u generates %s = %s\n", queue_.now(), site,
-                name(id, false).c_str(), ot::to_string(executed).c_str());
+                name(id, false).c_str(),
+                ot::to_string(ot::decompose(executed)).c_str());
   }
 
   void on_center_execute(const OpId& id,
                          const ot::OpList& executed) override {
     std::printf("[t=%5.0f] site 0 executes and re-issues %s = %s\n",
                 queue_.now(), name(id, true).c_str(),
-                ot::to_string(executed).c_str());
+                ot::to_string(ot::decompose(executed)).c_str());
   }
 
   void on_client_execute_center(SiteId site, const OpId& id,
                                 const ot::OpList& executed) override {
     std::printf("[t=%5.0f] site %u executes %s as %s\n", queue_.now(), site,
-                name(id, true).c_str(), ot::to_string(executed).c_str());
+                name(id, true).c_str(),
+                ot::to_string(ot::decompose(executed)).c_str());
   }
 
   void on_verdict(const engine::Verdict& v) override {

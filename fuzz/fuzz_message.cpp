@@ -3,11 +3,12 @@
 //
 // Malformed input must be rejected by DecodeError or ContractViolation;
 // accepted input must re-encode deterministically: one decode→encode
-// pass normalizes the op list (coalesce/decompose), after which
-// decode→encode is a byte-identical fixed point.  A decoded client
-// message also goes through the notifier's parse stage, which must
-// accept it exactly when every delete is a 1-char primitive — the only
-// shape transformation accepts.
+// pass normalizes the op list (coalesce drops identities and merges
+// runs), after which decode→encode is a byte-identical fixed point.
+// Decoding keeps each Delete[n, p] one entry, so a count at the schema
+// bound costs no more than any other.  A decoded client message also
+// goes through the notifier's parse stage, which must accept it exactly
+// when no delete removes zero characters.
 #include <cstdint>
 #include <vector>
 
@@ -31,10 +32,10 @@ const StampMode kModes[] = {StampMode::kCompressed, StampMode::kFullVector};
 // `msg` is `bytes` decoded under `mode`, on its own site's channel.
 void fuzz_parse_uplink(const ccvc::net::Payload& bytes, const ClientMsg& msg,
                        StampMode mode) {
-  bool decomposed = true;
+  bool accepted = true;
   for (const auto& op : msg.ops) {
-    if (op.kind == ccvc::ot::OpKind::kDelete && op.count != 1) {
-      decomposed = false;
+    if (op.kind == ccvc::ot::OpKind::kDelete && op.count == 0) {
+      accepted = false;
     }
   }
   ccvc::engine::EngineConfig cfg;
@@ -43,10 +44,10 @@ void fuzz_parse_uplink(const ccvc::net::Payload& bytes, const ClientMsg& msg,
   try {
     parsed = NotifierSite::parse_uplink(msg.id.site, bytes, cfg);
   } catch (const DecodeError&) {
-    CCVC_FUZZ_REQUIRE(!decomposed);
+    CCVC_FUZZ_REQUIRE(!accepted);
     return;
   }
-  CCVC_FUZZ_REQUIRE(decomposed);
+  CCVC_FUZZ_REQUIRE(accepted);
   CCVC_FUZZ_REQUIRE(!parsed.leave);
   CCVC_FUZZ_REQUIRE(parsed.msg.ops == msg.ops);
 }
@@ -61,9 +62,9 @@ void fuzz_client(const ccvc::net::Payload& bytes) {
     } catch (const ContractViolation&) {
       continue;
     }
-    // encode normalizes the op list (coalesce on the way out, decompose
-    // on the way in), so one round trip reaches a byte-identical fixed
-    // point; identity and document effect survive the normalization.
+    // encode normalizes the op list (coalesce on the way out), so one
+    // round trip reaches a byte-identical fixed point; identity and
+    // document effect survive the normalization.
     const ccvc::net::Payload pass1 = ccvc::engine::encode(msg, mode);
     const ClientMsg msg2 = ccvc::engine::decode_client_msg(pass1, mode);
     const ccvc::net::Payload pass2 = ccvc::engine::encode(msg2, mode);

@@ -38,7 +38,21 @@ void Document::apply(ot::PrimOp& op, ApplyMode mode) {
 }
 
 void Document::apply(ot::OpList& ops, ApplyMode mode) {
-  for (auto& op : ops) apply(op, mode);
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    ot::PrimOp& op = ops[i];
+    const std::size_t want = op.count;
+    apply(op, mode);
+    if (op.kind != ot::OpKind::kDelete || op.count == want) continue;
+    // Clamping shortened a delete run.  Its 1-char deletes past the end
+    // would each have clamped to an empty Del[0, pos]: the run keeps the
+    // characters it removed, and those follow it.
+    ot::PrimOp empty = op;
+    empty.count = 0;
+    empty.text.clear();
+    const std::size_t extra = want - std::max<std::size_t>(op.count, 1);
+    ops.insert(ops.begin() + static_cast<std::ptrdiff_t>(i) + 1, extra, empty);
+    i += extra;
+  }
 }
 
 void Document::apply_copy(const ot::OpList& ops, ApplyMode mode) {

@@ -37,7 +37,10 @@ class Document {
   /// verify intentions.
   void apply(ot::PrimOp& op, ApplyMode mode = ApplyMode::kStrict);
 
-  /// Applies a sequence in order, capturing into each primitive.
+  /// Applies a sequence in order, capturing into each entry.  A delete
+  /// run that clamping shortens keeps what it removed and is followed by
+  /// one Del[0, pos] per character it could not remove, so the list
+  /// still stands for exactly the primitives applied one at a time.
   void apply(ot::OpList& ops, ApplyMode mode = ApplyMode::kStrict);
 
   /// Applies a sequence the caller wants to keep unmodified (captured

@@ -43,12 +43,12 @@ OpId ClientSite::insert(std::size_t pos, std::string text) {
 }
 
 OpId ClientSite::erase(std::size_t pos, std::size_t count) {
-  return generate(ot::make_delete(pos, count, id_));
+  return generate(ot::compact(ot::make_delete(pos, count, id_)));
 }
 
 OpId ClientSite::replace(std::size_t pos, std::size_t count,
                          std::string text) {
-  ot::OpList ops = ot::make_delete(pos, count, id_);
+  ot::OpList ops = ot::compact(ot::make_delete(pos, count, id_));
   ot::OpList ins = ot::make_insert(pos, std::move(text), id_);
   ops.insert(ops.end(), std::make_move_iterator(ins.begin()),
              std::make_move_iterator(ins.end()));
@@ -62,8 +62,11 @@ ClientSite::State ClientSite::state() const {
   s.document = doc_.text();
   s.sv = clock_.stamp();
   s.vc = vc_;
+  // Checkpoints hold the primitives every stored run form stands for.
   s.hb = hb_;
+  for (auto& e : s.hb) e.executed = ot::decompose(e.executed);
   s.pending.assign(pending_.begin(), pending_.end());
+  for (auto& p : s.pending) p.ops = ot::decompose(p.ops);
   s.max_ack = max_ack_;
   s.hb_collected = hb_collected_;
   s.departed = departed_;
@@ -89,6 +92,17 @@ ClientSite::ClientSite(const State& state, const EngineConfig& cfg,
       undone_(state.undone) {
   CCVC_CHECK(id_ >= 1 && id_ <= num_sites_);
   CCVC_CHECK(static_cast<bool>(send_));
+  // state() writes primitives; they are kept in run form.
+  for (auto& e : hb_) {
+    CCVC_CHECK_MSG(ot::is_decomposed(e.executed),
+                   "client checkpoint HB form is not primitives");
+    e.executed = ot::compact(e.executed);
+  }
+  for (auto& p : pending_) {
+    CCVC_CHECK_MSG(ot::is_decomposed(p.ops),
+                   "client checkpoint pending form is not primitives");
+    p.ops = ot::compact(p.ops);
+  }
 }
 
 OpId ClientSite::undo(const OpId& target) {
@@ -106,9 +120,10 @@ OpId ClientSite::undo(const OpId& target) {
 
   // Inverse of the executed form is defined on the state right after it
   // executed; bring it to the present by inclusion through everything
-  // executed since (the HB is exactly that chain).  Inverting an insert
-  // yields a multi-character delete — decompose it for transformation.
-  ot::OpList compensator = ot::decompose(ot::invert(hb_[k].executed));
+  // executed since (the HB is exactly that chain).  It is the inverse of
+  // each primitive, so an executed delete run comes back as one 1-char
+  // insert per character; an inverted insert is one delete run.
+  ot::OpList compensator = ot::invert(ot::decompose(hb_[k].executed));
   for (std::size_t j = k + 1; j < hb_.size(); ++j) {
     compensator = ot::include_list(compensator, hb_[j].executed);
   }
@@ -195,6 +210,7 @@ void ClientSite::on_center_message(const net::Payload& bytes) {
     throw util::DecodeError(
         "center message acknowledges operations never generated");
   }
+  if (cfg_.transform) check_center_range(msg.ops, ack);
 
   // §4.1 — concurrency check of the incoming O'a against every buffered
   // operation, before anything changes: a verdict set the control
@@ -281,6 +297,26 @@ void ClientSite::on_center_message(const net::Payload& bytes) {
 
   max_ack_ = std::max(max_ack_, ack);
   if (cfg_.gc_history) gc_history();
+}
+
+void ClientSite::check_center_range(const ot::OpList& ops,
+                                    std::uint64_t ack) const {
+  // The center op is defined on this site's document without the pending
+  // ops past the ack (the pending list runs from that context to doc_).
+  auto len = static_cast<std::ptrdiff_t>(doc_.size());
+  for (const Pending& p : pending_) {
+    if (p.own_index > ack) len -= ot::size_delta(p.ops);
+  }
+  CCVC_DCHECK(len >= 0);
+  for (const auto& op : ops) {
+    if (op.kind == ot::OpKind::kDelete && op.count == 0) {
+      throw util::DecodeError("center delete removes no characters");
+    }
+    if (!ot::in_range(op, static_cast<std::size_t>(len))) {
+      throw util::DecodeError("center message position out of range");
+    }
+    len += op.size_delta();
+  }
 }
 
 void ClientSite::gc_history() {

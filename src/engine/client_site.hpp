@@ -88,7 +88,9 @@ class ClientSite {
   /// Handles one message from the notifier (install as the receiving
   /// channel's callback).  Throws util::DecodeError, before any state
   /// changes, on a message out of sequence, one acknowledging ops never
-  /// generated here, and (full-vector mode, where checks_fidelity) one
+  /// generated here, (with transformation on) one whose positions fall
+  /// outside the document it was made on or that deletes zero
+  /// characters, and (full-vector mode, where checks_fidelity) one
   /// whose formula (5) verdicts disagree with the pending list.
   void on_center_message(const net::Payload& bytes);
 
@@ -141,7 +143,9 @@ class ClientSite {
   State state() const;
 
   /// Restores a checkpointed site; `cfg` must match the one it was
-  /// created with.
+  /// created with.  Throws ContractViolation unless every HB and
+  /// pending form is primitives (state()'s shape); they are kept in run
+  /// form (ot::compact).
   ClientSite(const State& state, const EngineConfig& cfg,
              SendFn send_to_center, EngineObserver* observer = nullptr);
 
@@ -154,6 +158,10 @@ class ClientSite {
   EngineObserver* observer_;
 
   void gc_history();
+  /// Throws util::DecodeError, changing nothing, unless `ops` (a center
+  /// op acknowledging `ack` own ops) is in range on the document it was
+  /// made on, with no delete of zero characters.  O(|ops| + pending).
+  void check_center_range(const ot::OpList& ops, std::uint64_t ack) const;
 
   doc::Document doc_;
   clocks::ClientClock clock_;

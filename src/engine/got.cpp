@@ -23,6 +23,12 @@ std::optional<ot::OpList> got_transform(const std::vector<GotHbItem>& hb,
     return o;
   }
 
+  // ET is defined on primitives only, so GOT works on decompose()'s
+  // forms of everything it is given.
+  std::vector<ot::OpList> executed;
+  executed.reserve(hb.size());
+  for (const auto& item : hb) executed.push_back(ot::decompose(item.executed));
+
   std::uint64_t steps = 0;  // exclude/include transformations applied
   try {
     // Step 2: convert the causally-preceding suffix members into the
@@ -30,11 +36,11 @@ std::optional<ot::OpList> got_transform(const std::vector<GotHbItem>& hb,
     std::vector<ot::OpList> converted;  // sequential chain on HB[0..c1)
     for (std::size_t k = c1; k < hb.size(); ++k) {
       if (hb[k].concurrent) continue;
-      ot::OpList form = hb[k].executed;
+      ot::OpList form = executed[k];
       // Exclude everything before it in the suffix (closest layer
       // first).
       for (std::size_t j = k; j-- > c1;) {
-        form = ot::exclude_list(form, hb[j].executed);
+        form = ot::exclude_list(form, executed[j]);
         ++steps;
       }
       // Re-include the already-converted causal chain.
@@ -46,14 +52,14 @@ std::optional<ot::OpList> got_transform(const std::vector<GotHbItem>& hb,
     }
 
     // Step 3: strip the converted causal chain from O...
-    ot::OpList out = o;
+    ot::OpList out = ot::decompose(o);
     for (auto it = converted.rbegin(); it != converted.rend(); ++it) {
       out = ot::exclude_list(out, *it);
       ++steps;
     }
     // ...and include the whole executed suffix.
     for (std::size_t k = c1; k < hb.size(); ++k) {
-      out = ot::include_list(out, hb[k].executed);
+      out = ot::include_list(out, executed[k]);
       ++steps;
     }
     CCVC_METRIC_HIST("engine.got.path_len", steps);

@@ -37,7 +37,8 @@ struct GotHbItem {
 };
 
 /// Computes the execution form of `o` (in its generation context) per
-/// GOT.  Returns nullopt where exclusion transformation is undefined.
+/// GOT, as primitives; run-form inputs are decomposed first.  Returns
+/// nullopt where exclusion transformation is undefined.
 std::optional<ot::OpList> got_transform(const std::vector<GotHbItem>& hb,
                                         const ot::OpList& o);
 

@@ -60,24 +60,6 @@ OpId decode_id(util::ByteSource& src) {
   return id;
 }
 
-// Decoded messages are immediately decomposed into 1-char delete
-// primitives, so a hostile Delete[n, p] count is an allocation
-// amplifier: a 3-byte wire op can claim a multi-exabyte expansion.
-// Cap the total expansion at the wire boundary; 1 Mi primitives per
-// message is far beyond any real editing burst.  The budget equals the
-// schema's declared op-list bound, so decomposition can never expand a
-// message past what the wire layer admits.
-constexpr std::uint64_t kMaxDecodedPrimitives = wire::kMaxOps;
-
-void check_decompose_budget(const ot::OpList& ops) {
-  std::uint64_t total = 0;
-  for (const auto& op : ops) {
-    total += (op.kind == ot::OpKind::kDelete && op.count > 1) ? op.count : 1;
-    if (total > kMaxDecodedPrimitives)
-      throw util::DecodeError("op list expands past the decode budget");
-  }
-}
-
 }  // namespace
 
 const char* to_string(StampMode m) {
@@ -96,7 +78,7 @@ net::Payload encode(const ClientMsg& msg, StampMode mode) {
   encode_id(msg.id, sink);
   encode_stamp(msg.stamp, mode, sink);
   // REDUCE wire form: Delete[n, p] ships as one op, not n primitives.
-  ot::encode(ot::coalesce(msg.ops), sink);
+  ot::encode_coalesced(msg.ops, sink);
   return std::move(sink).take();
 }
 
@@ -105,7 +87,7 @@ net::Payload encode(const CenterMsg& msg, StampMode mode) {
   wire::Writer(sink).tag(wire::kCenterMsg);
   encode_id(msg.id, sink);
   encode_stamp(msg.stamp, mode, sink);
-  ot::encode(ot::coalesce(msg.ops), sink);
+  ot::encode_coalesced(msg.ops, sink);
   return std::move(sink).take();
 }
 
@@ -114,7 +96,7 @@ CenterMsgSplicer::CenterMsgSplicer(const OpId& id, const ot::OpList& ops) {
   wire::Writer(sink).tag(wire::kCenterMsg);
   encode_id(id, sink);
   head_size_ = sink.size();
-  ot::encode(ot::coalesce(ops), sink);
+  ot::encode_coalesced(ops, sink);
   body_ = std::move(sink).take();
 }
 
@@ -133,10 +115,8 @@ ClientMsg decode_client_msg(const net::Payload& bytes, StampMode mode) {
   ClientMsg msg;
   msg.id = decode_id(src);
   msg.stamp = decode_stamp(src, mode);
-  // Back to 1-char delete primitives for transformation.
-  ot::OpList wire_ops = ot::decode_op_list(src);
-  check_decompose_budget(wire_ops);
-  msg.ops = ot::decompose(wire_ops);
+  // The wire form is already a run form: Delete[n, p] stays one entry.
+  msg.ops = ot::decode_op_list(src);
   if (!src.exhausted()) {
     throw util::DecodeError("trailing bytes in client message");
   }
@@ -151,9 +131,7 @@ CenterMsg decode_center_msg(const net::Payload& bytes, StampMode mode) {
   CenterMsg msg;
   msg.id = decode_id(src);
   msg.stamp = decode_stamp(src, mode);
-  ot::OpList wire_ops = ot::decode_op_list(src);
-  check_decompose_budget(wire_ops);
-  msg.ops = ot::decompose(wire_ops);
+  msg.ops = ot::decode_op_list(src);
   if (!src.exhausted()) {
     throw util::DecodeError("trailing bytes in center message");
   }

@@ -76,6 +76,13 @@ bool suffixes_fit(std::size_t doc_size,
   return len <= kMax;
 }
 
+// A checkpoint's HB with its forms in run form (state() writes them as
+// primitives).
+std::vector<NotifierHbEntry> compacted(std::vector<NotifierHbEntry> hb) {
+  for (auto& e : hb) e.executed = ot::compact(e.executed);
+  return hb;
+}
+
 const NotifierSite::State& validated(const NotifierSite::State& s) {
   const std::size_t slots = s.num_sites + 1;
   CCVC_CHECK_MSG(s.sv0.size() == slots && s.outgoing.size() == slots &&
@@ -93,6 +100,8 @@ const NotifierSite::State& validated(const NotifierSite::State& s) {
   for (const auto& e : s.hb) {
     CCVC_CHECK_MSG(e.origin >= 1 && e.origin <= s.num_sites,
                    "notifier checkpoint HB origin is not a site");
+    CCVC_CHECK_MSG(ot::is_decomposed(e.executed),
+                   "notifier checkpoint HB form is not primitives");
     CCVC_CHECK_MSG(e.origin < e.stamp.size() && e.stamp[e.origin] >= 1 &&
                        e.stamp_sum == e.stamp.sum(),
                    "notifier checkpoint HB stamp does not count its op");
@@ -116,6 +125,8 @@ const NotifierSite::State& validated(const NotifierSite::State& s) {
       CCVC_CHECK_MSG(e.index > index && e.index <= s.enqueued[x],
                      "notifier checkpoint bridge indices do not climb "
                      "within (acked, enqueued]");
+      CCVC_CHECK_MSG(ot::is_decomposed(e.ops),
+                     "notifier checkpoint bridge form is not primitives");
       index = e.index;
     }
     CCVC_CHECK_MSG(x == kNotifierSite || !s.active[x] ||
@@ -150,12 +161,17 @@ NotifierSite::State NotifierSite::state() const {
   s.document = doc_.text();
   s.sv0 = clock_.full();
   s.vc = full_stamp();
+  // Checkpoints hold the primitives every stored run form stands for.
   s.hb = hb_;
+  for (auto& e : s.hb) e.executed = ot::decompose(e.executed);
   for (SiteId x = 0; x < bridges_.size(); ++x) {
-    auto& out = s.outgoing.emplace_back(bridges_[x].own.begin(),
-                                        bridges_[x].own.end());
+    auto& out = s.outgoing.emplace_back();
+    for (const auto& e : bridges_[x].own) {
+      out.push_back(BridgeEntry{e.id, e.index, ot::decompose(e.ops)});
+    }
     for (const auto& e : view(x)) {
-      out.push_back(BridgeEntry{e.id, bridge_index(e, x), e.executed});
+      out.push_back(
+          BridgeEntry{e.id, bridge_index(e, x), ot::decompose(e.executed)});
     }
     s.enqueued.push_back(x == kNotifierSite || !active_[x]
                              ? bridges_[x].base
@@ -175,7 +191,7 @@ NotifierSite::NotifierSite(const State& state, const EngineConfig& cfg,
       observer_(observer),
       doc_(state.document),
       clock_(state.sv0),
-      hb_(state.hb),
+      hb_(compacted(state.hb)),
       acked_(state.acked),
       active_(state.active),
       hb_collected_(state.hb_collected) {
@@ -188,13 +204,15 @@ NotifierSite::NotifierSite(const State& state, const EngineConfig& cfg,
   // empty view: the mark sits at the end of HB, where an active site's
   // count is its checkpointed (eq. (1)) one.  GC starts with no blocker.
   for (SiteId x = 0; x <= num_sites_; ++x) {
-    const auto& q = state.outgoing[x];
+    std::deque<BridgeEntry> own;
     std::ptrdiff_t own_delta = 0;
-    if (active_[x]) {  // only active bridges were checked against doc_
-      for (const auto& e : q) own_delta += ot::size_delta(e.ops);
+    for (const auto& e : state.outgoing[x]) {
+      own.push_back({e.id, e.index, ot::compact(e.ops)});
+      // Only active bridges were checked against doc_.
+      if (active_[x]) own_delta += ot::size_delta(e.ops);
     }
     bridges_.push_back(
-        Bridge{{q.begin(), q.end()}, log_end(), state.enqueued[x], own_delta});
+        Bridge{std::move(own), log_end(), state.enqueued[x], own_delta});
   }
   // HB's document lengths, backwards from doc_.  Unsigned arithmetic:
   // HB forms are not validated, and no view reaches these entries.
@@ -330,13 +348,13 @@ NotifierSite::ParsedUplink NotifierSite::parse_uplink(
   if (parsed.msg.id.site != from) {
     throw util::DecodeError("message arrived on the wrong channel");
   }
-  // Decoding decomposes Delete[n, p] into n 1-char primitives but passes
-  // a Delete[0, p] through; transformation requires count 1.  (The
-  // shared decoder accepts count 0: the no-transform ablation's clamped
-  // apply can legitimately ship one in a center message.)
+  // A client's Delete[n, p] stays one run, which transformation takes
+  // as it is, but no run is empty.  (The shared decoder accepts count 0:
+  // the no-transform ablation's clamped apply can legitimately ship one
+  // in a center message.)
   for (const auto& op : parsed.msg.ops) {
-    if (op.kind == ot::OpKind::kDelete && op.count != 1) {
-      throw util::DecodeError("uplink delete is not a 1-char primitive");
+    if (op.kind == ot::OpKind::kDelete && op.count == 0) {
+      throw util::DecodeError("uplink delete removes no characters");
     }
   }
   return parsed;
@@ -385,11 +403,7 @@ NotifierSite::Admission NotifierSite::admit(const ParsedUplink& parsed) const {
   adm.size_before = context_size(from, adm.ack);
   auto len = static_cast<std::ptrdiff_t>(adm.size_before);
   for (const auto& op : msg.ops) {
-    const auto room = static_cast<std::size_t>(len);
-    const bool in_range = (op.kind == ot::OpKind::kInsert)   ? op.pos <= room
-                          : (op.kind == ot::OpKind::kDelete) ? op.pos < room
-                                                             : true;
-    if (!in_range) {
+    if (!ot::in_range(op, static_cast<std::size_t>(len))) {
       throw util::DecodeError("uplink position out of range");
     }
     len += op.size_delta();

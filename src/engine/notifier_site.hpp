@@ -74,7 +74,7 @@
 //    into its private prefix and transforms that in place
 //    (ot::transform_in_place), so one client's transform never reaches
 //    another client's bridge.  state() and checkpoints see plain
-//    BridgeEntry values.
+//    BridgeEntry values, every form expanded to its primitives.
 #pragma once
 
 #include <deque>
@@ -124,7 +124,8 @@ class NotifierSite {
   /// Stateless decode + wrong-channel validation of one uplink payload.
   /// Touches no NotifierSite state, so any thread may call it.  Throws
   /// util::DecodeError on a malformed payload, one naming another site,
-  /// or one carrying a delete whose count is not 1.
+  /// or one carrying a delete of zero characters.  A Delete[n, p] stays
+  /// one run.
   static ParsedUplink parse_uplink(SiteId from, const net::Payload& bytes,
                                    const EngineConfig& cfg);
 
@@ -142,8 +143,8 @@ class NotifierSite {
   /// to its site or fewer than it acknowledged before (or, in
   /// full-vector mode, whose stamp is not an (N+1)-vector), on one
   /// whose OpId is not SV_0[from] + 1, and on one whose positions fall
-  /// outside the document its stamp names.  O(|ops| + the bridge
-  /// entries the ack drops).
+  /// outside the document its stamp names (a delete run must end inside
+  /// it).  O(|ops| + the bridge entries the ack drops).
   Admission admit(const ParsedUplink& parsed) const;
 
   /// The stateful remainder of on_client_message: admit(), then the
@@ -243,7 +244,9 @@ class NotifierSite {
   /// bridge is empty, each bridge's indices climb strictly within
   /// (acked, enqueued], no suffix of an active site's bridge (down to
   /// each primitive) changes the length by more than the document
-  /// holds, and `vc` is full_stamp()'s.
+  /// holds, every HB and bridge form is primitives (state()'s shape:
+  /// no delete or identity counts more than one), and `vc` is
+  /// full_stamp()'s.  The forms are kept in run form (ot::compact).
   NotifierSite(const State& state, const EngineConfig& cfg,
                SendFn send_to_client, EngineObserver* observer = nullptr);
 

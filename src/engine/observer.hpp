@@ -60,6 +60,8 @@ class EngineObserver {
   virtual ~EngineObserver() = default;
 
   // --- star engine -------------------------------------------------
+  // Executed forms are handed over as stored: in run form (text_op.hpp),
+  // whose ot::decompose() is the primitive list, field for field.
   /// A client generated and locally executed an original operation.
   virtual void on_client_generate(SiteId /*site*/, const OpId& /*id*/,
                                   const ot::OpList& /*executed*/) {}

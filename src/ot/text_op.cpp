@@ -101,6 +101,7 @@ std::string PrimOp::str() const {
       break;
     case OpKind::kIdentity:
       os << "Nop";
+      if (count > 1) os << "[" << count << "]";
       break;
   }
   return os.str();
@@ -177,33 +178,132 @@ bool is_identity(const OpList& ops) {
   return true;
 }
 
+bool in_range(const PrimOp& op, std::size_t size) {
+  switch (op.kind) {
+    case OpKind::kInsert:
+      return op.pos <= size;
+    case OpKind::kDelete:
+      return op.pos < size && op.count <= size - op.pos;
+    case OpKind::kIdentity:
+      return true;
+  }
+  return false;
+}
+
+namespace {
+
+// Walks coalesce(ops) without building it: calls fn(first, last) once
+// per wire op, which is ops[first] merged with the live entries of
+// ops[first + 1, last) — deletes at its position, or inserts each
+// landing right after the text so far, all from its origin.
+template <typename Fn>
+void for_each_wire_op(const OpList& ops, Fn&& fn) {
+  for (std::size_t i = 0; i < ops.size();) {
+    if (ops[i].is_identity()) {
+      ++i;
+      continue;
+    }
+    const PrimOp& head = ops[i];
+    std::size_t len = head.text.size();
+    std::size_t last = i + 1;
+    for (std::size_t j = i + 1; j < ops.size(); ++j) {
+      const PrimOp& op = ops[j];
+      if (op.is_identity()) continue;
+      const std::size_t at =
+          head.kind == OpKind::kDelete ? head.pos : head.pos + len;
+      if (op.kind != head.kind || op.origin != head.origin || op.pos != at) {
+        break;
+      }
+      len += op.text.size();
+      last = j + 1;
+    }
+    fn(i, last);
+    i = last;
+  }
+}
+
+// The op coalesce() makes of ops[first, last): delete counts add up and
+// texts concatenate.  `wire_only` leaves out what encode() drops — an
+// insert's count and captured delete text — so nothing is copied twice.
+PrimOp merged(const OpList& ops, std::size_t first, std::size_t last,
+              bool wire_only) {
+  const PrimOp& head = ops[first];
+  PrimOp out;
+  if (wire_only) {
+    out.kind = head.kind;
+    out.pos = head.pos;
+    out.origin = head.origin;
+  } else {
+    out = head;
+  }
+  const bool del = head.kind == OpKind::kDelete;
+  for (std::size_t k = wire_only ? first : first + 1; k < last; ++k) {
+    const PrimOp& op = ops[k];
+    if (op.is_identity()) continue;
+    if (del) out.count += op.count;
+    if (!del || !wire_only) out.text += op.text;
+  }
+  return out;
+}
+
+// Whether `prev` and `op` are one run whose primitives compact() may
+// merge without decompose() telling the difference.
+bool one_run(const PrimOp& prev, const PrimOp& op) {
+  if (prev.kind != op.kind || prev.pos != op.pos || prev.origin != op.origin) {
+    return false;
+  }
+  switch (op.kind) {
+    case OpKind::kDelete:
+      return prev.count != 0 && op.count != 0 &&
+             (prev.text.empty() ? op.text.empty()
+                                : prev.text.size() == prev.count &&
+                                      op.text.size() == op.count);
+    case OpKind::kIdentity:
+      // Count 1 is a primitive decompose() keeps as it is.
+      return prev.count != 1 && op.count != 1 && prev.text.empty() &&
+             op.text.empty();
+    case OpKind::kInsert:
+      return false;
+  }
+  return false;
+}
+
+// How many primitives an identity entry stands for.
+std::size_t identities(const PrimOp& op) {
+  return op.count > 1 ? op.count : 1;
+}
+
+}  // namespace
+
 OpList coalesce(const OpList& ops) {
   OpList out;
-  for (const auto& op : ops) {
-    if (op.is_identity()) continue;
-    if (!out.empty()) {
-      PrimOp& prev = out.back();
-      // Delete-forward run: deleting repeatedly at one position.
-      if (prev.kind == OpKind::kDelete && op.kind == OpKind::kDelete &&
-          op.pos == prev.pos && prev.origin == op.origin) {
-        prev.count += op.count;
-        prev.text += op.text;
-        continue;
-      }
-      // Contiguous insert run: each piece lands right after the last.
-      if (prev.kind == OpKind::kInsert && op.kind == OpKind::kInsert &&
-          op.pos == prev.pos + prev.text.size() &&
-          prev.origin == op.origin) {
-        prev.text += op.text;
-        continue;
-      }
-    }
-    out.push_back(op);
-  }
+  for_each_wire_op(ops, [&](std::size_t first, std::size_t last) {
+    out.push_back(merged(ops, first, last, /*wire_only=*/false));
+  });
   if (out.empty() && !ops.empty()) {
     out.push_back(ops.front());  // keep one identity as a placeholder
   }
   return out;
+}
+
+void encode_coalesced(const OpList& ops, util::ByteSink& sink) {
+  std::size_t n = 0;
+  for_each_wire_op(ops, [&n](std::size_t, std::size_t) { ++n; });
+  wire::Writer w(sink);
+  if (n == 0 && !ops.empty()) {
+    w.count(wire::f::kWireOps, 1);
+    ops.front().encode(sink);  // the identity placeholder
+    return;
+  }
+  w.count(wire::f::kWireOps, n);
+  for_each_wire_op(ops, [&](std::size_t first, std::size_t last) {
+    // Deleted text never travels, so a delete run is encoded as is.
+    if (last == first + 1) {
+      ops[first].encode(sink);
+    } else {
+      merged(ops, first, last, /*wire_only=*/true).encode(sink);
+    }
+  });
 }
 
 OpList decompose(const OpList& ops) {
@@ -212,17 +312,51 @@ OpList decompose(const OpList& ops) {
   for (const auto& op : ops) {
     if (op.kind == OpKind::kDelete && op.count > 1) {
       for (std::size_t i = 0; i < op.count; ++i) {
-        PrimOp piece = op;
+        PrimOp piece;
+        piece.kind = OpKind::kDelete;
+        piece.pos = op.pos;
         piece.count = 1;
-        piece.text = op.text.empty() ? std::string()
-                                     : op.text.substr(i, 1);
+        piece.origin = op.origin;
+        if (!op.text.empty()) piece.text = op.text.substr(i, 1);
         out.push_back(std::move(piece));
       }
+    } else if (op.kind == OpKind::kIdentity && op.count > 1) {
+      PrimOp piece;
+      piece.kind = OpKind::kIdentity;
+      piece.pos = op.pos;
+      piece.origin = op.origin;
+      out.insert(out.end(), op.count, piece);
     } else {
       out.push_back(op);
     }
   }
   return out;
+}
+
+OpList compact(const OpList& ops) {
+  OpList out;
+  out.reserve(ops.size());
+  for (const auto& op : ops) {
+    if (!out.empty() && one_run(out.back(), op)) {
+      PrimOp& prev = out.back();
+      if (op.is_identity()) {
+        prev.count = identities(prev) + identities(op);
+      } else {
+        prev.count += op.count;
+        prev.text += op.text;
+      }
+      continue;
+    }
+    out.push_back(op);
+  }
+  return out;
+}
+
+bool is_decomposed(const OpList& ops) {
+  for (const auto& op : ops) {
+    if (op.kind != OpKind::kInsert && op.count > 1) return false;
+  }
+  return true;
 }
 
 void encode(const OpList& ops, util::ByteSink& sink) {

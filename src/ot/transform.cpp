@@ -1,5 +1,7 @@
 #include "ot/transform.hpp"
 
+#include <algorithm>
+
 #include "util/check.hpp"
 
 namespace ccvc::ot {
@@ -15,12 +17,13 @@ bool insert_wins_left(const PrimOp& a, const PrimOp& b) {
 
 namespace {
 
-constexpr const char* kNotDecomposed =
-    "transformation requires deletes decomposed to 1 char";
+constexpr const char* kNotPrimitive =
+    "include_prim and exclude_prim take primitives: deletes of 1 char";
+constexpr const char* kEmptyDelete = "a delete removes at least one character";
 
-// The kernel's loops inline the same check on each delete they read.
-void require_decomposed(const PrimOp& op) {
-  CCVC_CHECK_MSG(op.kind != OpKind::kDelete || op.count == 1, kNotDecomposed);
+// include_prim and exclude_prim inline the same check.
+void require_primitive(const PrimOp& op) {
+  CCVC_CHECK_MSG(op.kind != OpKind::kDelete || op.count == 1, kNotPrimitive);
 }
 
 // The (kind, pos) an inclusion leaves a primitive with.
@@ -30,11 +33,12 @@ struct Included {
 };
 
 // The whole IT case analysis: what including `against` makes of `op`.
-// include_prim and the in-place grid cell both go through it, so the
-// II/ID/DI/DD rules exist once.
+// include_prim and the kernel's insert tie go through it, so the
+// II/ID/DI/DD rules exist once; the kernel's closed forms are checked
+// against it cell by cell (tests/ot).
 Included include_shape(const PrimOp& op, const PrimOp& against) {
-  require_decomposed(op);
-  require_decomposed(against);
+  require_primitive(op);
+  require_primitive(against);
   Included out{op.kind, op.pos};
   if (op.kind == OpKind::kIdentity || against.kind == OpKind::kIdentity) {
     return out;
@@ -98,30 +102,14 @@ void settle(PrimOp& op, Included r) {
   op.pos = r.pos;
 }
 
-// One grid cell: both results are computed from the cell's inputs
-// before either is written.
-void cell(PrimOp& pa, PrimOp& pb) {
-  const Included pa_next = include_shape(pa, pb);
-  const Included pb_next = include_shape(pb, pa);
-  settle(pa, pa_next);
-  settle(pb, pb_next);
-}
-
-// The ID/DI cell of a 1-char delete and an insert of `len` chars at
-// `ins_pos`, on either side: a delete left of the insertion point pulls
-// it one left; one at or right of it moves right past the text.
-void delete_meets_insert(PrimOp& del, std::size_t& ins_pos, std::size_t len) {
-  // Branch-free: k varies from call to call, so a branch would mispredict.
-  const bool left = del.pos < ins_pos;
-  ins_pos -= left ? 1 : 0;
-  del.pos += left ? 0 : len;
-}
-
 // The II cell: the insert strictly left pushes the other right past
 // its text.  A tie takes the per-cell rule and its priority order.
 void inserts_meet(PrimOp& pa, PrimOp& pb) {
   if (pa.pos == pb.pos) {
-    cell(pa, pb);
+    const Included pa_next = include_shape(pa, pb);
+    const Included pb_next = include_shape(pb, pa);
+    settle(pa, pa_next);
+    settle(pb, pb_next);
     return;
   }
   const bool a_left = pa.pos < pb.pos;
@@ -129,9 +117,55 @@ void inserts_meet(PrimOp& pa, PrimOp& pb) {
   pa.pos += a_left ? 0 : pb.text.size();
 }
 
-// A run: the live primitives of ops[begin, end) are n 1-char deletes,
-// all at pos.  Identities in between take part in no cell that changes
-// anything, so they are skipped.
+// Splits the delete entry ops[i] after its first t characters
+// (0 < t < count): ops[i] keeps them and ops[i + 1] holds the rest, at
+// the same position, with the captured text cut between them.
+void split(OpList& ops, std::size_t i, std::size_t t) {
+  PrimOp rest;
+  {
+    PrimOp& head = ops[i];
+    CCVC_DCHECK(head.kind == OpKind::kDelete && t > 0 && t < head.count);
+    CCVC_DCHECK(head.text.empty() || head.text.size() == head.count);
+    rest.kind = OpKind::kDelete;
+    rest.pos = head.pos;
+    rest.count = head.count - t;
+    rest.origin = head.origin;
+    if (!head.text.empty()) {
+      rest.text.assign(head.text, t);
+      head.text.erase(t);
+    }
+    head.count = t;
+  }
+  ops.insert(ops.begin() + static_cast<std::ptrdiff_t>(i) + 1,
+             std::move(rest));
+}
+
+// Delete entry ops[i], n chars at p, × an insert of `len` chars at q,
+// on either side.  Cell by cell, each delete left of the insertion
+// point pulls it one left and each other one moves past the text, so
+// the first k = clamp(q − p, 0, n) deletes keep p, the insert moves to
+// q − k, and the other n − k move to p + len.  Returns true if the entry
+// split (the moved part is then ops[i + 1]).
+bool delete_meets_insert(OpList& ops, std::size_t i, std::size_t& ins_pos,
+                         std::size_t len) {
+  PrimOp& del = ops[i];
+  CCVC_CHECK_MSG(del.count != 0, kEmptyDelete);
+  const std::size_t k =
+      ins_pos > del.pos ? std::min(del.count, ins_pos - del.pos) : 0;
+  ins_pos -= k;
+  if (k == del.count) return false;
+  if (k == 0) {
+    del.pos += len;
+    return false;
+  }
+  split(ops, i, k);
+  ops[i + 1].pos += len;
+  return true;
+}
+
+// A run: the live entries of ops[begin, end) are deletes, all at pos,
+// n characters in all.  Identities in between take part in no cell that
+// changes anything, so they are skipped.
 struct Run {
   std::size_t begin;
   std::size_t end;
@@ -142,15 +176,15 @@ struct Run {
 // The longest run that starts at the live delete ops[begin] and ends
 // before `limit`.
 Run run_at(const OpList& ops, std::size_t begin, std::size_t limit) {
-  Run r{begin, begin + 1, ops[begin].pos, 1};
-  CCVC_CHECK_MSG(ops[begin].count == 1, kNotDecomposed);
+  Run r{begin, begin + 1, ops[begin].pos, ops[begin].count};
+  CCVC_CHECK_MSG(r.n != 0, kEmptyDelete);
   for (std::size_t i = begin + 1; i < limit; ++i) {
     const PrimOp& p = ops[i];
     if (p.is_identity()) continue;
     if (p.kind != OpKind::kDelete || p.pos != r.pos) break;
-    CCVC_CHECK_MSG(p.count == 1, kNotDecomposed);
+    CCVC_CHECK_MSG(p.count != 0, kEmptyDelete);
     r.end = i + 1;
-    ++r.n;
+    r.n += p.count;
   }
   return r;
 }
@@ -163,49 +197,81 @@ void move_run(OpList& ops, Run& r, std::size_t pos) {
   }
 }
 
-// Re-reads a run's live count and position after the per-cell walk.
-void recount(const OpList& ops, Run& r) {
-  r.n = 0;
+// The index of the entry at which the t-th character of `r` starts,
+// splitting the entry that holds it if it starts mid-entry (r.end if
+// t == r.n).
+std::size_t cut(OpList& ops, Run& r, std::size_t t) {
+  std::size_t seen = 0;
   for (std::size_t i = r.begin; i < r.end; ++i) {
     if (ops[i].is_identity()) continue;
-    // Overlapping runs leave each side's survivors together, at the
-    // leftmost of the two positions.
-    CCVC_DCHECK(r.n == 0 || ops[i].pos == r.pos);
-    r.pos = ops[i].pos;
-    ++r.n;
+    if (seen == t) return i;
+    if (t < seen + ops[i].count) {
+      split(ops, i, t - seen);
+      ++r.end;
+      return i + 1;
+    }
+    seen += ops[i].count;
   }
+  return r.end;
+}
+
+// Characters [from, from + c) of `r` were deleted concurrently: each
+// becomes include_prim's Identity at `pos` (a run of them per entry).
+void collapse(OpList& ops, Run& r, std::size_t from, std::size_t c,
+              std::size_t pos) {
+  if (c == 0) return;
+  const std::size_t first = cut(ops, r, from);
+  const std::size_t last = cut(ops, r, from + c);
+  for (std::size_t i = first; i < last; ++i) {
+    PrimOp& op = ops[i];
+    if (op.is_identity()) continue;
+    op.kind = OpKind::kIdentity;
+    op.pos = pos;
+    op.count = op.count == 1 ? 0 : op.count;
+    op.text.clear();
+  }
+  r.n -= c;
 }
 
 // Delete run × delete run: n deletes at p in A, m at q in B.  Disjoint
 // runs (p + n ≤ q, adjacent included) only shift: every delete of the
 // right run is pulled left once per delete of the left run (DD with
 // against.pos < op.pos), so B moves to q − n and A stays; the mirror
-// case moves A to p − m.  Overlapping runs collapse pairwise, so they
-// take the per-cell walk.  `rb` is kept current for A's next run.
-void runs_meet(OpList& a, Run ra, OpList& b, Run& rb) {
+// case moves A to p − m.  Overlapping runs, with l the left run's
+// position (A's on a tie), k = the right run's position − l and
+// c = min(left n − k, right n) the characters both delete: cell by
+// cell the left run's first k deletes pass under the right run and pull
+// it to l, then the next c rows and columns collapse pairwise at l, and
+// the rest of either run is left at l.  Both runs are kept current.
+void runs_meet(OpList& a, Run& ra, OpList& b, Run& rb) {
   if (ra.pos + ra.n <= rb.pos) {
     move_run(b, rb, rb.pos - ra.n);
-  } else if (rb.pos + rb.n <= ra.pos) {
-    move_run(a, ra, ra.pos - rb.n);
-  } else {
-    for (std::size_t i = ra.begin; i < ra.end; ++i) {
-      for (std::size_t j = rb.begin; j < rb.end; ++j) cell(a[i], b[j]);
-    }
-    recount(b, rb);
+    return;
   }
+  if (rb.pos + rb.n <= ra.pos) {
+    move_run(a, ra, ra.pos - rb.n);
+    return;
+  }
+  const bool a_left = ra.pos <= rb.pos;
+  OpList& lo = a_left ? a : b;
+  Run& rl = a_left ? ra : rb;
+  OpList& hi = a_left ? b : a;
+  Run& rh = a_left ? rb : ra;
+  const std::size_t l = rl.pos;
+  const std::size_t k = rh.pos - l;
+  const std::size_t c = std::min(rl.n - k, rh.n);
+  collapse(lo, rl, k, c, l);
+  collapse(hi, rh, 0, c, l);
+  move_run(hi, rh, l);
 }
 
-// The grid row of one insert of A, walked through all of B.  Against a
-// delete run at p, k = clamp(q − p, 0, n) deletes lie left of the
-// insertion point q: they keep p and pull the insert to q − k; the
-// other n − k move to p + |text|.  The cells are O(1) each, so one pass
-// of delete_meets_insert yields exactly that.
+// The grid row of one insert of A, walked through all of B.
 void insert_row(PrimOp& ins, OpList& b) {
   const std::size_t len = ins.text.size();
-  for (PrimOp& pb : b) {
+  for (std::size_t j = 0; j < b.size(); ++j) {
+    PrimOp& pb = b[j];
     if (pb.kind == OpKind::kDelete) {
-      CCVC_CHECK_MSG(pb.count == 1, kNotDecomposed);
-      delete_meets_insert(pb, ins.pos, len);
+      if (delete_meets_insert(b, j, ins.pos, len)) ++j;
     } else if (pb.kind == OpKind::kInsert) {
       inserts_meet(ins, pb);
     }
@@ -213,17 +279,21 @@ void insert_row(PrimOp& ins, OpList& b) {
 }
 
 // The grid rows [begin, end) of A, which hold deletes and identities
-// only, walked through all of B a column block at a time.  A B insert
-// meets the rows in one pass, as in insert_row.  A B run meets A's runs
-// top to bottom; they are re-read per block, since an insert inside a
-// run has split it.
-void delete_rows(OpList& a, std::size_t begin, std::size_t end, OpList& b) {
+// only, walked through all of B a column block at a time; `end` follows
+// the rows' splits.  A B insert meets the rows in one pass, as in
+// insert_row.  A B run meets A's runs top to bottom; they are re-read
+// per block, since an insert inside a run has split it.
+void delete_rows(OpList& a, std::size_t begin, std::size_t& end, OpList& b) {
   for (std::size_t j = 0; j < b.size();) {
     PrimOp& pb = b[j];
     if (pb.kind == OpKind::kInsert) {
       const std::size_t len = pb.text.size();
       for (std::size_t i = begin; i < end; ++i) {
-        if (!a[i].is_identity()) delete_meets_insert(a[i], pb.pos, len);
+        if (a[i].is_identity()) continue;
+        if (delete_meets_insert(a, i, pb.pos, len)) {
+          ++i;
+          ++end;
+        }
       }
       ++j;
     } else if (pb.kind == OpKind::kDelete) {
@@ -233,8 +303,10 @@ void delete_rows(OpList& a, std::size_t begin, std::size_t end, OpList& b) {
           ++i;
           continue;
         }
-        const Run ra = run_at(a, i, end);
+        Run ra = run_at(a, i, end);
+        const std::size_t ra_end = ra.end;
         runs_meet(a, ra, b, rb);
+        end += ra.end - ra_end;
         i = ra.end;
       }
       j = rb.end;
@@ -267,8 +339,8 @@ void transform_in_place(OpList& a, OpList& b) {
     }
     std::size_t end = i;
     for (; end < a.size() && a[end].kind != OpKind::kInsert; ++end) {
-      CCVC_CHECK_MSG(a[end].kind != OpKind::kDelete || a[end].count == 1,
-                     kNotDecomposed);
+      CCVC_CHECK_MSG(a[end].kind != OpKind::kDelete || a[end].count != 0,
+                     kEmptyDelete);
     }
     delete_rows(a, i, end, b);
     i = end;
@@ -289,8 +361,8 @@ OpList include_list(const OpList& op, const OpList& against) {
 }
 
 PrimOp exclude_prim(const PrimOp& op, const PrimOp& against) {
-  require_decomposed(op);
-  require_decomposed(against);
+  require_primitive(op);
+  require_primitive(against);
   if (against.kind == OpKind::kIdentity) return op;
 
   PrimOp out = op;

@@ -105,8 +105,8 @@ struct MessageDesc {
 
 inline constexpr std::uint64_t kU32Max = 0xffffffffull;
 inline constexpr std::uint64_t kU64Max = ~0ull;
-/// Matches the decode budget of engine/message.cpp: one message never
-/// expands past 1 Mi primitives.
+/// One op list holds at most 1 Mi entries (a delete entry is one entry
+/// whatever its count, and stays one after decoding).
 inline constexpr std::uint64_t kMaxOps = 1ull << 20;
 inline constexpr std::uint64_t kMaxDeleteCount = 1ull << 20;
 inline constexpr std::uint64_t kMaxOpText = 1ull << 20;

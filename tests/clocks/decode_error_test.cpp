@@ -138,8 +138,8 @@ TEST(MessageDecode, HostileDeleteCountIsRejectedBeforeAllocating) {
 }
 
 TEST(MessageDecode, LegitimateDeleteRunsStillDecode) {
-  // The decode budget must not reject real bursts: a 10k-char delete is
-  // comfortably inside the cap.
+  // A 10k-char delete decodes as the one Delete[10000, 0] run it ships
+  // as, standing for exactly the primitives it was built from.
   engine::ClientMsg msg;
   msg.id = OpId{1, 1};
   msg.ops = ot::make_delete(0, 10'000, 1);
@@ -147,7 +147,9 @@ TEST(MessageDecode, LegitimateDeleteRunsStillDecode) {
   const auto payload = engine::encode(msg, engine::StampMode::kCompressed);
   const auto decoded =
       engine::decode_client_msg(payload, engine::StampMode::kCompressed);
-  EXPECT_EQ(decoded.ops.size(), 10'000u);
+  ASSERT_EQ(decoded.ops.size(), 1u);
+  EXPECT_EQ(decoded.ops[0].count, 10'000u);
+  EXPECT_EQ(ot::decompose(decoded.ops), msg.ops);
 }
 
 TEST(MessageDecode, CorruptedOpKindThrows) {

@@ -47,6 +47,24 @@ TEST(Document, ClampedDeleteShrinksToFit) {
   EXPECT_EQ(d.text(), "A");  // only one char available at pos 1
 }
 
+// A delete run that clamping shortens still stands for the primitives
+// applied one at a time: those past the end each clamp to Del[0, pos].
+TEST(Document, ClampedDeleteRunKeepsItsPrimitives) {
+  for (const std::size_t pos : {std::size_t{1}, std::size_t{4}}) {
+    Document by_run("AB");
+    ot::OpList run = ot::compact(ot::make_delete(pos, 3, 1));
+    ASSERT_EQ(run.size(), 1u);
+    by_run.apply(run, ApplyMode::kClamped);
+
+    Document by_primitive("AB");
+    ot::OpList primitives = ot::make_delete(pos, 3, 1);
+    by_primitive.apply(primitives, ApplyMode::kClamped);
+
+    EXPECT_EQ(by_run.text(), by_primitive.text());
+    EXPECT_EQ(ot::decompose(run), primitives) << "pos " << pos;
+  }
+}
+
 TEST(Document, ApplyCopyLeavesOpsUntouched) {
   Document d("ABCDE");
   const ot::OpList ops = ot::make_delete(0, 2, 1);

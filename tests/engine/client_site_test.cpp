@@ -4,7 +4,8 @@
 // counter (eq. (1)), so it must be exactly SV_i[1] + 1; T[2] counts this
 // site's own ops the notifier executed, so it cannot exceed the ops
 // generated here.  A full-vector stamp whose verdicts disagree with the
-// pending list is refused too.
+// pending list is refused too, and so is an op out of range on the
+// document it was made on.
 #include <gtest/gtest.h>
 
 #include <string_view>
@@ -87,6 +88,38 @@ TEST(ClientAdmission, AckBeyondGeneratedThrowsBeforeAnyStateChange) {
   c.on_center_message(center({2, 1}, ot::make_insert(0, "y", 2), {1, 1}));
   EXPECT_EQ(c.text(), "yxabc");
   EXPECT_EQ(c.pending_count(), 0u);
+}
+
+// A center op is in range on the document it was made on: this site's
+// document without its pending ops past the ack.  Client 1 deleted
+// "cde" from "abcdefgh", unacknowledged, so the context is all eight
+// characters; a delete run reaching past them, an insert past them and
+// a Delete[0, p] are refused before anything changes.
+TEST(ClientAdmission, CenterPositionOutOfRangeThrowsBeforeAnyStateChange) {
+  ClientSite c(1, 2, "abcdefgh", EngineConfig{}, discard());
+  c.erase(2, 3);
+  ASSERT_EQ(c.text(), "abfgh");
+  const auto run = [](std::size_t pos, std::size_t count) {
+    ot::PrimOp del;
+    del.kind = ot::OpKind::kDelete;
+    del.pos = pos;
+    del.count = count;
+    del.origin = 2;
+    return ot::OpList{del};
+  };
+
+  const ClientSite::State before = c.state();
+  expect_rejected(c, center({2, 1}, run(6, 3), {1, 0}), "out of range");
+  expect_rejected(c, center({2, 1}, ot::make_insert(9, "y", 2), {1, 0}),
+                  "out of range");
+  expect_rejected(c, center({2, 1}, run(0, 0), {1, 0}), "no characters");
+  EXPECT_EQ(c.state(), before);
+
+  // The run ending at the context's end applies, transformed past the
+  // pending delete: "fgh" goes.
+  c.on_center_message(center({2, 1}, run(5, 3), {1, 0}));
+  EXPECT_EQ(c.text(), "ab");
+  EXPECT_EQ(c.ops_received(), 1u);
 }
 
 // Full-vector mode derives T[1] as the notifier derives an uplink's ack:

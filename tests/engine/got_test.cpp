@@ -76,13 +76,14 @@ TEST(Got, DependentInsertInsideOwnTextIsUndefined) {
 
 /// Effect-equality: captured delete text is an artifact of application
 /// (the bridge captures at apply time, a prediction cannot), and
-/// identity primitives have no effect — compare what the ops *do*.
+/// identity primitives have no effect — compare what the ops *do*,
+/// primitive by primitive (GOT answers in primitives, HB keeps runs).
 bool same_effect(const ot::OpList& a, const ot::OpList& b) {
   auto essential = [](const ot::OpList& ops) {
     std::vector<std::tuple<ot::OpKind, std::size_t, std::size_t,
                            std::string>>
         out;
-    for (const auto& p : ops) {
+    for (const auto& p : ot::decompose(ops)) {
       if (p.is_identity()) continue;
       out.emplace_back(p.kind, p.pos,
                        p.kind == ot::OpKind::kDelete ? p.count : 0,

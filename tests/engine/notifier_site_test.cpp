@@ -18,6 +18,7 @@
 #include "util/check.hpp"
 #include "util/rng.hpp"
 #include "util/varint.hpp"
+#include "wire/schema.hpp"
 
 namespace ccvc::engine {
 namespace {
@@ -572,6 +573,65 @@ TEST(NotifierAdmission,
   EXPECT_EQ(sent.size(), 2u);
   EXPECT_EQ(n.state_vector().from(1), 2u);
   EXPECT_EQ(n.outgoing_count(1), 3u);
+}
+
+// Delete[count, pos] as the one run a client ships.
+ot::OpList delete_run(std::size_t pos, std::size_t count, SiteId origin) {
+  ot::PrimOp del;
+  del.kind = ot::OpKind::kDelete;
+  del.pos = pos;
+  del.count = count;
+  del.origin = origin;
+  return {del};
+}
+
+// A client's Delete[n, p] reaches admission as one run, so the bounds
+// check covers the whole run: p < |context| and n ≤ |context| − p.
+TEST(NotifierAdmission, DeleteRunPastTheDocumentThrowsBeforeAnyStateChange) {
+  Sent sent;
+  NotifierSite n(2, "abcdef", EngineConfig{}, collect(sent));
+  const NotifierSite::State before = n.state();
+  // Ends one past the document.
+  EXPECT_THROW(
+      n.on_client_message(1, uplink({1, 1}, delete_run(4, 3, 1), {0, 1})),
+      util::DecodeError);
+  // The largest count the wire carries, at the last position.
+  EXPECT_THROW(n.on_client_message(
+                   1, uplink({1, 1}, delete_run(5, wire::kMaxDeleteCount, 1),
+                             {0, 1})),
+               util::DecodeError);
+  // pos + count wraps around to 0, inside the document; only a decoded
+  // uplink built by hand can carry such a count.
+  NotifierSite::ParsedUplink wrapping;
+  wrapping.from = 1;
+  wrapping.msg.id = OpId{1, 1};
+  wrapping.msg.stamp.csv = clocks::CompressedSv{0, 1};
+  wrapping.msg.ops = delete_run(1, SIZE_MAX, 1);
+  EXPECT_THROW((void)n.admit(wrapping), util::DecodeError);
+  EXPECT_THROW(n.apply_uplink(wrapping), util::DecodeError);
+  EXPECT_EQ(n.state(), before);
+  EXPECT_TRUE(sent.empty());
+}
+
+TEST(NotifierAdmission, DeleteRunEndingAtDocumentEndIsAccepted) {
+  Sent sent;
+  NotifierSite n(2, "abcdef", EngineConfig{}, collect(sent));
+  n.on_client_message(1, uplink({1, 1}, delete_run(2, 4, 1), {0, 1}));
+  EXPECT_EQ(n.text(), "ab");
+  ASSERT_EQ(sent.size(), 1u);
+  // The run executed as one entry; state() shows its four primitives,
+  // each with the character it removed.
+  ASSERT_EQ(n.history().size(), 1u);
+  EXPECT_EQ(n.history()[0].executed.size(), 1u);
+  ot::OpList primitives = ot::make_delete(2, 4, 1);
+  for (std::size_t i = 0; i < 4; ++i) {
+    primitives[i].text = std::string(1, static_cast<char>('c' + i));
+  }
+  EXPECT_EQ(n.state().hb[0].executed, primitives);
+  // The broadcast carries Delete[4, 2] as one wire op.
+  const CenterMsg down = decode_center_msg(sent[0].second,
+                                           StampMode::kCompressed);
+  EXPECT_EQ(down.ops, delete_run(2, 4, 1));
 }
 
 TEST(NotifierBridge, TransformCopiesASharedExecutedForm) {

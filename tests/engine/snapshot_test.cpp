@@ -3,6 +3,7 @@
 // subsequent inputs (crash-recovery for the notifier process).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <utility>
 #include <vector>
@@ -294,6 +295,116 @@ TEST(Snapshot, NotifierBridgesRestoreAtEveryCut) {
     EXPECT_EQ(live.text(), "RWVbcdXef");
     EXPECT_GT(live.hb_collected(), 0u);
   }
+}
+
+// Stored op lists are run forms; checkpoints hold their primitives.
+// Two concurrent overlapping delete runs leave identities where the
+// per-cell walk leaves them, and captured text one character per
+// primitive.  Read back, restored (which re-coalesces) and saved again,
+// every checkpoint — the 0xD4 bundle with its 0xD2 state, and a
+// client's 0xD1 — is byte-identical.
+TEST(Snapshot, RunFormsSaveAsTheirPrimitives) {
+  const auto run = [](std::size_t pos, std::size_t count, SiteId origin) {
+    ot::PrimOp del;
+    del.kind = ot::OpKind::kDelete;
+    del.pos = pos;
+    del.count = count;
+    del.origin = origin;
+    return ot::OpList{del};
+  };
+  const auto uplink = [](OpId id, ot::OpList ops, std::uint64_t ack) {
+    ClientMsg m;
+    m.id = id;
+    m.ops = std::move(ops);
+    m.stamp.csv = clocks::CompressedSv{ack, id.seq};
+    return encode(m, StampMode::kCompressed);
+  };
+  const auto has_identity = [](const ot::OpList& ops) {
+    return std::any_of(ops.begin(), ops.end(),
+                       [](const ot::PrimOp& p) { return p.is_identity(); });
+  };
+
+  NotifierSite n(3, "abcdefghij", EngineConfig{}, [](SiteId, net::Payload) {});
+  // Delete "cdefg", then, concurrently, "efgh": three characters both
+  // delete become identities.  Then an insert inside client 3's view of
+  // the first run splits it.
+  n.on_client_message(1, uplink({1, 1}, run(2, 5, 1), 0));
+  n.on_client_message(2, uplink({2, 1}, run(4, 4, 2), 0));
+  n.on_client_message(3, uplink({3, 1}, ot::make_insert(4, "XY", 3), 0));
+  ASSERT_EQ(n.text(), "abXYij");
+
+  const NotifierSite::State st = n.state();
+  for (const auto& e : st.hb) EXPECT_TRUE(ot::is_decomposed(e.executed));
+  for (const auto& bridge : st.outgoing) {
+    for (const auto& e : bridge) EXPECT_TRUE(ot::is_decomposed(e.ops));
+  }
+  ASSERT_EQ(st.hb[0].executed.size(), 5u);
+  EXPECT_EQ(st.hb[0].executed[2].text, "e");
+  EXPECT_TRUE(has_identity(st.hb[1].executed));
+  ASSERT_EQ(st.outgoing[2].size(), 2u);
+  EXPECT_TRUE(has_identity(st.outgoing[2][0].ops));
+  // HB keeps the runs.
+  EXPECT_EQ(n.history()[0].executed.size(), 1u);
+  EXPECT_EQ(n.history()[1].executed.size(), 2u);
+
+  const net::Payload d2 = save_checkpoint(n);
+  const NotifierSite restored(load_notifier_checkpoint(d2), EngineConfig{},
+                              [](SiteId, net::Payload) {});
+  EXPECT_EQ(save_checkpoint(restored), d2);
+  EXPECT_EQ(restored.history(), n.history());
+
+  const net::Payload d4 = encode_notifier_bundle(
+      NotifierBundle{3, st, std::vector<ReliableLink::State>(3)});
+  const NotifierBundle back = decode_notifier_bundle(d4);
+  const NotifierSite from_bundle(back.notifier, EngineConfig{},
+                                 [](SiteId, net::Payload) {});
+  EXPECT_EQ(encode_notifier_bundle(
+                NotifierBundle{3, from_bundle.state(), back.links}),
+            d4);
+
+  // Client 2 deletes "efgh" while client 1's Delete[5, 2] is on its way:
+  // its pending run and the incoming one collapse three characters.
+  ClientSite c(2, 3, "abcdefghij", EngineConfig{}, [](net::Payload) {});
+  c.erase(4, 4);
+  CenterMsg m;
+  m.id = OpId{1, 1};
+  m.ops = run(2, 5, 1);
+  m.stamp.csv = clocks::CompressedSv{1, 0};
+  c.on_center_message(encode(m, StampMode::kCompressed));
+  ASSERT_EQ(c.text(), "abij");
+  const ClientSite::State cs = c.state();
+  ASSERT_EQ(cs.pending.size(), 1u);
+  EXPECT_EQ(cs.pending[0].ops.size(), 4u);
+  EXPECT_TRUE(has_identity(cs.pending[0].ops));
+  EXPECT_EQ(cs.pending[0].ops[3].text, "h");
+  EXPECT_EQ(cs.hb[1].executed.size(), 5u);
+  const net::Payload d1 = save_checkpoint(c);
+  const ClientSite restored_client(load_client_checkpoint(d1), EngineConfig{},
+                                   [](net::Payload) {});
+  EXPECT_EQ(save_checkpoint(restored_client), d1);
+  EXPECT_EQ(restored_client.history(), c.history());
+}
+
+// A checkpoint list that is not primitives (a run a live site never
+// writes there) is refused: state() could not give it back.
+TEST(Snapshot, RunFormCheckpointListsAreRefused) {
+  NotifierSite n(2, "abcdef", EngineConfig{}, [](SiteId, net::Payload) {});
+  ClientMsg m;
+  m.id = OpId{1, 1};
+  m.ops = ot::make_delete(1, 3, 1);
+  m.stamp.csv = clocks::CompressedSv{0, 1};
+  n.on_client_message(1, encode(m, StampMode::kCompressed));
+  NotifierSite::State st = n.state();
+  st.hb[0].executed = ot::compact(st.hb[0].executed);
+  EXPECT_THROW(NotifierSite(st, EngineConfig{}, [](SiteId, net::Payload) {}),
+               ContractViolation);
+
+  ClientSite c(1, 2, "abcdef", EngineConfig{}, [](net::Payload) {});
+  c.erase(1, 3);
+  ClientSite::State cs = c.state();
+  cs.pending[0].ops = ot::compact(cs.pending[0].ops);
+  EXPECT_THROW(ClientSite(cs, EngineConfig{}, [](net::Payload) {}),
+               ContractViolation);
 }
 
 }  // namespace

@@ -1,10 +1,13 @@
 // Wire coalescing: coalesce/decompose must preserve application
-// semantics exactly while shrinking the encoded form.
+// semantics exactly while shrinking the encoded form.  The run form:
+// compact() must be undone by decompose() field for field, and
+// encode_coalesced() must write the bytes of encode(coalesce()).
 #include <gtest/gtest.h>
 
 #include "doc/document.hpp"
 #include "ot/text_op.hpp"
 #include "util/rng.hpp"
+#include "util/varint.hpp"
 
 namespace ccvc::ot {
 namespace {
@@ -114,6 +117,92 @@ TEST(Coalesce, RandomizedSemanticsPreserved) {
     }
     ASSERT_EQ(apply_str(doc, coalesce(ops)), apply_str(doc, ops));
     ASSERT_EQ(apply_str(doc, decompose(coalesce(ops))), apply_str(doc, ops));
+  }
+}
+
+// A random primitive list: 1-char deletes with and without captured
+// text (sometimes longer than one character, a shape only a hostile
+// checkpoint holds), identities, inserts, a few positions and two
+// origins, so that runs form and break often.
+OpList random_primitives(util::Rng& rng) {
+  OpList ops;
+  const std::size_t n = rng.index(12);
+  for (std::size_t i = 0; i < n; ++i) {
+    PrimOp p;
+    p.pos = rng.index(3);
+    p.origin = static_cast<SiteId>(1 + rng.index(2));
+    switch (rng.index(4)) {
+      case 0:
+        p.kind = OpKind::kInsert;
+        p.text = std::string(1 + rng.index(2), 'i');
+        break;
+      case 1:
+        p.kind = OpKind::kIdentity;
+        break;
+      default:
+        p.kind = OpKind::kDelete;
+        p.count = 1;
+        if (rng.chance(0.5)) p.text = std::string(1 + rng.index(3), 'a');
+        break;
+    }
+    ops.push_back(std::move(p));
+  }
+  return ops;
+}
+
+TEST(Compact, DecomposeGivesBackThePrimitives) {
+  util::Rng rng(7);
+  std::size_t merged = 0;
+  for (int iter = 0; iter < 2000; ++iter) {
+    const OpList ops = random_primitives(rng);
+    const OpList runs = compact(ops);
+    ASSERT_EQ(decompose(runs), ops) << to_string(ops);
+    ASSERT_EQ(compact(runs), runs) << to_string(ops);
+    ASSERT_EQ(size_delta(runs), size_delta(ops));
+    if (runs.size() < ops.size()) ++merged;
+  }
+  EXPECT_GT(merged, 0u);
+}
+
+TEST(Compact, IdentityPlacementSurvives) {
+  // Del[1, 5] "a", Nop, Del[1, 5] "b": the identity between the two
+  // deletes keeps them apart.
+  OpList ops = make_delete(5, 2, 1);
+  ops[0].text = "a";
+  ops[1].text = "b";
+  ops.insert(ops.begin() + 1, make_identity(1)[0]);
+  ops[1].pos = 5;
+  EXPECT_EQ(compact(ops), ops);
+}
+
+TEST(Compact, IdentityRunsCarryTheirMultiplicity) {
+  OpList nops(4, make_identity(3)[0]);
+  for (auto& p : nops) p.pos = 7;
+  const OpList runs = compact(nops);
+  ASSERT_EQ(runs.size(), 1u);
+  EXPECT_TRUE(runs[0].is_identity());
+  EXPECT_EQ(runs[0].count, 4u);
+  EXPECT_EQ(decompose(runs), nops);
+  EXPECT_FALSE(is_decomposed(runs));
+  EXPECT_TRUE(is_decomposed(nops));
+}
+
+TEST(Compact, CapturedAndUncapturedDeletesStayApart) {
+  OpList ops = make_delete(2, 2, 1);
+  ops[0].text = "x";  // the second keeps no text
+  EXPECT_EQ(compact(ops).size(), 2u);
+}
+
+TEST(EncodeCoalesced, MatchesEncodeOfCoalesce) {
+  util::Rng rng(11);
+  for (int iter = 0; iter < 2000; ++iter) {
+    const OpList ops = rng.chance(0.5) ? random_primitives(rng)
+                                       : compact(random_primitives(rng));
+    util::ByteSink want;
+    encode(coalesce(ops), want);
+    util::ByteSink got;
+    encode_coalesced(ops, got);
+    ASSERT_EQ(got.bytes(), want.bytes()) << to_string(ops);
   }
 }
 

@@ -9,7 +9,10 @@
 //   * chains: one op against a *sequence* of sequential ops.
 // Two further sweeps pin the in-place kernel to the value grid walk,
 // field for field: one on workload-shaped lists, one on delete runs of
-// up to 64 chars aimed at inserts and runs of the other side.
+// up to 64 chars aimed at inserts and runs of the other side.  A third
+// runs the kernel on the same lists in run form (and on run-form lists
+// carrying identity runs), against the value walk over their
+// primitives.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -435,6 +438,85 @@ TEST_P(Tp1Sweep, InPlaceKernelMatchesValueWalkOnRuns) {
   EXPECT_GT(branches.overlap, 0u);
   EXPECT_GT(branches.tie, 0u);
   EXPECT_GT(cells.collapses, 0u);
+}
+
+// The kernel on run-form lists against the decomposed kernel, the
+// per-cell walk, kept here as the oracle: decompose(new(A, B)) must be
+// old(decompose(A), decompose(B)) field for field, and TP1 must hold on
+// the run forms themselves.
+void expect_runs_match(const std::string& s, const OpList& a,
+                       const OpList& b, const std::string& after_a,
+                       const std::string& after_b, CellCounts& cells) {
+  const auto want = value_walk(decompose(a), decompose(b), cells);
+  OpList a2 = a;
+  OpList b2 = b;
+  transform_in_place(a2, b2);
+  ASSERT_EQ(decompose(a2), want.first)
+      << "doc=\"" << s << "\" a=" << to_string(a) << " b=" << to_string(b)
+      << " a'=" << to_string(a2);
+  ASSERT_EQ(decompose(b2), want.second)
+      << "doc=\"" << s << "\" a=" << to_string(a) << " b=" << to_string(b)
+      << " b'=" << to_string(b2);
+  ASSERT_EQ(apply_str(after_a, b2), apply_str(after_b, a2))
+      << "doc=\"" << s << "\" a=" << to_string(a) << " b=" << to_string(b);
+}
+
+bool has_entry(const OpList& ops, OpKind kind) {
+  return std::any_of(ops.begin(), ops.end(), [kind](const PrimOp& p) {
+    return p.kind == kind && p.count > 1;
+  });
+}
+
+TEST_P(Tp1Sweep, CoalescedKernelMatchesDecomposed) {
+  // Two rounds per iteration.  First the aimed pair (runs of up to 64
+  // chars, inserts at, inside and past runs, adjacent and overlapping
+  // runs) in run form.  Then each of A and a third list C, transformed
+  // past B by the oracle, in run form: bridge-like lists whose collapsed
+  // deletes are identity runs, meeting each other on the document after
+  // B.
+  util::Rng rng(GetParam() ^ 0xc0a1e5ceu);
+  CellCounts cells;
+  BranchCounts branches;
+  std::size_t delete_runs = 0;
+  std::size_t identity_runs = 0;
+  for (int iter = 0; iter < 300; ++iter) {
+    const std::string s = random_doc(rng, 180) + std::string(40, 'z');
+    doc::Document da(s);
+    doc::Document db(s);
+    const auto [a, b] = aimed_pair(rng, s, da, db);
+    count_first_meeting(a, b, branches);
+    const OpList ra = compact(a);
+    const OpList rb = compact(b);
+    if (has_entry(ra, OpKind::kDelete)) ++delete_runs;
+    expect_runs_match(s, ra, rb, da.text(), db.text(), cells);
+    if (HasFatalFailure()) return;
+
+    doc::Document dc(s);
+    OpList c;
+    for (std::size_t k = 1 + rng.index(3); k > 0; --k) {
+      take(rng, dc, near_step(rng, dc, rng.index(s.size() - 8), 3), c);
+    }
+    CellCounts ignored;
+    const OpList a1 = compact(value_walk(a, b, ignored).first);
+    const OpList c1 = compact(value_walk(c, b, ignored).first);
+    if (has_entry(a1, OpKind::kIdentity)) ++identity_runs;
+    if (has_entry(c1, OpKind::kIdentity)) ++identity_runs;
+    doc::Document after_a1(db.text());
+    after_a1.apply_copy(a1);
+    doc::Document after_c1(db.text());
+    after_c1.apply_copy(c1);
+    expect_runs_match(db.text(), a1, c1, after_a1.text(), after_c1.text(),
+                      cells);
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GT(branches.split, 0u);
+  EXPECT_GT(branches.adjacent, 0u);
+  EXPECT_GT(branches.disjoint, 0u);
+  EXPECT_GT(branches.overlap, 0u);
+  EXPECT_GT(branches.tie, 0u);
+  EXPECT_GT(cells.collapses, 0u);
+  EXPECT_GT(delete_runs, 0u);
+  EXPECT_GT(identity_runs, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, Tp1Sweep,

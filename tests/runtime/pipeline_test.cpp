@@ -20,6 +20,7 @@
 #include "runtime/pipeline.hpp"
 #include "sim/equivalence.hpp"
 #include "util/varint.hpp"
+#include "wire/schema.hpp"
 
 namespace {
 
@@ -188,6 +189,39 @@ TEST(PipelineAdmission, AckBeyondSentIsRejected) {
   EXPECT_EQ(pipe.committed(), 1u);
   EXPECT_EQ(pipe.rejected(), 1u);
   EXPECT_EQ(pipe.site().text(), "ok");
+  EXPECT_EQ(egressed, std::vector<SiteId>{2});
+}
+
+// Well-formed, but a delete run reaching past the end of the document:
+// decoding keeps Delete[n, p] one run, so admission on the transform
+// thread refuses the whole run, and the pipeline carries on.
+TEST(PipelineAdmission, DeleteRunPastTheDocumentIsRejected) {
+  std::vector<SiteId> egressed;
+  runtime::NotifierPipeline pipe(
+      2, "abcdef", engine::EngineConfig{},
+      [&egressed](SiteId dest, net::Payload) { egressed.push_back(dest); });
+  ot::PrimOp del;
+  del.kind = ot::OpKind::kDelete;
+  del.pos = 5;
+  del.count = wire::kMaxDeleteCount;
+  del.origin = 1;
+  pipe.submit(1, uplink_ops(1, {del}, 0));
+  pipe.drain();
+  EXPECT_EQ(pipe.submitted(), 1u);
+  EXPECT_EQ(pipe.committed(), 0u);
+  EXPECT_EQ(pipe.rejected(), 1u);
+  EXPECT_EQ(pipe.site().state(),
+            engine::NotifierSite(2, "abcdef", engine::EngineConfig{},
+                                 [](SiteId, net::Payload) {})
+                .state());
+  EXPECT_TRUE(egressed.empty());
+
+  del.count = 1;
+  pipe.submit(1, uplink_ops(1, {del}, 0));
+  pipe.drain();
+  EXPECT_EQ(pipe.committed(), 1u);
+  EXPECT_EQ(pipe.rejected(), 1u);
+  EXPECT_EQ(pipe.site().text(), "abcde");
   EXPECT_EQ(egressed, std::vector<SiteId>{2});
 }
 
