@@ -10,7 +10,8 @@
 #   4. cppcheck over src/              (skipped if the tool is absent)
 #   5. tools/ccvc_lint.py protocol lint (per-rule selftests run under
 #      the `lint` ctest label in step 2)
-#   6. fuzzer smoke runs (seed corpus + 20k mutations, sanitized build)
+#   6. fuzzer smoke runs (the seeds fuzz_seeds builds from the library's
+#      encoders + 20k mutations each, sanitized build)
 #   7. chaos property suite under ASan+UBSan (fault injection + recovery)
 #   8. bounded model checking: ccvc_mc exhaustive sweep + §6 ablation +
 #      formula-mutation self-validation, plus the `model` ctest label
@@ -96,7 +97,7 @@ step "5/11 protocol lint (tools/ccvc_lint.py)"
 python3 tools/ccvc_lint.py --root "$PWD" --compiler "${CXX:-c++}" ||
   fail "ccvc_lint"
 
-step "6/11 fuzz smoke (sanitized, seed corpus + 20k runs each)"
+step "6/11 fuzz smoke (sanitized, built seeds + 20k runs each)"
 ctest --preset asan-ubsan "$JOBS" -L fuzz_smoke || fail "fuzz smoke"
 
 step "7/11 chaos property suite (sanitized fault injection + recovery)"

@@ -2,7 +2,8 @@
 // -fsanitize=fuzzer (this repo's CI image is GCC-only).
 //
 // Understands the subset of the libFuzzer CLI the smoke tests use:
-// positional arguments are corpus files or directories, `-runs=N` asks
+// positional arguments are corpus files or non-empty directories (a
+// missing path or an empty directory exits 1), `-runs=N` asks
 // for N extra mutation rounds, `-seed=N` fixes the mutation RNG, and
 // `-max_len=N` caps mutated inputs.  Every corpus input is replayed
 // verbatim first, then each round mutates a corpus pick with byte
@@ -55,6 +56,12 @@ void load_corpus(const char* arg, std::vector<Bytes>& corpus) {
     std::vector<fs::path> files;
     for (const auto& entry : fs::directory_iterator(p)) {
       if (entry.is_regular_file()) files.push_back(entry.path());
+    }
+    // With no seeds, a smoke run would pass on the empty input alone.
+    if (files.empty()) {
+      std::fprintf(stderr, "standalone_driver: no files in corpus dir: %s\n",
+                   arg);
+      std::exit(1);
     }
     // directory_iterator order is unspecified; sort for determinism.
     std::sort(files.begin(), files.end());

@@ -197,7 +197,6 @@ class StarSession {
   /// has drained into the standby's replica.
   double standby_promote_delay_ms() const { return kStandbyLatencyMs + 1.0; }
 
-  bool has_standby() const { return cfg_.standby; }
   bool primary_failed() const { return primary_failed_; }
   std::uint64_t failover_promotions() const { return failover_promotions_; }
   /// WAL entries replicated to (and retained by) the standby.
@@ -206,9 +205,6 @@ class StarSession {
   /// Aggregated reliability-layer statistics over every link.
   LinkStats link_stats() const;
   const ReliableLink& client_link(SiteId i) const { return *client_links_[i]; }
-  const ReliableLink& notifier_link(SiteId i) const {
-    return *notifier_links_[i];
-  }
 
   std::size_t wal_size() const { return wal_.size(); }
   std::uint64_t notifier_crashes() const { return notifier_crashes_; }

@@ -73,13 +73,11 @@ class Channel {
 
   // --- fault injection ------------------------------------------------
   void set_fault_plan(FaultPlan plan) { plan_ = std::move(plan); }
-  const FaultPlan& fault_plan() const { return plan_; }
   const FaultStats& fault_stats() const { return fault_stats_; }
 
   /// Administratively downs/ups the link: while down, every send is
   /// lost (in addition to any scheduled DownWindow of the plan).
   void set_down(bool down) { down_ = down; }
-  bool is_down() const { return down_; }
 
   /// Connection reset: every in-flight delivery is voided (its queued
   /// event becomes a no-op) and the FIFO clamp restarts — what a TCP

@@ -74,22 +74,6 @@ PrimOp PrimOp::decode(util::ByteSource& src) {
   return op;
 }
 
-std::size_t PrimOp::encoded_size() const {
-  std::size_t n = 1 + util::uvarint_size(origin);
-  switch (kind) {
-    case OpKind::kInsert:
-      n += util::uvarint_size(pos) + util::uvarint_size(text.size()) +
-           text.size();
-      break;
-    case OpKind::kDelete:
-      n += util::uvarint_size(pos) + util::uvarint_size(count);
-      break;
-    case OpKind::kIdentity:
-      break;
-  }
-  return n;
-}
-
 std::string PrimOp::str() const {
   std::ostringstream os;
   switch (kind) {
@@ -374,12 +358,6 @@ OpList decode_op_list(util::ByteSource& src) {
   ops.reserve(static_cast<std::size_t>(n));
   for (std::uint64_t i = 0; i < n; ++i) ops.push_back(PrimOp::decode(src));
   return ops;
-}
-
-std::size_t encoded_size(const OpList& ops) {
-  std::size_t n = util::uvarint_size(ops.size());
-  for (const auto& op : ops) n += op.encoded_size();
-  return n;
 }
 
 std::string to_string(const OpList& ops) {

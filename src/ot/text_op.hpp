@@ -65,7 +65,6 @@ struct PrimOp {
 
   void encode(util::ByteSink& sink) const;
   static PrimOp decode(util::ByteSource& src);
-  std::size_t encoded_size() const;
 
   /// Renders e.g. `Ins["ab",3]`, `Del[1,7]`, `Nop` for traces.
   std::string str() const;
@@ -136,7 +135,6 @@ bool is_decomposed(const OpList& ops);
 
 void encode(const OpList& ops, util::ByteSink& sink);
 OpList decode_op_list(util::ByteSource& src);
-std::size_t encoded_size(const OpList& ops);
 
 /// `{Ins["x",1]; Del[1,2]}` rendering.
 std::string to_string(const OpList& ops);

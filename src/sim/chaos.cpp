@@ -8,6 +8,10 @@
 
 namespace ccvc::sim {
 
+/// Safety bound: a run that has not drained by this simulated time is
+/// reported as not `completed` (liveness failure) instead of hanging.
+constexpr double kMaxSimMs = 600000.0;
+
 ChaosReport run_chaos(const ChaosConfig& cfg) {
   engine::StarSessionConfig scfg;
   scfg.num_sites = cfg.num_sites;
@@ -74,15 +78,15 @@ ChaosReport run_chaos(const ChaosConfig& cfg) {
       r.completed = true;
       break;
     }
-    if (queue.now() >= cfg.max_sim_ms) break;  // liveness failure
-    if (cfg.checkpoint_every_ms > 0.0 && next_ckpt < cfg.max_sim_ms) {
+    if (queue.now() >= kMaxSimMs) break;  // liveness failure
+    if (cfg.checkpoint_every_ms > 0.0 && next_ckpt < kMaxSimMs) {
       queue.run_until(next_ckpt);
       next_ckpt += cfg.checkpoint_every_ms;
       if (queue.pending() > 0 && cfg.reliability.enabled) {
         session.checkpoint_notifier();
       }
     } else {
-      queue.run_until(cfg.max_sim_ms);
+      queue.run_until(kMaxSimMs);
     }
   }
 
@@ -99,7 +103,7 @@ ChaosReport run_chaos(const ChaosConfig& cfg) {
   if (cfg.standby) r.failover_outage_ms = session.standby_promote_delay_ms();
   r.edits_deferred = workload.total_deferred();
   // now() is clamped up to each run_until target, so a drained queue
-  // would misreport max_sim_ms; the last executed event marks true
+  // would misreport kMaxSimMs; the last executed event marks true
   // quiescence.
   r.sim_duration_ms = queue.last_event_time();
   return r;

@@ -51,15 +51,11 @@ struct ChaosConfig {
   /// promote the standby once its replication channel has drained.
   bool standby = false;
   double failover_at_ms = -1.0;
-
-  /// Safety bound: a run that has not drained by this simulated time is
-  /// reported as not `completed` (liveness failure) instead of hanging.
-  double max_sim_ms = 600000.0;
   std::uint64_t seed = 0x5eed;
 };
 
 struct ChaosReport {
-  bool completed = false;  ///< event queue drained before max_sim_ms
+  bool completed = false;  ///< event queue drained before the time bound
   bool converged = false;  ///< all live replicas byte-identical
   std::string final_doc;
   std::uint64_t ops_generated = 0;

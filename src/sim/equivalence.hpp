@@ -60,10 +60,6 @@ struct EquivalenceReport {
   std::uint64_t framed_bytes = 0;
   std::string sim_text;
   std::string replay_text;
-
-  bool equivalent() const {
-    return sim_converged && state_identical && egress_identical;
-  }
 };
 
 /// Records one simulator run and replays it through the pipeline.

@@ -10,6 +10,8 @@ namespace {
 constexpr char kAlphabet[] =
     "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789 ";
 constexpr std::size_t kAlphabetLen = sizeof(kAlphabet) - 1;
+/// An insert puts 1..kMaxInsertLen characters.
+constexpr std::uint64_t kMaxInsertLen = 8;
 
 /// Picks an edit position, optionally biased into a centered hotspot.
 std::size_t pick_pos(util::Rng& rng, std::size_t doc_size,
@@ -80,7 +82,7 @@ void StarWorkload::edit_once(SiteId site) {
       doc_size == 0 || rng.chance(cfg_.insert_prob);
   if (do_insert) {
     const std::size_t len =
-        1 + static_cast<std::size_t>(rng.below(cfg_.max_insert_len));
+        1 + static_cast<std::size_t>(rng.below(kMaxInsertLen));
     const std::size_t pos = pick_pos(rng, doc_size, cfg_, 0);
     client.insert(pos, random_text(rng, len));
   } else {
@@ -114,7 +116,7 @@ void MeshWorkload::schedule_next(SiteId site) {
   session_.queue().schedule_in(delay, [this, site] {
     auto& rng = rng_[site];
     const std::size_t len =
-        1 + static_cast<std::size_t>(rng.below(cfg_.max_insert_len));
+        1 + static_cast<std::size_t>(rng.below(kMaxInsertLen));
     session_.site(site).broadcast(
         ot::make_insert(0, random_text(rng, len), site));
     ++generated_;

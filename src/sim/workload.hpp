@@ -21,7 +21,6 @@ namespace ccvc::sim {
 struct WorkloadConfig {
   std::size_t ops_per_site = 50;
   double insert_prob = 0.7;          ///< else delete (insert if doc empty)
-  std::size_t max_insert_len = 8;    ///< 1..max characters per insert
   std::size_t max_delete_len = 8;    ///< 1..max characters per delete
   double mean_think_ms = 50.0;       ///< exponential think time
   double hotspot_prob = 0.0;         ///< chance an edit targets the hotspot

@@ -81,7 +81,6 @@ TEST(TextOp, WireRoundTripInsert) {
   const OpList ops = make_insert(12, "hello", 9);
   util::ByteSink sink;
   encode(ops, sink);
-  EXPECT_EQ(sink.size(), encoded_size(ops));
   util::ByteSource src(sink.bytes());
   const OpList back = decode_op_list(src);
   EXPECT_EQ(back, ops);
@@ -126,15 +125,6 @@ TEST(TextOp, StringRendering) {
   EXPECT_EQ(make_insert(1, "12", 1)[0].str(), "Ins[\"12\",1]");
   EXPECT_EQ(make_delete(2, 1, 1)[0].str(), "Del[1,2]");
   EXPECT_EQ(to_string(make_delete(2, 2, 1)), "{Del[1,2]; Del[1,2]}");
-}
-
-TEST(TextOp, EncodedSizeMatchesEncoding) {
-  doc::Document d("some document text");
-  OpList ops = make_delete(5, 4, 2);
-  d.apply(ops);
-  util::ByteSink sink;
-  encode(ops, sink);
-  EXPECT_EQ(sink.size(), encoded_size(ops));
 }
 
 }  // namespace

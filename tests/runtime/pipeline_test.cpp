@@ -154,8 +154,9 @@ TEST(PipelineAdmission, WrongChannelUplinkThrowsDecodeError) {
   expect_rejected_then_live(uplink_from(2, "xy"));
 }
 
-// Well-formed, but Delete[0, p]: decoding passes a zero-count delete
-// through undecomposed, and transformation requires 1-char deletes.
+// Well-formed, but Delete[0, p]: the shared decoder accepts count 0 (the
+// no-transform ablation can ship one in a center message), and
+// parse_uplink refuses an uplink delete run that removes nothing.
 TEST(PipelineAdmission, ZeroCountDeleteThrowsDecodeError) {
   ot::PrimOp del;
   del.kind = ot::OpKind::kDelete;
