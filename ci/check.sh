@@ -1,31 +1,36 @@
 #!/usr/bin/env bash
-# Full verification pipeline — everything a PR must survive, in order:
+# Full verification pipeline — everything a PR must survive, in order.
+# Each check runs once, in the step named here:
 #
 #   1. -Werror configure + build (RelWithDebInfo preset)
-#   2. full test suite under ASan+UBSan (Debug, CCVC_DCHECK live),
-#      including every experiment table (`bench_main --smoke`, the
-#      `bench` label)
+#   2. full test suite under ASan+UBSan (Debug, CCVC_DCHECK live): every
+#      ctest label but the three later steps stage, which covers
+#        - every experiment table (`bench_main --smoke`, label `bench`);
+#        - the wire-schema gate (label `schema`): `schema_check` runs
+#          `ccvc_schema --check` (docs/schema.json, PROTOCOL.md table,
+#          fuzz dictionaries, boundary round-trips), plus golden bytes,
+#          bound rejects, negative compiles and the --check mutation test;
+#        - the analyzer gate (label `sa`): `ccvc_sa` runs
+#          `tools/ccvc_sa --check` — the cross-TU checkers (wire-taint,
+#          exception-discipline, single-writer, atomics-order,
+#          hot-path-budget, blocking-graph, liveness-discipline; generated
+#          docs ATOMICS.md / HOTPATH.md / BLOCKING.md byte-gated) and the
+#          source-line and doc rules (bare-assert ... schema-doc-table) —
+#          `ccvc_sa_mutation` replays tools/sa_mutation.sh, and
+#          `ccvc_sa_selftest` runs the per-checker fixture trees;
+#        - header self-containment (label `headers`): one
+#          `-fsyntax-only` compile per src/ header
 #   3. clang-tidy over src/            (skipped if the tool is absent)
 #      + gcc -fanalyzer report         (informational, never fails)
 #   4. cppcheck over src/              (skipped if the tool is absent)
-#   5. tools/ccvc_lint.py protocol lint (per-rule selftests run under
-#      the `lint` ctest label in step 2)
-#   6. fuzzer smoke runs (the seeds fuzz_seeds builds from the library's
-#      encoders + 20k mutations each, sanitized build)
-#   7. chaos property suite under ASan+UBSan (fault injection + recovery)
-#   8. bounded model checking: ccvc_mc exhaustive sweep + §6 ablation +
-#      formula-mutation self-validation, plus the `model` ctest label
-#   9. wire-schema gate: ccvc_schema --check (docs/schema.json,
-#      PROTOCOL.md table, fuzz dictionaries, boundary round-trips)
-#      plus the `schema` ctest label (golden bytes, bound rejects,
-#      negative compiles, --check mutation test)
-#  10. cross-TU dataflow gate: tools/ccvc_sa --check, all seven
-#      checkers (wire-taint, exception-discipline, single-writer,
-#      atomics-order, hot-path-budget, blocking-graph,
-#      liveness-discipline; generated docs ATOMICS.md / HOTPATH.md /
-#      BLOCKING.md byte-gated) + tools/sa_mutation.sh corpus replay,
-#      plus the `sa` ctest label
-#  11. ThreadSanitizer: one -fsanitize=thread build, two selections —
+#   5. fuzzer smoke runs (the seeds fuzz_seeds builds from the library's
+#      encoders + 20k mutations each, sanitized build; label `fuzz_smoke`)
+#   6. chaos property suite under ASan+UBSan (fault injection + recovery;
+#      label `chaos`)
+#   7. bounded model checking: ccvc_mc exhaustive sweep + §6 ablation +
+#      formula-mutation self-validation (no ctest runs `ccvc_mc all`),
+#      plus the `model` ctest label
+#   8. ThreadSanitizer: one -fsanitize=thread build, two selections —
 #      the failover paths (hot-standby replication, fail-stop and
 #      promotion: engine failover tests, the chaos failover/backpressure
 #      sweeps, the scripted failover scenario), then the threaded
@@ -57,18 +62,18 @@ fail() {
   FAILURES=$((FAILURES + 1))
 }
 
-step "1/11 configure + build, -Werror (relwithdebinfo)"
+step "1/8 configure + build, -Werror (relwithdebinfo)"
 cmake --preset relwithdebinfo >/dev/null &&
   cmake --build --preset relwithdebinfo "$JOBS" ||
   fail "-Werror build"
 
-step "2/11 full suite under ASan+UBSan (Debug; DCHECK contracts live)"
+step "2/8 full suite under ASan+UBSan (Debug; DCHECK contracts live)"
 cmake --preset asan-ubsan >/dev/null &&
   cmake --build --preset asan-ubsan "$JOBS" &&
   ctest --preset asan-ubsan "$JOBS" -LE "fuzz_smoke|chaos|model" ||
   fail "asan-ubsan test suite"
 
-step "3/11 clang-tidy (+ gcc -fanalyzer, informational)"
+step "3/8 clang-tidy (+ gcc -fanalyzer, informational)"
 if command -v clang-tidy >/dev/null 2>&1; then
   cmake --build build-relwithdebinfo --target tidy || fail "clang-tidy"
 else
@@ -86,44 +91,27 @@ else
   echo "SKIPPED: gcc -fanalyzer target unavailable (needs GCC >= 12)"
 fi
 
-step "4/11 cppcheck"
+step "4/8 cppcheck"
 if command -v cppcheck >/dev/null 2>&1; then
   cmake --build build-relwithdebinfo --target cppcheck || fail "cppcheck"
 else
   echo "SKIPPED: cppcheck not installed"
 fi
 
-step "5/11 protocol lint (tools/ccvc_lint.py)"
-python3 tools/ccvc_lint.py --root "$PWD" --compiler "${CXX:-c++}" ||
-  fail "ccvc_lint"
-
-step "6/11 fuzz smoke (sanitized, built seeds + 20k runs each)"
+step "5/8 fuzz smoke (sanitized, built seeds + 20k runs each)"
 ctest --preset asan-ubsan "$JOBS" -L fuzz_smoke || fail "fuzz smoke"
 
-step "7/11 chaos property suite (sanitized fault injection + recovery)"
+step "6/8 chaos property suite (sanitized fault injection + recovery)"
 ctest --preset asan-ubsan "$JOBS" -L chaos || fail "chaos suite"
 
-step "8/11 bounded model checking (ccvc_mc + model-label tests)"
+step "7/8 bounded model checking (ccvc_mc + model-label tests)"
 cmake --build build-relwithdebinfo "$JOBS" --target ccvc_mc model_tests \
     >/dev/null &&
   ./build-relwithdebinfo/src/analysis/ccvc_mc all &&
   ctest --test-dir build-relwithdebinfo "$JOBS" -L model ||
   fail "model checking"
 
-step "9/11 wire-schema gate (ccvc_schema --check + schema-label tests)"
-cmake --build build-relwithdebinfo "$JOBS" --target ccvc_schema wire_tests \
-    >/dev/null &&
-  ./build-relwithdebinfo/src/analysis/ccvc_schema --check --root "$PWD" &&
-  ctest --test-dir build-relwithdebinfo "$JOBS" -L schema ||
-  fail "wire-schema gate"
-
-step "10/11 cross-TU dataflow gate (ccvc_sa --check + mutation corpus)"
-python3 tools/ccvc_sa --check --root "$PWD" &&
-  sh tools/sa_mutation.sh "$PWD" python3 &&
-  ctest --test-dir build-relwithdebinfo "$JOBS" -L sa ||
-  fail "ccvc_sa gate"
-
-step "11/11 ThreadSanitizer (failover paths + threaded runtime)"
+step "8/8 ThreadSanitizer (failover paths + threaded runtime)"
 cmake --preset tsan >/dev/null &&
   cmake --build --preset tsan "$JOBS" \
     --target engine_tests chaos_tests scenario_player runtime_tests \

@@ -1,12 +1,14 @@
-# Static-analysis wiring: clang-tidy, cppcheck, and the repo-specific
-# protocol linter (tools/ccvc_lint.py).
+# Static-analysis wiring: clang-tidy, cppcheck, gcc -fanalyzer, and the
+# repo-specific analyzer (tools/ccvc_sa: the cross-TU checkers plus the
+# source-line and doc rules).
 #
 # clang-tidy and cppcheck are optional toolchain components — the
 # targets exist only when the tool is on PATH, and ci/check.sh treats a
 # missing tool as a skipped (not failed) step so the suite degrades
-# gracefully on GCC-only images.  The protocol linter needs only a
-# Python interpreter and the C++ compiler already in use, so it is
-# always registered as a ctest test under the `lint` label.
+# gracefully on GCC-only images.  ccvc_sa needs only a Python
+# interpreter, so it is registered as ctest tests under the `sa` label
+# whenever one is found.  (Header self-containment is one compile
+# ctest per header, in tests/CMakeLists.txt.)
 
 set(CCVC_SRC_GLOBS
   ${CMAKE_SOURCE_DIR}/src/*/*.cpp
@@ -71,28 +73,12 @@ else()
   message(STATUS "CCVC: gcc>=12 not in use; 'fanalyzer' target disabled")
 endif()
 
-# --- protocol linter --------------------------------------------------
+# --- ccvc_sa ----------------------------------------------------------
 find_package(Python3 COMPONENTS Interpreter)
 if(Python3_Interpreter_FOUND)
-  add_test(NAME ccvc_lint
-    COMMAND ${Python3_EXECUTABLE} ${CMAKE_SOURCE_DIR}/tools/ccvc_lint.py
-            --root ${CMAKE_SOURCE_DIR}
-            --compiler ${CMAKE_CXX_COMPILER})
-  set_tests_properties(ccvc_lint PROPERTIES LABELS "lint" TIMEOUT 300)
-  message(STATUS "CCVC: protocol linter registered (ctest -L lint)")
-
-  # Per-rule linter regression tests over fixture files (tests/lint/).
-  add_test(NAME ccvc_lint_selftest
-    COMMAND ${Python3_EXECUTABLE}
-            ${CMAKE_SOURCE_DIR}/tests/lint/lint_selftest.py
-            --root ${CMAKE_SOURCE_DIR}
-            --compiler ${CMAKE_CXX_COMPILER})
-  set_tests_properties(ccvc_lint_selftest PROPERTIES LABELS "lint"
-                       TIMEOUT 300)
-
-  # Cross-TU analyzer gate (ctest -L sa): the committed baseline and
-  # generated docs must match the tree, and the mutation corpus proves
-  # each checker class actually fires.
+  # Analyzer gate (ctest -L sa): every checker and rule runs clean on
+  # the tree, the committed baseline and generated docs match it, and
+  # the mutation corpus proves each checker class actually fires.
   add_test(NAME ccvc_sa
     COMMAND ${Python3_EXECUTABLE} ${CMAKE_SOURCE_DIR}/tools/ccvc_sa
             --check --root ${CMAKE_SOURCE_DIR})
@@ -114,6 +100,5 @@ if(Python3_Interpreter_FOUND)
                        TIMEOUT 300)
   message(STATUS "CCVC: cross-TU analyzer registered (ctest -L sa)")
 else()
-  message(STATUS "CCVC: python3 not found; protocol linter and ccvc_sa "
-                 "not registered")
+  message(STATUS "CCVC: python3 not found; ccvc_sa not registered")
 endif()

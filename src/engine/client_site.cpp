@@ -117,6 +117,17 @@ OpId ClientSite::undo(const OpId& target) {
   CCVC_CHECK_MSG(k < hb_.size(),
                  "target not in the history buffer (never existed, or "
                  "collected by gc_history)");
+  // Every executed op raises from_center + from_site by one, so the HB
+  // holds everything executed since the target iff the two counts
+  // agree.  gc_history drops center entries even past a pending target;
+  // including through a gap would compensate the wrong characters.
+  const clocks::CompressedSv& now = clock_.stamp();
+  CCVC_CHECK_MSG((now.from_center + now.from_site) -
+                         (hb_[k].stamp.from_center + hb_[k].stamp.from_site) ==
+                     hb_.size() - k - 1,
+                 "ops executed after the undo target were collected by "
+                 "gc_history; its compensator cannot be brought to the "
+                 "present");
 
   // Inverse of the executed form is defined on the state right after it
   // executed; bring it to the present by inclusion through everything

@@ -71,8 +71,10 @@ class ClientSite {
   /// compensating operation: the inverse of the executed form,
   /// inclusion-transformed past everything executed here since.  The
   /// compensator rides the normal pipeline, so it converges and is
-  /// itself undoable.  Requires the target to still be in the history
-  /// buffer (gc_history may have collected it) and to be a local op.
+  /// itself undoable.  Requires the target to be a local op and it and
+  /// everything executed since to still be in the history buffer
+  /// (gc_history may have collected them); otherwise throws
+  /// ContractViolation before anything changes.
   /// Returns the compensating operation's id.
   ///
   /// Semantics under concurrency are best-effort in the usual

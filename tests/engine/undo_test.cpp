@@ -110,6 +110,33 @@ TEST(Undo, ConcurrentUndoAndEditConverge) {
   EXPECT_EQ(doc.find("!!!"), std::string::npos);  // undone
 }
 
+// gc_history drops a center entry as soon as it executes, even one that
+// executed after a still-pending target; the compensator would then miss
+// that op's inclusion and delete the wrong character ('b' here).  undo
+// must refuse, leaving the document as it was.
+TEST(Undo, RefusedWhenGcCollectedLaterHistory) {
+  for (const bool gc : {false, true}) {
+    SCOPED_TRACE(gc ? "gc_history on" : "gc_history off");
+    StarSessionConfig cfg = undo_cfg(2, "abc");
+    cfg.engine.gc_history = gc;
+    StarSession s(cfg);
+    s.client(2).insert(0, "YY");
+    s.queue().run_until(5);
+    const OpId x = s.client(1).insert(3, "X");
+    s.queue().run_until(21);  // "YY" executed at site 1, x still pending
+    ASSERT_EQ(s.client(1).text(), "YYabcX");
+    if (gc) {
+      EXPECT_THROW(s.client(1).undo(x), ContractViolation);
+      EXPECT_EQ(s.client(1).text(), "YYabcX");
+    } else {
+      s.client(1).undo(x);
+      EXPECT_EQ(s.client(1).text(), "YYabc");
+    }
+    s.run_to_quiescence();
+    EXPECT_TRUE(s.converged());
+  }
+}
+
 TEST(Undo, ForeignOpRejected) {
   StarSession s(undo_cfg(2, "x"));
   s.client(2).insert(0, "y");

@@ -4,7 +4,7 @@
 // actually run, across repeated drain()/submit() interleavings — the
 // regime docs/BLOCKING.md's wait-for edges describe.  After every drain() the marker's guarantee
 // must hold: every earlier uplink committed, every frame delivered.
-// TSan covers this suite via CI step 11 (ctest label `runtime`).
+// TSan covers this suite via CI step 8 (ctest label `runtime`).
 #include <gtest/gtest.h>
 
 #include <atomic>

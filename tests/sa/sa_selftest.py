@@ -1,21 +1,25 @@
 #!/usr/bin/env python3
 """Per-checker regression tests for tools/ccvc_sa.
 
-Two fixture trees under tests/sa/fixtures/ are staged into temporary
+Fixture trees under tests/sa/fixtures/ are staged into temporary
 roots — real analyzer code, empty baseline, generated docs, and the
 common/ stubs that give every configured analysis root a function to
 match — and run through `ccvc_sa --check`:
 
-  bad/   seeds at least one violation per checker and must produce
-         exactly the expected per-checker finding counts, nothing
-         more, nothing less.
-  good/  near-miss patterns the checkers must NOT flag: a transform-
-         confined plain write (a member, and a global outside the
-         runtime), a mutex-guarded two-closure write, an
+  bad/, text_bad/    seed at least one violation per checker (text_bad/
+         one per source or doc rule, three for determinism — one per
+         entropy source) and must together produce exactly the
+         expected per-checker finding counts, nothing more, nothing
+         less.
+  good/, text_good/  near-miss patterns the checkers must NOT flag: a
+         transform-confined plain write (a member, and a global
+         outside the runtime), a mutex-guarded two-closure write, an
          allocation outside the hot-path closure, a hot-path loop
-         over one subscripted site's row, a live allow() pragma
-         on a deliberate budget hit, explicit-order atomics.  Must run
-         clean (exit 0).
+         over one subscripted site's row, live allow() pragmas on a
+         deliberate budget hit and an unseeded draw, explicit-order
+         atomics, a seeded std::mt19937, the src/util/rng.* carve-out,
+         a raw send inside ReliableLink::make(), a wait loop with a
+         park body.  Each must run clean (exit 0).
 
 Stale configuration: the good tree with one closure root renamed away,
 or with a LAMBDA_CONTEXTS anchor broken, must exit 2 with a
@@ -56,7 +60,20 @@ EXPECTED_BAD = {
     "hot-path-budget": 1,
     "blocking-graph": 1,       # capacity wait on the transform closure
     "liveness-discipline": 3,  # park w/o writer ×2 (room_, go_) + no-notify
+    "bare-assert": 1,
+    "iostream-library": 1,
+    "paper-index": 1,
+    "self-include-first": 1,
+    "raw-channel-send": 1,
+    "metric-name": 2,          # uncatalogued call site + orphan catalog row
+    "doc-xref": 1,
+    "hand-rolled-codec": 1,
+    "determinism": 3,          # random_device, unseeded mt19937, rand()
+    "raw-blocking-call": 2,    # sleep_for + empty-body atomic spin
+    "schema-doc-table": 1,
 }
+BAD_TREES = ("bad", "text_bad")
+GOOD_TREES = ("good", "text_good")
 
 # (staged file, text to replace, replacement, expected error regex): each
 # seeds one stale entry into the good tree, which must then exit 2.
@@ -86,17 +103,25 @@ def run_sa(sa_dir: pathlib.Path, root: pathlib.Path,
     return proc.returncode, proc.stdout + proc.stderr
 
 
-def stage(repo: pathlib.Path, fixture: pathlib.Path,
+def stage(repo: pathlib.Path, fixtures: pathlib.Path, trees: tuple[str, ...],
           dest: pathlib.Path) -> pathlib.Path:
-    """Fixture src + real analyzer + empty baseline + generated docs."""
-    shutil.copytree(fixture / "src", dest / "src")
-    shutil.copytree(fixture.parent / "common" / "src", dest / "src",
-                    dirs_exist_ok=True)
+    """Fixture trees' src/ and docs/ overlaid on common/ + real analyzer
+    + empty baseline + generated docs.  Stub docs/schema.json and
+    docs/THREADING.md (which the generated docs link to) fill in for a
+    tree that brings none."""
+    for tree in ("common",) + trees:
+        for sub in ("src", "docs"):
+            if (fixtures / tree / sub).is_dir():
+                shutil.copytree(fixtures / tree / sub, dest / sub,
+                                dirs_exist_ok=True)
     shutil.copytree(repo / "tools" / "ccvc_sa", dest / "tools" / "ccvc_sa")
     (dest / "tools" / "ccvc_sa" / "baseline.txt").write_text("")
     docs = dest / "docs"
-    docs.mkdir()
-    (docs / "schema.json").write_text('{"messages": []}\n')
+    docs.mkdir(exist_ok=True)
+    for name, stub in (("schema.json", '{"messages": []}\n'),
+                       ("THREADING.md", "# Threading (fixture stub)\n")):
+        if not (docs / name).exists():
+            (docs / name).write_text(stub)
     sa_dir = dest / "tools" / "ccvc_sa"
     for flag, name in EMIT_DOCS.items():
         code, out = run_sa(sa_dir, dest, flag)
@@ -134,9 +159,7 @@ def main() -> int:
         tmp = pathlib.Path(td)
 
         # --- registry coverage: every checker has a bad-tree row -----
-        good_root = tmp / "good"
-        sa_dir = stage(repo, fixtures / "good", good_root)
-        code, out = run_sa(sa_dir, good_root, "--list")
+        code, out = run_sa(repo / "tools" / "ccvc_sa", repo, "--list")
         if code != 0:
             print(f"sa_selftest: --list failed:\n{out}", file=sys.stderr)
             return 2
@@ -149,32 +172,34 @@ def main() -> int:
                 f"fixture coverage drifted from the checker registry: "
                 f"uncovered={sorted(uncovered)} stale={sorted(stale)}")
 
-        # --- good tree: near-misses stay clean -----------------------
+        # --- good trees: near-misses stay clean ----------------------
+        good_root = tmp / "good"
+        sa_dir = stage(repo, fixtures, GOOD_TREES, good_root)
         code, out = run_sa(sa_dir, good_root, "--check")
         if code != 0 or count_checkers(out):
-            failures.append(f"good tree: want exit 0 with no findings, "
+            failures.append(f"good trees: want exit 0 with no findings, "
                             f"got exit {code}\n{out}")
 
-        # --- bad tree: exactly the expected finding multiset ---------
+        # --- bad trees: exactly the expected finding multiset --------
         bad_root = tmp / "bad"
-        sa_dir = stage(repo, fixtures / "bad", bad_root)
+        sa_dir = stage(repo, fixtures, BAD_TREES, bad_root)
         code, out = run_sa(sa_dir, bad_root, "--check")
         got = count_checkers(out)
         if code != 1:
-            failures.append(f"bad tree: want exit 1, got {code}\n{out}")
+            failures.append(f"bad trees: want exit 1, got {code}\n{out}")
         for checker in sorted(set(EXPECTED_BAD) | set(got)):
             want, have = EXPECTED_BAD.get(checker, 0), got.get(checker, 0)
             if want != have:
                 failures.append(
-                    f"bad tree: checker '{checker}' want {want} "
+                    f"bad trees: checker '{checker}' want {want} "
                     f"finding(s), got {have}")
-        if any(f.startswith("bad tree:") for f in failures):
-            failures.append(f"bad tree output was:\n{out}")
+        if any(f.startswith("bad trees:") for f in failures):
+            failures.append(f"bad trees output was:\n{out}")
 
         # --- stale configuration: a root matching nothing exits 2 ---
         for i, (rel, old, new, want) in enumerate(STALE_CONFIG):
             root = tmp / f"stale{i}"
-            sa_dir = stage(repo, fixtures / "good", root)
+            sa_dir = stage(repo, fixtures, GOOD_TREES, root)
             path = root / rel
             text = path.read_text()
             if old not in text:
@@ -192,7 +217,7 @@ def main() -> int:
         return 1
     print(f"sa_selftest: OK ({len(EXPECTED_BAD)} checkers, "
           f"{sum(EXPECTED_BAD.values())} seeded findings rejected, "
-          f"good tree clean, {len(STALE_CONFIG)} stale roots rejected)")
+          f"good trees clean, {len(STALE_CONFIG)} stale roots rejected)")
     return 0
 
 

@@ -1,7 +1,8 @@
-"""ccvc_sa — cross-TU static analysis gate for the CCVC tree.
+"""ccvc_sa — static analysis gate for the CCVC tree: cross-TU checkers
+plus the source-line and doc rules (check_text_rules.py).
 
 Usage:
-  python3 tools/ccvc_sa --check [--root DIR] [--checker A,B,...] [--json]
+  python3 tools/ccvc_sa --check [--root DIR] [--checker A,B,...]
   python3 tools/ccvc_sa --emit-atomics [--root DIR]
   python3 tools/ccvc_sa --emit-hotpath [--root DIR]
   python3 tools/ccvc_sa --emit-blocking [--root DIR]
@@ -11,11 +12,10 @@ The source tree is lexed and parsed ONCE per invocation (build_model);
 all checkers and emitters share the resulting sa_model, so grouping
 checkers into one run (`--checker a,b,c`) amortizes the parse.
 
-Exit codes (matching ccvc_lint): 0 clean, 1 findings or dead
-suppressions, 2 usage/configuration error.  A configured closure root,
-hot-path root, transform-only entry or lambda anchor that matches
-nothing in the tree is a configuration error: it would silently empty
-the closure it seeds.
+Exit codes: 0 clean, 1 findings or dead suppressions, 2 usage/
+configuration error.  A configured closure root, hot-path root,
+transform-only entry or lambda anchor that matches nothing in the tree
+is a configuration error: it would silently empty the closure it seeds.
 
 Checkers register via @sa_engine.checker at import time; adding one is
 a new module plus one import below (recipe in docs/ANALYSIS.md).
@@ -24,7 +24,6 @@ a new module plus one import below (recipe in docs/ANALYSIS.md).
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
 import sys
 import time
@@ -40,6 +39,7 @@ import check_single_writer                         # noqa: E402,F401
 import check_atomics_order                         # noqa: E402,F401
 import check_hot_path                              # noqa: E402,F401
 import check_blocking                              # noqa: E402,F401
+import check_text_rules                            # noqa: E402,F401
 
 
 def stale_config(model) -> list[str]:
@@ -68,9 +68,6 @@ def main(argv: list[str]) -> int:
                     help="restrict --check to a comma-separated subset "
                          "of checkers (no dead-suppression validation "
                          "in this mode)")
-    ap.add_argument("--json", action="store_true",
-                    help="with --check: emit findings as JSON for CI "
-                         "consumption instead of human-readable lines")
     ap.add_argument("--emit-atomics", action="store_true",
                     help="print the memory-order inventory markdown")
     ap.add_argument("--emit-hotpath", action="store_true",
@@ -125,22 +122,6 @@ def main(argv: list[str]) -> int:
               if args.checker else None)
     n_checkers = len([1 for n, _ in sa_engine.CHECKERS
                       if wanted is None or n in wanted])
-    if args.json:
-        doc = {
-            "schema": "ccvc-sa-findings/1",
-            "functions": len(model.funcs),
-            "checkers": n_checkers,
-            "parse_ms": round(parse_ms, 1),
-            "findings": [{"checker": f.checker, "file": f.file,
-                          "line": f.line, "key": f.key, "msg": f.msg}
-                         for f in res.findings],
-            "suppressed": len(res.suppressed),
-            "errors": res.errors,
-            "ok": res.ok,
-        }
-        json.dump(doc, sys.stdout, indent=2)
-        sys.stdout.write("\n")
-        return 0 if res.ok else 1
     for f in res.findings:
         print(f.render())
     for e in res.errors:

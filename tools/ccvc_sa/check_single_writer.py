@@ -20,7 +20,7 @@ satisfy one of:
                  not the protected state;
   ring           declared in bounded_ring.hpp or of a ring type — the
                  Vyukov seq protocol (release-publish / acquire-claim)
-                 is the transfer, proven by design + TSan (CI step 11);
+                 is the transfer, proven by design + TSan (CI step 8);
   mutex-guarded  every writing function locks (lock_guard/unique_lock/
                  scoped_lock appears in its body);
   single-closure all writers (constructors/destructor excluded — they
@@ -50,7 +50,7 @@ MEMBER_SCOPE = ("src/runtime/", "src/util/metrics")
 
 # Files whose state is the ring implementation itself: ownership is the
 # per-cell seq protocol, argued in the header comment and raced under
-# TSan in CI step 11 — not expressible as a per-member writer set.
+# TSan in CI step 8 — not expressible as a per-member writer set.
 RING_FILES = ("src/runtime/bounded_ring.hpp",)
 
 # closure name -> (entry points, concurrent).  `concurrent` marks

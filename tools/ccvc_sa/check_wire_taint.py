@@ -3,7 +3,7 @@
 Taint model (statement-granular, cross-TU via function summaries):
 
   sources    raw ByteSource reads (`get_uvarint` & co — the primitives
-             the hand-rolled-codec lint already confines to src/wire/ +
+             the hand-rolled-codec rule already confines to src/wire/ +
              src/util/), plus calls to functions whose summary says
              they return tainted data.  `wire::Reader` field reads are
              *not* sources: each carries a FieldDesc bound enforced at

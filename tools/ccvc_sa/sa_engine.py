@@ -4,7 +4,8 @@ Suppression has two layers, both *live-checked* (an entry that matches
 nothing is itself an error, so the baseline can only shrink):
 
   * inline pragma — `// ccvc-sa: allow(<checker>)` on the offending
-    line (collected by the lexer);
+    line (collected by the lexer; in docs/*.md and README.md, the same
+    text on the line, collected by sa_model);
   * baseline file — `tools/ccvc_sa/baseline.txt` lines of the form
     `checker|file-glob|key-glob`, for deliberate patterns that are part
     of the design (e.g. the corruption-drop catch in ReliableLink).

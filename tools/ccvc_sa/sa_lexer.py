@@ -7,6 +7,11 @@ collapsed to single STR/CHR tokens) but line numbers are preserved, and
 `ccvc-sa: allow(<checker>)` suppression pragmas hidden in comments are
 collected per line so checkers can honour them.
 
+Next to the tokens it emits a stripped-text view of the file: the
+source with every comment and string/char literal blanked (newlines
+kept, so line N of the view is line N of the file) and preprocessor
+lines kept.  The line rules in check_text_rules.py match against it.
+
 This is *not* a parser.  ccvc_sa trades full C++ fidelity for a
 zero-dependency analysis that runs on any image with a Python
 interpreter (this repo's images have no libclang); the self-validation
@@ -36,16 +41,23 @@ class Tok:
     line: int
 
 
-def lex(text: str) -> tuple[list[Tok], dict[int, set[str]]]:
-    """Tokenize C++ source.  Returns (tokens, allows) where allows maps
-    a line number to the set of checker names suppressed on that line."""
+def lex(text: str) -> tuple[list[Tok], dict[int, set[str]], str]:
+    """Tokenize C++ source.  Returns (tokens, allows, stripped) where
+    allows maps a line number to the set of checker names suppressed on
+    that line and stripped is the comment/literal-blanked view."""
     toks: list[Tok] = []
     allows: dict[int, set[str]] = {}
+    blanked: list[tuple[int, int]] = []   # comment/literal spans
     i, n, line = 0, len(text), 1
+    pp_end = 0   # tokens before this offset belong to a directive
 
     def note_allows(segment: str, at_line: int) -> None:
         for m in ALLOW_RE.finditer(segment):
             allows.setdefault(at_line, set()).add(m.group(1))
+
+    def push(kind: str, start: int, end: int) -> None:
+        if start >= pp_end:
+            toks.append(Tok(kind, text[start:end], line))
 
     while i < n:
         c = text[i]
@@ -57,29 +69,24 @@ def lex(text: str) -> tuple[list[Tok], dict[int, set[str]]]:
         if c in " \t\r\f\v":
             i += 1
             continue
-        # Preprocessor line (with \-continuations): dropped whole.  This
-        # also removes macro *definitions*, so macro call sites are the
-        # only thing the model sees — sa_model maps the CCVC_* macros to
-        # the functions their expansions call.
-        if c == "#" and (not toks or toks[-1].line != line):
-            start_line = line
-            while i < n:
-                j = text.find("\n", i)
-                if j == -1:
-                    i = n
-                    break
-                cont = text[i:j].rstrip().endswith("\\")
-                note_allows(text[i:j], line)
-                i = j + 1
-                line += 1
-                if not cont:
-                    break
-            _ = start_line
+        # Preprocessor line (with \-continuations): its tokens are
+        # dropped, its comments and literals blanked like any other.
+        # Dropping the directives also removes macro *definitions*, so
+        # macro call sites are the only thing the model sees — sa_model
+        # maps the CCVC_* macros to the functions their expansions call.
+        if (c == "#" and i >= pp_end
+                and (not toks or toks[-1].line != line)):
+            j = text.find("\n", i)
+            while j != -1 and text[i:j].rstrip().endswith("\\"):
+                j = text.find("\n", j + 1)
+            pp_end = n if j == -1 else j
+            i += 1
             continue
         if c == "/" and nxt == "/":
             j = text.find("\n", i)
             j = n if j == -1 else j
             note_allows(text[i:j], line)
+            blanked.append((i, j))
             i = j
             continue
         if c == "/" and nxt == "*":
@@ -88,6 +95,7 @@ def lex(text: str) -> tuple[list[Tok], dict[int, set[str]]]:
             seg = text[i:j]
             note_allows(seg, line)
             line += seg.count("\n")
+            blanked.append((i, j + 2))
             i = j + 2
             continue
         if c == '"':
@@ -96,39 +104,42 @@ def lex(text: str) -> tuple[list[Tok], dict[int, set[str]]]:
             j = i + 1
             while j < n and text[j] != '"':
                 j += 2 if text[j] == "\\" else 1
-            toks.append(Tok("str", text[i:j + 1], line))
+            push("str", i, j + 1)
+            blanked.append((i, j + 1))
             line += text.count("\n", i, j)
             i = j + 1
             continue
         if c == "'":
+            # A char literal never spans lines (an apostrophe in an
+            # #error text must not swallow the code after it).
             j = i + 1
-            while j < n and text[j] != "'":
+            while j < n and text[j] not in "'\n":
                 j += 2 if text[j] == "\\" else 1
-            toks.append(Tok("chr", text[i:j + 1], line))
-            i = j + 1
+            end = j + 1 if j < n and text[j] == "'" else j
+            push("chr", i, end)
+            blanked.append((i, end))
+            i = end
             continue
         m = IDENT_RE.match(text, i)
         if m:
-            toks.append(Tok("id", m.group(0), line))
+            push("id", i, m.end())
             i = m.end()
             continue
         if c.isdigit():
             m = NUM_RE.match(text, i)
-            toks.append(Tok("num", m.group(0), line))
+            push("num", i, m.end())
             i = m.end()
             continue
-        for p in PUNCT3:
+        for p in PUNCT3 + PUNCT2 + (c,):
             if text.startswith(p, i):
-                toks.append(Tok("punct", p, line))
-                i += 3
+                push("punct", i, i + len(p))
+                i += len(p)
                 break
-        else:
-            for p in PUNCT2:
-                if text.startswith(p, i):
-                    toks.append(Tok("punct", p, line))
-                    i += 2
-                    break
-            else:
-                toks.append(Tok("punct", c, line))
-                i += 1
-    return toks, allows
+
+    out, at = [], 0
+    for a, b in blanked:
+        out.append(text[at:a])
+        out.append(re.sub(r"[^\n]", " ", text[a:b]))
+        at = b
+    out.append(text[at:])
+    return toks, allows, "".join(out)

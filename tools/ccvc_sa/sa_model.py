@@ -1,7 +1,8 @@
 """sa_model — cross-TU C++ program model for ccvc_sa.
 
 Builds, from the token streams of every file under src/, the program
-model the checkers run on:
+model the checkers run on (plus each file's raw and stripped text, and
+the prose of docs/*.md and README.md, for the text rules):
 
   * functions — qualified name, owning class, parameter names, body
     token slice, [[noreturn]]-ness;
@@ -24,7 +25,7 @@ import pathlib
 import re
 from dataclasses import dataclass, field
 
-from sa_lexer import Tok, lex
+from sa_lexer import ALLOW_RE, Tok, lex
 
 IDENT_SCAN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -98,10 +99,13 @@ class Model:
     globals: list[Var] = field(default_factory=list)
     local_statics: list[Var] = field(default_factory=list)
     classes: dict[str, ClassInfo] = field(default_factory=dict)
-    # file -> {line -> {checker names allowed}}
+    # file -> {line -> {checker names allowed}}, sources and docs alike
     allows: dict[str, dict[int, set[str]]] = field(default_factory=dict)
-    # file -> raw text (for checkers that need context lines)
+    # source file -> raw text, and -> the lexer's stripped view
     texts: dict[str, str] = field(default_factory=dict)
+    stripped: dict[str, str] = field(default_factory=dict)
+    # docs/*.md and README.md -> raw text (the doc rules read these)
+    docs: dict[str, str] = field(default_factory=dict)
     by_name: dict[str, list[Func]] = field(default_factory=dict)
     # names declared [[noreturn]] anywhere (prototype or definition)
     noreturn_names: set[str] = field(default_factory=set)
@@ -562,9 +566,18 @@ def build_model(root: pathlib.Path, subdirs: tuple[str, ...] = ("src",),
     for path in files:
         rel = str(path.relative_to(root))
         text = path.read_text(encoding="utf-8")
-        toks, allows = lex(text)
+        toks, allows, stripped = lex(text)
         model.texts[rel] = text
+        model.stripped[rel] = stripped
         model.allows[rel] = allows
         _FileParser(model, rel, toks).run()
+    for path in sorted(root.glob("docs/*.md")) + sorted(root.glob("README.md")):
+        rel = str(path.relative_to(root))
+        text = path.read_text(encoding="utf-8")
+        model.docs[rel] = text
+        model.allows[rel] = {
+            n: set(ALLOW_RE.findall(line))
+            for n, line in enumerate(text.splitlines(), 1)
+            if ALLOW_RE.search(line)}
     model.index()
     return model

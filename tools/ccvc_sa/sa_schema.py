@@ -4,7 +4,7 @@ The wire-taint checker treats `wire::Reader` field reads as sanitizing
 *because* each carries a FieldDesc with a bound.  That trust is only
 justified if the descriptor a call site names actually exists in the
 committed schema contract — so this module re-derives, independently of
-the C++ (same spirit as the schema-doc-table lint rule):
+the C++ (same spirit as the schema-doc-table rule):
 
   alias (f::kOpIdSite)  ->  table entry (kOpIdFields[0])
                         ->  field name ("site") in message ("OpId")

@@ -47,6 +47,9 @@ stage() {
   cp "$ROOT/docs/ATOMICS.md" "$TMP/docs/ATOMICS.md"
   cp "$ROOT/docs/HOTPATH.md" "$TMP/docs/HOTPATH.md"
   cp "$ROOT/docs/BLOCKING.md" "$TMP/docs/BLOCKING.md"
+  # The generated docs link to THREADING.md; a stub keeps doc-xref
+  # quiet without staging every file the real one references.
+  echo '# Threading (stub)' > "$TMP/docs/THREADING.md"
 }
 
 run_sa() {
@@ -106,14 +109,16 @@ done
 echo "ok: all checkers pass standalone on the clean tree"
 
 # Mutation 1 (wire-taint): a decoded count drives reserve() unguarded.
+# Seeded in src/wire/, the one place raw reads are legal, so the
+# hand-rolled-codec rule stays quiet and wire-taint is the finding.
 stage
-cat >> "$TMP/src/engine/snapshot.cpp" <<'EOF'
-namespace ccvc::engine {
+cat >> "$TMP/src/wire/engine.cpp" <<'EOF'
+namespace ccvc::wire {
 void sa_mutation_unguarded(util::ByteSource& src, std::vector<int>& out) {
   const std::uint64_t n = src.get_uvarint();
   out.reserve(n);
 }
-}  // namespace ccvc::engine
+}  // namespace ccvc::wire
 EOF
 expect_findings "unguarded decoded count" 1 \
   "wire-taint.*reserve in.*sa_mutation_unguarded"
@@ -212,7 +217,7 @@ expect_findings "allocation on the submit hot path" 2 \
 # violates the transform closure's edge-absence assertion, (c) consults
 # no stop flag, and (d) leaves the committed BLOCKING.md stale.
 stage
-sed 's/frames.push_back(std::move(frame));/while (frames.size() >= 8) std::this_thread::yield();\n    frames.push_back(std::move(frame));/' \
+sed 's|frames.push_back(std::move(frame));|while (frames.size() >= 8) std::this_thread::yield();  // ccvc-sa: allow(raw-blocking-call) the seed is the cycle\n    frames.push_back(std::move(frame));|' \
   "$TMP/src/runtime/threaded_star.cpp" > "$TMP/src/runtime/threaded_star.cpp.new"
 mv "$TMP/src/runtime/threaded_star.cpp.new" "$TMP/src/runtime/threaded_star.cpp"
 if ! grep -q 'frames.size() >= 8' "$TMP/src/runtime/threaded_star.cpp"; then
